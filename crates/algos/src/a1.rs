@@ -32,6 +32,59 @@ pub enum A1Msg<V> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct A1;
 
+/// Why `A1` cannot run on a given `(n, t)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum A1BoundsError {
+    /// `A1` is the one-crash algorithm of §5.3: `t` must be 1.
+    Resilience {
+        /// The requested resilience.
+        t: usize,
+    },
+    /// `A1` needs `p2` as the round-2 fallback proposer: `n ≥ 2`.
+    TooFewProcesses {
+        /// The requested process count.
+        n: usize,
+    },
+}
+
+impl core::fmt::Display for A1BoundsError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            A1BoundsError::Resilience { t } => {
+                write!(
+                    f,
+                    "A1 tolerates exactly one crash: needs t = 1, got t = {t}"
+                )
+            }
+            A1BoundsError::TooFewProcesses { n } => write!(
+                f,
+                "A1 needs p2 as the round-2 fallback proposer: needs n ≥ 2, got n = {n}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for A1BoundsError {}
+
+impl A1 {
+    /// Checks that `A1` can run on `n` processes tolerating `t`
+    /// crashes — the condition under which [`RoundAlgorithm::spawn`]
+    /// does not panic.
+    ///
+    /// # Errors
+    ///
+    /// [`A1BoundsError`] unless `t == 1` and `n ≥ 2`.
+    pub fn check(n: usize, t: usize) -> Result<(), A1BoundsError> {
+        if t != 1 {
+            Err(A1BoundsError::Resilience { t })
+        } else if n < 2 {
+            Err(A1BoundsError::TooFewProcesses { n })
+        } else {
+            Ok(())
+        }
+    }
+}
+
 /// Per-process state of `A1`: the `w` register, `decided` flag and
 /// decision register of Figure 4.
 #[derive(Debug)]
@@ -103,11 +156,12 @@ impl<V: Value> RoundAlgorithm<V> for A1 {
 
     /// # Panics
     ///
-    /// Panics unless `t == 1` and `n ≥ 2` — `A1` is specifically the
-    /// one-crash algorithm of §5.3.
+    /// Panics unless `t == 1` and `n ≥ 2` ([`A1::check`]) — `A1` is
+    /// specifically the one-crash algorithm of §5.3.
     fn spawn(&self, me: ProcessId, n: usize, t: usize, input: V) -> A1Process<V> {
-        assert!(t == 1, "A1 tolerates exactly one crash");
-        assert!(n >= 2, "A1 needs p2 as the round-2 fallback proposer");
+        if let Err(e) = A1::check(n, t) {
+            panic!("{e}");
+        }
         A1Process {
             me,
             w: input,
@@ -276,5 +330,16 @@ mod tests {
     #[should_panic(expected = "exactly one crash")]
     fn a1_rejects_t_other_than_1() {
         let _ = RoundAlgorithm::<u64>::spawn(&A1, p(0), 3, 2, 1);
+    }
+
+    #[test]
+    fn check_types_the_spawn_preconditions() {
+        assert_eq!(A1::check(4, 1), Ok(()));
+        assert_eq!(A1::check(4, 2), Err(A1BoundsError::Resilience { t: 2 }));
+        assert_eq!(A1::check(4, 0), Err(A1BoundsError::Resilience { t: 0 }));
+        assert_eq!(
+            A1::check(1, 1),
+            Err(A1BoundsError::TooFewProcesses { n: 1 })
+        );
     }
 }

@@ -36,7 +36,7 @@ pub mod f_opt;
 pub mod flood;
 pub mod sdd;
 
-pub use a1::{A1Msg, A1Process, A1};
+pub use a1::{A1BoundsError, A1Msg, A1Process, A1};
 pub use c_opt::{COptFloodSet, COptFloodSetWs, COptProcess};
 pub use ct::{CtMsg, CtProcess, CtRoundMsg, CtRounds, CtRoundsProcess};
 pub use early::{EarlyDeciding, EarlyDecidingWs, EarlyProcess};

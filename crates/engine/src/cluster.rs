@@ -19,13 +19,18 @@
 //! on PFD suspicion ([`StalenessFd`]) plus the `RS` drain — suspicion
 //! only ever comes from the timeout, never from socket state, so a
 //! `kill -9`'d peer surfaces exactly the way §3's detector
-//! construction says it must. Each node appends its observations to a
+//! construction says it must. The drain is anchored at the suspicion,
+//! not at the round: a missing wire is declared absent once its sender
+//! has been silent for `fd_timeout + drain`, so each silence pays the
+//! drain once and a long-dead peer costs later rounds nothing. A peer
+//! that speaks again is trusted again, and a fresh silence pays a
+//! fresh drain. Each node appends its observations to a
 //! line-oriented report file; the parent tails those files, replays
 //! the proposer deterministically, reconstructs one canonical
 //! [`RunTrace`] per instance (crash rounds for killed nodes are
 //! derived from the survivors' received rows), and audits it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -81,8 +86,10 @@ pub struct NodeConfig {
     pub delta: Option<Duration>,
     /// What a measured Δ violation does to the run.
     pub degrade: DegradeMode,
-    /// `RS` drain: how long to keep draining a suspected sender's link
-    /// before declaring its wire absent.
+    /// `RS` drain: how long a sender must have been *suspected* before
+    /// a round closes without its wire. Anchored at the suspicion (the
+    /// sender silent for `fd_timeout + drain`), not at the round, so it
+    /// is paid once per silence rather than once per round.
     pub drain: Duration,
     /// Per-round give-up deadline (liveness backstop).
     pub round_timeout: Duration,
@@ -308,6 +315,9 @@ fn cell_to_str(cell: &Option<Vec<u8>>) -> String {
 /// D k r hexbatch         decision of instance k, made in round r
 /// Y k d v a p            instance summary: degraded round (or -),
 ///                        violated 0/1, aborted 0/1, pending count
+/// L k r src              guard armed: a wire of instance k, round r,
+///                        from src arrived after instance k's summary
+///                        (the merge flags instance k in hindsight)
 /// T r rt b d du l s c    final transport counters
 /// W ad de bu re          gateway counters: admitted, deduped,
 ///                        busy-rejected, redirects (gateway runs only;
@@ -471,7 +481,6 @@ pub fn serve_node_with(
                 }
             });
             let deadline = Instant::now() + cfg.round_timeout;
-            let mut missing_since: Vec<Option<Instant>> = vec![None; n];
             loop {
                 if monitor.aborted() || net.remote_abort().is_some_and(|ab| ab <= k) {
                     net.abort(k);
@@ -479,30 +488,21 @@ pub fn serve_node_with(
                     break;
                 }
                 let rws = monitor.degraded();
-                let suspects = fd.suspects();
-                let now = Instant::now();
-                let mut ready = true;
-                for q in 0..n {
-                    if got[q].is_some() {
-                        continue;
-                    }
-                    if !suspects.contains(ProcessId::new(q)) {
-                        ready = false;
-                        continue;
-                    }
-                    if !rws {
-                        // RS discipline: drain the link after the
-                        // suspicion before declaring the wire absent.
-                        let since = missing_since[q].get_or_insert(now);
-                        if now.duration_since(*since) < cfg.drain {
-                            ready = false;
-                        }
-                    }
-                }
+                // A missing wire is declared absent once its sender is
+                // suspected — under RS only after the link has drained
+                // for `drain` past the suspicion. The drain is anchored
+                // at the suspicion, not at this round, so a long-dead
+                // peer costs it once per silence.
+                let ready = (0..n).all(|q| {
+                    got[q].is_some()
+                        || fd
+                            .suspected_for(ProcessId::new(q))
+                            .is_some_and(|suspected| rws || suspected >= cfg.drain)
+                });
                 if ready {
                     break;
                 }
-                if now > deadline {
+                if Instant::now() > deadline {
                     gave_up = true;
                     break;
                 }
@@ -528,6 +528,16 @@ pub fn serve_node_with(
                             wire_round: msg.round,
                             observed_in: Round::new(r),
                         });
+                    } else if msg.instance < k && monitor.is_armed() {
+                        // Its instance is already summarised: leave the
+                        // guard's finding for the merge to flag it.
+                        writeln!(
+                            out,
+                            "L {} {} {}",
+                            msg.instance,
+                            msg.round.get(),
+                            msg.src.index()
+                        )?;
                     }
                 }
             }
@@ -666,6 +676,9 @@ struct NodeLog {
     recv: BTreeMap<(u64, u32), Vec<Option<Vec<u8>>>>,
     decided: BTreeMap<u64, (u32, Batch)>,
     summary: BTreeMap<u64, Summary>,
+    /// Instances with a wire that arrived after their summary while
+    /// the guard was armed (`L` lines).
+    late: BTreeSet<u64>,
     aborted: BTreeMap<u64, bool>,
     gave_up: BTreeMap<u64, u32>,
     transport: TransportStats,
@@ -725,6 +738,11 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
             "A" => {
                 if let Some(k) = num(1) {
                     log.aborted.insert(k, true);
+                }
+            }
+            "L" => {
+                if let Some(k) = num(1) {
+                    log.late.insert(k);
                 }
             }
             "D" => {
@@ -989,7 +1007,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
             .map(Round::new);
         let violated = nodes
             .iter()
-            .any(|nl| nl.summary.get(&k).is_some_and(|s| s.violated));
+            .any(|nl| nl.summary.get(&k).is_some_and(|s| s.violated) || nl.late.contains(&k));
         let pending_messages: u64 = nodes
             .iter()
             .filter_map(|nl| nl.summary.get(&k).map(|s| s.pending))

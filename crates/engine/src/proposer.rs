@@ -11,9 +11,16 @@
 //! behind it stays pending and is re-proposed in later instances —
 //! including batches orphaned when their proposer crashed
 //! mid-instance.
+//!
+//! The exactly-once sets of seed-workload ids are [`SeqSet`]s per
+//! client: a client's sequence numbers are submitted, proposed and
+//! decided in order, so each set keeps a watermark and its small
+//! out-of-order window rather than every id ever seen.
 
 use core::fmt;
 use std::collections::{HashMap, HashSet, VecDeque};
+
+use ssp_runtime::SeqSet;
 
 use crate::command::{Batch, Command, CommandId, Op};
 
@@ -40,16 +47,51 @@ impl fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
+/// A lossless set of command ids: one [`SeqSet`] of sequence numbers
+/// per client.
+#[derive(Debug, Default)]
+struct IdSet(HashMap<u32, SeqSet>);
+
+impl IdSet {
+    fn insert(&mut self, id: CommandId) -> bool {
+        self.0
+            .entry(id.client)
+            .or_default()
+            .insert(u64::from(id.seq))
+    }
+
+    fn contains(&self, id: CommandId) -> bool {
+        self.0
+            .get(&id.client)
+            .is_some_and(|s| s.contains(u64::from(id.seq)))
+    }
+
+    fn len(&self) -> u64 {
+        self.0.values().map(SeqSet::len).sum()
+    }
+
+    /// Entries held in memory: one watermark per client plus the ids
+    /// above it.
+    fn retained(&self) -> usize {
+        self.0.len() + self.0.values().map(SeqSet::retained).sum::<usize>()
+    }
+}
+
 /// The engine's shared proposal state.
 #[derive(Debug, Default)]
 pub struct Proposer {
     pending: VecDeque<Command>,
-    submitted: HashSet<CommandId>,
-    decided: HashSet<CommandId>,
+    submitted: IdSet,
+    decided: IdSet,
     /// Commands proposed in at least one earlier instance.
-    proposed: HashSet<CommandId>,
-    /// Commands proposed in two or more distinct instances.
+    proposed: IdSet,
+    /// Undecided commands proposed in two or more distinct instances.
+    /// A decided command leaves `pending` and is never proposed again,
+    /// so it moves from this set to `reproposed_decided`.
     reproposed: HashSet<CommandId>,
+    /// Decided commands that had been proposed in two or more
+    /// instances.
+    reproposed_decided: u64,
     /// Externally submitted commands not yet decided, admission order.
     /// Kept apart from `pending` so the seed-deterministic proposal
     /// prefixes every replica replays are untouched by client timing —
@@ -89,7 +131,19 @@ impl Proposer {
     /// because the proposer crashed or a shorter prefix won).
     #[must_use]
     pub fn reproposed(&self) -> u64 {
-        self.reproposed.len() as u64
+        self.reproposed_decided + self.reproposed.len() as u64
+    }
+
+    /// Entries the seed-workload exactly-once sets hold in memory: per
+    /// client a watermark and the ids above it, plus the undecided
+    /// re-proposed commands. Stays O(clients) under a closed-loop
+    /// workload however many commands have been decided.
+    #[must_use]
+    pub fn retained_ids(&self) -> usize {
+        self.submitted.retained()
+            + self.decided.retained()
+            + self.proposed.retained()
+            + self.reproposed.len()
     }
 
     /// Builds the `n` per-process proposals for one instance: process
@@ -118,9 +172,9 @@ impl Proposer {
             .iter()
             .flat_map(|b| b.iter().map(|c| c.id))
             .collect();
-        for id in &this_instance {
-            if !self.proposed.insert(*id) {
-                self.reproposed.insert(*id);
+        for &id in &this_instance {
+            if !self.proposed.insert(id) {
+                self.reproposed.insert(id);
             }
         }
         batches
@@ -205,7 +259,7 @@ impl Proposer {
             if Self::is_external_cmd(cmd) {
                 continue;
             }
-            if !self.submitted.contains(&cmd.id) {
+            if !self.submitted.contains(cmd.id) {
                 return Err(CommitError::Unknown(cmd.id));
             }
             if !self.decided.insert(cmd.id) {
@@ -223,6 +277,11 @@ impl Proposer {
             applied.push(*cmd);
         }
         let decided: HashSet<CommandId> = batch.iter().map(|c| c.id).collect();
+        for id in &decided {
+            if self.reproposed.remove(id) {
+                self.reproposed_decided += 1;
+            }
+        }
         self.pending.retain(|c| !decided.contains(&c.id));
         self.external_pending.retain(|c| !decided.contains(&c.id));
         Ok(applied)
@@ -232,7 +291,7 @@ impl Proposer {
     /// are tracked in [`decided_at`](Proposer::decided_at)).
     #[must_use]
     pub fn decided_len(&self) -> u64 {
-        self.decided.len() as u64
+        self.decided.len()
     }
 }
 

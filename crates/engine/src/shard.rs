@@ -466,7 +466,8 @@ where
 /// `(instance, round)` decision coordinates.
 ///
 /// With an inert source this is exactly [`serve_sharded`]; a draining
-/// run whose source is not [`exhausted`](ExternalSource::exhausted)
+/// run with nothing runnable — every group idle or out of instance
+/// budget — whose source is not [`exhausted`](ExternalSource::exhausted)
 /// idles up to [`ShardedConfig::external_idle_timeout`] for more
 /// admissions before stopping.
 ///
@@ -609,11 +610,15 @@ where
                 if groups.iter().all(|g| g.instance >= g.cfg.instances) {
                     break;
                 }
+                // No group can run an instance: each is idle or out of
+                // budget. A group out of budget may still hold work —
+                // work no tick can decide, so ticking on would spin.
                 let quiescent = cfg.engine.run_to_drain
                     && workload.drained()
-                    && groups
-                        .iter()
-                        .all(|g| g.proposer.pending_len() == 0 && g.proposer.external_len() == 0)
+                    && groups.iter().all(|g| {
+                        g.instance >= g.cfg.instances
+                            || (g.proposer.pending_len() == 0 && g.proposer.external_len() == 0)
+                    })
                     && txs.iter().all(|t| t.resolved);
                 if quiescent && source.exhausted() {
                     break;
@@ -667,10 +672,10 @@ where
                 if admitted {
                     idle_since = None;
                 } else if quiescent {
-                    // Drained, nothing queued, source still live: wait
-                    // (real time — clients are on the wall clock) for
-                    // the next admission instead of burning instance
-                    // budget, up to the idle timeout. `ticks` does not
+                    // Nothing runnable, source still live: wait (real
+                    // time — clients are on the wall clock) for the next
+                    // admission instead of burning instance budget or
+                    // CPU, up to the idle timeout. `ticks` does not
                     // advance here, so the deterministic tick count is
                     // untouched by wall-clock idling.
                     let since = *idle_since.get_or_insert_with(Instant::now);

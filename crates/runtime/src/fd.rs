@@ -133,13 +133,40 @@ impl FdModule for TimeoutFd {
 /// suspicion can only arise from the PFD timeout elapsing without
 /// traffic — exactly the §3 discipline, and the opposite of the
 /// "suspect on disconnect" mistake the paper warns against.
+///
+/// Silence is measured on the observer's *running* clock once some
+/// thread of the observer calls [`tick`](LastSeenBoard::tick) (the
+/// socket transport's acceptor does, every few milliseconds): time
+/// past the latest tick by more than [`STALL_SLACK`] does not count
+/// until the next tick shows the observer running again. An observer
+/// that was stopped (`SIGSTOP`, a long preemption) could not hear its
+/// peers meanwhile, so its stall makes no one look silent — otherwise
+/// a resumed node would suspect every peer before its own readers had
+/// drained the frames waiting in its sockets.
 #[derive(Debug)]
 pub struct LastSeenBoard {
     origin: std::time::Instant,
-    /// Last frame arrival per peer, microseconds since `origin`. Zero
-    /// (the construction instant) gives every peer a full timeout of
-    /// startup grace before it can be suspected.
+    /// The running clock's state, under one lock so that a reader
+    /// never combines a tick with the stall it has not yet accounted.
+    clock: Mutex<RunningClock>,
+    /// Last frame arrival per peer, microseconds on the running clock.
+    /// Zero (the construction instant) gives every peer a full timeout
+    /// of startup grace before it can be suspected.
     marks: Vec<AtomicU64>,
+}
+
+/// Longest gap between two [`LastSeenBoard::tick`]s that still counts
+/// as running time in full.
+pub const STALL_SLACK: Duration = Duration::from_millis(50);
+
+#[derive(Debug, Default)]
+struct RunningClock {
+    /// Wall time of the latest tick, microseconds since the board's
+    /// origin; `None` keeps the board on the plain wall clock.
+    last_tick: Option<u64>,
+    /// Total stalled time, microseconds: the running clock is the wall
+    /// clock minus this.
+    stalled: u64,
 }
 
 impl LastSeenBoard {
@@ -148,12 +175,32 @@ impl LastSeenBoard {
     pub fn new(n: usize) -> Arc<Self> {
         Arc::new(LastSeenBoard {
             origin: std::time::Instant::now(),
+            clock: Mutex::new(RunningClock::default()),
             marks: (0..n).map(|_| AtomicU64::new(0)).collect(),
         })
     }
 
+    /// The running clock: wall time minus known stalls, and frozen at
+    /// [`STALL_SLACK`] past the latest tick.
     fn now_micros(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
+        let clock = self.clock.lock();
+        let wall = self.origin.elapsed().as_micros() as u64;
+        let slack = STALL_SLACK.as_micros() as u64;
+        let now = clock.last_tick.map_or(wall, |tick| wall.min(tick + slack));
+        now.saturating_sub(clock.stalled)
+    }
+
+    /// Shows the observer running. A gap since the previous tick longer
+    /// than [`STALL_SLACK`] was a stall: its excess is excluded from
+    /// every peer's staleness.
+    pub fn tick(&self) {
+        let mut clock = self.clock.lock();
+        let wall = self.origin.elapsed().as_micros() as u64;
+        if let Some(prev) = clock.last_tick {
+            let slack = STALL_SLACK.as_micros() as u64;
+            clock.stalled += wall.saturating_sub(prev).saturating_sub(slack);
+        }
+        clock.last_tick = Some(wall);
     }
 
     /// Records that a frame from `p` just arrived.
@@ -161,7 +208,7 @@ impl LastSeenBoard {
         self.marks[p.index()].store(self.now_micros(), Ordering::Relaxed);
     }
 
-    /// How long ago the last frame from `p` arrived.
+    /// How long `p` has been silent on the running clock.
     #[must_use]
     pub fn staleness(&self, p: ProcessId) -> Duration {
         let mark = self.marks[p.index()].load(Ordering::Relaxed);
@@ -188,6 +235,19 @@ impl StalenessFd {
     pub fn new(board: Arc<LastSeenBoard>, timeout: Duration, me: ProcessId) -> Self {
         StalenessFd { board, timeout, me }
     }
+
+    /// How long `p` has been suspected: its silence beyond the
+    /// timeout, or `None` while it is trusted (and always for `me`).
+    /// Suspicion is not sticky — any frame from `p` re-marks the board
+    /// and resets this, so a peer suspected again starts from zero.
+    #[must_use]
+    pub fn suspected_for(&self, p: ProcessId) -> Option<Duration> {
+        if p == self.me {
+            return None;
+        }
+        let silence = self.board.staleness(p);
+        (silence > self.timeout).then(|| silence - self.timeout)
+    }
 }
 
 impl FdModule for StalenessFd {
@@ -195,7 +255,7 @@ impl FdModule for StalenessFd {
         let mut s = ProcessSet::empty();
         for i in 0..self.board.marks.len() {
             let p = ProcessId::new(i);
-            if p != self.me && self.board.staleness(p) > self.timeout {
+            if self.suspected_for(p).is_some() {
                 s.insert(p);
             }
         }
@@ -863,4 +923,42 @@ mod tests {
     }
 
     const SLOW_FOR_DISPLAY: Duration = Duration::from_millis(600);
+
+    #[test]
+    fn suspicion_is_measured_from_the_timeout_and_reset_by_a_frame() {
+        let board = LastSeenBoard::new(2);
+        let fd = StalenessFd::new(Arc::clone(&board), Duration::from_millis(30), p(0));
+        board.mark(p(1));
+        assert_eq!(fd.suspected_for(p(1)), None);
+        std::thread::sleep(Duration::from_millis(60));
+        let suspected = fd.suspected_for(p(1)).expect("silent past the timeout");
+        assert!(suspected >= Duration::from_millis(30), "{suspected:?}");
+        assert!(fd.suspects().contains(p(1)));
+        assert_eq!(fd.suspected_for(p(0)), None, "never suspects itself");
+        board.mark(p(1));
+        assert_eq!(fd.suspected_for(p(1)), None, "suspicion is not sticky");
+    }
+
+    #[test]
+    fn a_stalled_observer_does_not_age_its_peers() {
+        let board = LastSeenBoard::new(2);
+        board.tick();
+        board.mark(p(1));
+        // No ticks for four slacks: the observer was stopped.
+        std::thread::sleep(STALL_SLACK * 4);
+        let frozen = board.staleness(p(1));
+        assert!(
+            frozen <= STALL_SLACK,
+            "clock frozen past the last tick: {frozen:?}"
+        );
+        board.tick();
+        let resumed = board.staleness(p(1));
+        assert!(resumed <= STALL_SLACK, "the stall is excluded: {resumed:?}");
+        // Running again: ticked time counts in full.
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(10));
+            board.tick();
+        }
+        assert!(board.staleness(p(1)) >= resumed + Duration::from_millis(200));
+    }
 }

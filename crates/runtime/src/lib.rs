@@ -57,6 +57,7 @@ pub mod driver;
 pub mod fd;
 pub mod net;
 pub mod plan;
+pub mod seqset;
 pub mod socket;
 pub mod trace;
 pub mod transport;
@@ -77,6 +78,7 @@ pub use net::{
     NetHandle, NetReceiver, NetSender, NetStats, ShutdownTimeout, MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
 pub use plan::{FaultPlan, PlanModel, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
+pub use seqset::SeqSet;
 pub use socket::{
     FrameReader, GatewayListener, GatewaySubmission, SocketConfig, SocketMsg, SocketNet,
     FLUSH_STALE_CUT, FLUSH_TIMEOUT,

@@ -19,9 +19,10 @@
 //! Two properties the paper cares about are structural here:
 //!
 //! * **Suspicion is gated on the PFD timeout, never on connection
-//!   state.** Only frame arrivals touch the [`LastSeenBoard`]; a
-//!   refused dial, a mid-stream reset, or a closed socket is invisible
-//!   to [`StalenessFd`](crate::fd::StalenessFd). A `kill -9`'d peer is
+//!   state.** Only frame arrivals mark the [`LastSeenBoard`] (the
+//!   acceptor merely ticks its running clock); a refused dial, a
+//!   mid-stream reset, or a closed socket is invisible to
+//!   [`StalenessFd`](crate::fd::StalenessFd). A `kill -9`'d peer is
 //!   suspected when its silence outlives the timeout — §3's detector
 //!   construction — while a reset that reconnects inside the bound
 //!   leaves no trace.
@@ -32,7 +33,7 @@
 //!   `off|rws|abort` degrade modes mid-run ([`DegradeMode`]) — the §3
 //!   caveat as an online guard.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,6 +47,7 @@ use parking_lot::Mutex;
 use ssp_model::{ProcessId, Round};
 
 use crate::fd::{DegradeMode, LastSeenBoard, SynchronyEvent, SynchronyMonitor};
+use crate::seqset::SeqSet;
 use crate::transport::{
     backoff_delay, Frame, GatewayStats, TransportError, TransportStats, MAX_FRAME_LEN,
 };
@@ -198,8 +200,9 @@ struct Core {
     remote_abort: AtomicU64,
     /// Newest epoch seen per peer.
     epochs: Vec<AtomicU64>,
-    /// Per-peer dedup of received data seqs.
-    seen: Vec<Mutex<HashSet<u64>>>,
+    /// Per-peer dedup of received data seqs (the sender numbers its
+    /// frames from 0, so the set stays at its reordering window).
+    seen: Vec<Mutex<SeqSet>>,
     /// Per-peer supervisor inboxes (entry for `me` exists but is
     /// never dialed).
     sups: Vec<Sender<SupCmd>>,
@@ -281,7 +284,7 @@ impl SocketNet {
             guarded_instance: AtomicU64::new(NO_ABORT),
             remote_abort: AtomicU64::new(NO_ABORT),
             epochs: (0..config.n).map(|_| AtomicU64::new(0)).collect(),
-            seen: (0..config.n).map(|_| Mutex::new(HashSet::new())).collect(),
+            seen: (0..config.n).map(|_| Mutex::new(SeqSet::new())).collect(),
             sups: sup_txs,
             inflight: (0..config.n).map(|_| AtomicU64::new(0)).collect(),
             inbox_tx,
@@ -452,6 +455,9 @@ fn sleep_interruptibly(core: &Core, d: Duration) {
 
 fn acceptor(core: &Arc<Core>, listener: &TcpListener) {
     while !core.shutdown.load(Ordering::SeqCst) {
+        // The acceptor never blocks, so its polls double as the
+        // board's running-clock ticks.
+        core.board.tick();
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);

@@ -320,6 +320,15 @@ where
 
 const BINARY: &[u64] = &[0, 1];
 
+/// `A1`'s spawn preconditions (`t = 1`, `n ≥ 2`) as a usage error, for
+/// every entry point that may spawn it — `A1`'s `spawn` panics instead.
+fn check_a1_bounds(algo_name: &str, n: usize, t: usize) -> Result<(), String> {
+    if algo_name == "a1" {
+        A1::check(n, t).map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
 fn cmd_verify(flags: &Flags) -> Result<(), String> {
     const USAGE: &str =
         "usage: ssp verify <algo> <rs|rws> [-n N] [-t T] [--threads K] [--sym off|values|full]";
@@ -332,6 +341,7 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
     };
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
+    check_a1_bounds(algo_name, n, t)?;
     let threads = flags.usize_or("threads", 1)?;
     if threads == 0 {
         return Err("--threads: at least one worker required".to_string());
@@ -391,6 +401,7 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
         .as_str();
     let n = flags.usize_or("n", 5)?;
     let t = flags.usize_or("t", 2)?;
+    check_a1_bounds(algo_name, n, t)?;
     let trials = flags.u64_or("trials", 5_000)?;
     let seed = flags.u64_or("seed", 42)?;
     let model_enum = match model {
@@ -616,6 +627,7 @@ fn cmd_runtime_fuzz(flags: &Flags) -> Result<(), String> {
     if n == 0 || t >= n {
         return Err(format!("need 0 ≤ t < n, got n={n}, t={t}"));
     }
+    check_a1_bounds(algo_name, n, t)?;
     let seeds = parse_seed_range(flags.get("seed-range").unwrap_or("0..16"))?;
     let mode = match flags.get("validity").unwrap_or("uniform") {
         "uniform" => ValidityMode::Uniform,
@@ -717,6 +729,7 @@ fn cmd_trace_dump(flags: &Flags) -> Result<(), String> {
     if n == 0 || t >= n {
         return Err(format!("need 0 ≤ t < n, got n={n}, t={t}"));
     }
+    check_a1_bounds(algo_name, n, t)?;
     let seed = flags.u64_or("seed", SECTION_5_3_SEED)?;
     let backend = parse_backend(flags)?;
     let config = InitialConfig::new((0..n as u64).map(|i| 10 + i).collect::<Vec<_>>());
@@ -788,6 +801,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if n == 0 || t >= n {
         return Err(format!("need 0 ≤ t < n, got n={n}, t={t}"));
     }
+    check_a1_bounds(algo_name, n, t)?;
     let mut cfg = EngineConfig::new(n, t, model);
     cfg.instances = flags.u64_or("instances", 50)?;
     cfg.seed = flags.u64_or("seed", 1)?;
@@ -986,6 +1000,7 @@ fn cmd_serve_node(flags: &Flags) -> Result<(), String> {
             peers.len()
         ));
     }
+    check_a1_bounds("a1", n, 1)?;
     let cfg = node_config_from_flags(flags, me, n, listen, peers)?;
     let gateway = match flags.get("gateway-listen") {
         Some(addr) => {
@@ -1203,6 +1218,7 @@ fn cmd_load_inproc(flags: &Flags) -> Result<(), String> {
     if n == 0 || t >= n {
         return Err(format!("need 0 ≤ t < n, got n={n}, t={t}"));
     }
+    check_a1_bounds(algo_name, n, t)?;
     let mut engine = EngineConfig::new(n, t, model);
     engine.instances = flags.u64_or("instances", 64)?;
     engine.seed = flags.u64_or("seed", 1)?;
@@ -1291,6 +1307,7 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
             InitialConfig::new((0..n as u64).map(|i| 10 + i).collect::<Vec<_>>())
         }
     };
+    check_a1_bounds(algo_name, config.n(), t)?;
     // Bounds (2 ≤ n ≤ 5, t ≤ 2, t < n) and the real-clock refusal are
     // the explorer's own typed errors — surfaced, not re-derived here.
     let report = match flags.get("sym").unwrap_or("off") {

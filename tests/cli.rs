@@ -49,6 +49,85 @@ fn verify_reports_violation_for_a1_in_rws() {
     assert!(stdout.contains("uniform agreement"), "{stdout}");
 }
 
+/// `A1` is the `t = 1` algorithm: every entry point that would spawn
+/// it with another `t` answers with a usage error (exit 1), not the
+/// spawn-time panic (exit 101).
+#[test]
+fn a1_with_t_other_than_one_is_a_usage_error_not_a_panic() {
+    for args in [
+        &["verify", "a1", "rs", "-n", "4", "-t", "2"][..],
+        &["sample", "a1", "rs", "--trials", "10"],
+        &[
+            "runtime-fuzz",
+            "a1",
+            "rws",
+            "-n",
+            "4",
+            "-t",
+            "2",
+            "--seed-range",
+            "0..2",
+        ],
+        &["trace-dump", "a1", "rws", "-n", "4", "-t", "2"],
+        &[
+            "serve",
+            "a1",
+            "rs",
+            "-n",
+            "4",
+            "-t",
+            "2",
+            "--instances",
+            "2",
+        ],
+        &["load", "--inproc", "a1", "rs", "-n", "4", "-t", "2"],
+        &["explore", "a1", "rws", "--n", "4", "--t", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ssp"))
+            .args(args)
+            .output()
+            .expect("spawn ssp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: A1 tolerates exactly one crash: needs t = 1, got t = 2"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// One group spends its instance budget while it still holds a
+/// cross-shard client's work, and the group with budget left has
+/// nothing queued: the run stops with the unacked count instead of
+/// ticking forever.
+#[test]
+fn load_inproc_stops_when_a_group_runs_out_of_budget() {
+    let started = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_ssp"))
+        .args([
+            "load",
+            "--inproc",
+            "a1",
+            "rs",
+            "--shards",
+            "2",
+            "--clients",
+            "2",
+        ])
+        .args(["--requests-per-client", "200", "--cross-rate", "0.1"])
+        .output()
+        .expect("spawn ssp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("of 400 requests acked"), "{stderr}");
+}
+
 #[test]
 fn latency_emits_the_table() {
     let (ok, stdout, _) = ssp(&["latency", "-n", "3", "-t", "1"]);

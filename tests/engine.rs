@@ -4,7 +4,7 @@
 //! pays `t + 1`).
 
 use ssp::algos::{CtRounds, A1};
-use ssp::engine::{serve, EngineConfig, FaultMode, Workload, WorkloadConfig};
+use ssp::engine::{serve, EngineConfig, FaultMode, Proposer, Workload, WorkloadConfig};
 use ssp::runtime::{Backend, ChaosConfig, ConfigError, PlanModel};
 
 fn chaos_cfg(model: PlanModel, seed: u64, instances: u64) -> EngineConfig {
@@ -125,4 +125,37 @@ fn invalid_drain_is_rejected_with_a_typed_error() {
         }
         other => panic!("expected DrainTooShort, got {other:?}"),
     }
+}
+
+/// Steady-state memory of the exactly-once sets: 100k closed-loop
+/// submit/commit cycles with 8 clients — the decided proposal rotating
+/// over the staggered prefixes, so commands are re-proposed all the
+/// time — keep O(clients) ids in memory while the counts stay exact.
+#[test]
+fn proposer_retains_o_clients_ids_over_100k_cycles() {
+    const CLIENTS: usize = 8;
+    let mut workload = Workload::new(5, WorkloadConfig::new(CLIENTS));
+    let mut proposer = Proposer::new();
+    let mut peak = 0;
+    for k in 0..100_000u64 {
+        for cmd in workload.poll() {
+            proposer.submit(cmd);
+        }
+        let proposals = proposer.proposals(3, 4, k);
+        #[allow(clippy::cast_possible_truncation)]
+        let winner = &proposals[(k % 3) as usize];
+        for cmd in proposer.commit(winner, k, 1).expect("exactly once") {
+            workload.acknowledge(cmd.id);
+        }
+        peak = peak.max(proposer.retained_ids());
+    }
+    assert!(
+        proposer.decided_len() > 100_000,
+        "every cycle decides at least one command"
+    );
+    assert!(proposer.reproposed() > 10_000, "losing prefixes re-propose");
+    assert!(
+        peak <= 4 * CLIENTS,
+        "retained {peak} ids for {CLIENTS} clients"
+    );
 }

@@ -11,6 +11,7 @@ use ssp::model::{
     Time,
 };
 use ssp::rounds::{run_rs, run_rws, validate_pending, CrashSchedule, PendingChoice, RoundCrash};
+use ssp::runtime::SeqSet;
 
 fn pid() -> impl Strategy<Value = ProcessId> {
     (0usize..8).prop_map(ProcessId::new)
@@ -21,6 +22,34 @@ fn pset() -> impl Strategy<Value = ProcessSet> {
 }
 
 proptest! {
+    /// `SeqSet` stores exactly the set a `HashSet<u64>` would, under a
+    /// forward-moving id stream with reordering (up to 11 back), gaps,
+    /// duplicates and a few far-off ids.
+    #[test]
+    fn seq_set_agrees_with_a_hash_set(
+        steps in proptest::collection::vec((0u64..12, 0u64..10), 0..400),
+        far in proptest::collection::vec(0u64..100_000, 0..8),
+    ) {
+        let mut ids = Vec::new();
+        for (i, &(back, coin)) in (0u64..).zip(&steps) {
+            match coin {
+                0 => {}                                 // a gap, unless a later id reaches back
+                1 => ids.extend([i, i.saturating_sub(back)]), // a duplicate or reordering
+                _ => ids.push(i.saturating_sub(back)),
+            }
+        }
+        ids.extend(&far);
+        let mut set = SeqSet::new();
+        let mut reference = std::collections::HashSet::new();
+        for &id in &ids {
+            prop_assert_eq!(set.insert(id), reference.insert(id));
+            prop_assert_eq!(set.len(), reference.len() as u64);
+        }
+        for id in (0..steps.len() as u64 + 16).chain(far) {
+            prop_assert_eq!(set.contains(id), reference.contains(&id));
+        }
+    }
+
     #[test]
     fn process_set_union_is_commutative_and_idempotent(a in pset(), b in pset()) {
         prop_assert_eq!(a.union(b), b.union(a));

@@ -6,8 +6,11 @@
 //! deterministic core, `kill -9` surfacing only through the PFD
 //! timeout, and the Δ-violation trichotomy on live sockets.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command};
+use std::time::{Duration, Instant};
+
+use ssp::engine::{merge_reports, NodeConfig};
 
 fn ssp(args: &[&str]) -> (bool, String, String) {
     let exe = env!("CARGO_BIN_EXE_ssp");
@@ -327,4 +330,192 @@ fn double_run_is_bit_deterministic() {
         outputs[0].1, outputs[1].1,
         "verdicts and digest must repeat"
     );
+}
+
+/// The RS drain is paid once per silence, anchored at the suspicion:
+/// after a `kill -9` of the round-1 coordinator, every later round
+/// closes without the dead peer's wire at once. With a 400 ms drain,
+/// 58 post-suspicion instances that paid it per round would need over
+/// 45 s; the whole run must finish in less than 50 × drain.
+#[test]
+fn survivors_pay_the_drain_once_per_suspicion() {
+    let dir = scratch("drain");
+    let drain = Duration::from_millis(400);
+    let started = Instant::now();
+    let (ok, stdout, stderr) = ssp(&[
+        "serve-cluster",
+        "-n",
+        "3",
+        "--instances",
+        "60",
+        "--seed",
+        "7",
+        "--kill9",
+        "0",
+        "--kill-at",
+        "1",
+        "--gap-ms",
+        "10",
+        "--fd-timeout-ms",
+        "600",
+        "--drain",
+        "400",
+        "--dir",
+        dir.to_str().unwrap(),
+    ]);
+    let wall = started.elapsed();
+    assert!(ok, "cluster with kill -9 failed\n{stdout}\n{stderr}");
+    assert!(
+        stdout.contains("suspected: p0 (crashed in instance 2)"),
+        "the coordinator must be suspected right after instance 1\n{stdout}"
+    );
+    assert!(
+        stdout.contains("60 decided") && stdout.contains("0 violations, 0 divergences"),
+        "survivors must decide every instance and audit clean\n{stdout}"
+    );
+    assert!(
+        wall < drain * 50,
+        "58 post-suspicion instances took {wall:?}, not less than 50 × drain\n{stdout}"
+    );
+}
+
+/// Loopback addresses for `n` nodes: bind port 0, keep the number.
+fn free_addrs(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            l.local_addr().expect("local addr").to_string()
+        })
+        .collect()
+}
+
+fn report_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("node{i}.log"))
+}
+
+/// Spawns one `ssp serve a1 rs --node` process per address.
+fn spawn_nodes(addrs: &[String], dir: &Path, args: &[&str]) -> Vec<Child> {
+    (0..addrs.len())
+        .map(|i| {
+            Command::new(env!("CARGO_BIN_EXE_ssp"))
+                .args(["serve", "a1", "rs", "--node", &i.to_string()])
+                .args(["--listen", &addrs[i], "--peers", &addrs.join(",")])
+                .args(["--report", report_path(dir, i).to_str().unwrap()])
+                .args(args)
+                .spawn()
+                .expect("spawn node")
+        })
+        .collect()
+}
+
+fn signal(child: &Child, sig: &str) {
+    let status = Command::new("kill")
+        .args([sig, &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill {sig} failed");
+}
+
+/// Cells of the `tag` row (`S` or `R`) for `(k, r)` in a node report.
+fn row<'a>(report: &'a str, tag: &str, k: u64, r: u32) -> Option<Vec<&'a str>> {
+    let head = format!("{tag} {k} {r} ");
+    report
+        .lines()
+        .find_map(|l| l.strip_prefix(&head))
+        .map(|cells| cells.split(' ').collect())
+}
+
+/// A falsely suspected peer: node 2 is `SIGSTOP`ped past
+/// `fd_timeout + drain`, so the survivors close its rounds without its
+/// wires, then `SIGCONT`ed, so those wires arrive late. With the Δ
+/// guard armed (`--delta-ms`, degrade off), the late wires must surface
+/// as pending at the survivors and every instance that lost one must be
+/// flagged — never certified as an `RS` run.
+#[test]
+fn a_stopped_peer_surfaces_as_pending_and_flagged_never_certified() {
+    const INSTANCES: u64 = 30;
+    let dir = scratch("stop");
+    let addrs = free_addrs(3);
+    let mut nodes = spawn_nodes(
+        &addrs,
+        &dir,
+        &[
+            "--instances",
+            &INSTANCES.to_string(),
+            "--seed",
+            "3",
+            "--gap-ms",
+            "20",
+            "--fd-timeout-ms",
+            "400",
+            "--drain",
+            "150",
+            "--delta-ms",
+            "100",
+            "--degrade",
+            "off",
+        ],
+    );
+    let victim = report_path(&dir, 2);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_to_string(&victim)
+        .unwrap_or_default()
+        .lines()
+        .any(|l| l.starts_with("Y 3 "))
+    {
+        assert!(
+            Instant::now() < deadline,
+            "node 2 never finished instance 3"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    signal(&nodes[2], "-STOP");
+    std::thread::sleep(Duration::from_millis(400 + 150 + 350));
+    signal(&nodes[2], "-CONT");
+    for node in &mut nodes {
+        assert!(node.wait().expect("wait node").success(), "a node failed");
+    }
+    let reports: Vec<String> = (0..3)
+        .map(|i| std::fs::read_to_string(report_path(&dir, i)).expect("report"))
+        .collect();
+
+    // Pending at the survivors: the summary lines count the late wires.
+    let pending: u64 = reports[..2]
+        .iter()
+        .flat_map(|r| r.lines().filter(|l| l.starts_with("Y ")))
+        .filter_map(|l| l.split(' ').nth(5)?.parse::<u64>().ok())
+        .sum();
+    assert!(pending > 0, "node 2's late wires must surface as pending");
+
+    let mut cfg = NodeConfig::new(0, 3, String::new(), Vec::new(), 3);
+    cfg.instances = INSTANCES;
+    let merged = merge_reports(&cfg, &reports).expect("merge");
+    assert_eq!(merged.audits.len() as u64, INSTANCES);
+    assert!(merged.crashed_nodes.is_empty(), "nobody crashed");
+    let mut lost = 0;
+    for audit in &merged.audits {
+        assert!(
+            audit.violation.is_none() && audit.divergence.is_none(),
+            "{audit:?}"
+        );
+        let k = audit.instance;
+        // Did a survivor close a round without a wire node 2 sent?
+        let lost_wire = (1..=2).any(|r| {
+            let Some(sent) = row(&reports[2], "S", k, r) else {
+                return false;
+            };
+            (0..2).any(|q| {
+                sent[q] != "-" && row(&reports[q], "R", k, r).is_some_and(|got| got[2] == "-")
+            })
+        });
+        if lost_wire {
+            lost += 1;
+            assert_eq!(
+                audit.verdict.to_string(),
+                "SynchronyViolation",
+                "instance {k} lost a live peer's wire yet was certified"
+            );
+        }
+    }
+    assert!(lost > 0, "the stop must outlast fd_timeout + drain");
 }
