@@ -13,7 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use ssp_engine::{encode_external_ops, Op};
-use ssp_runtime::{Frame, MAX_FRAME_LEN};
+use ssp_runtime::Frame;
 
 /// Configuration of one gateway client.
 #[derive(Debug, Clone)]
@@ -114,18 +114,11 @@ impl Conn {
     fn poll(&mut self, wait: Duration) -> io::Result<Option<Frame>> {
         let deadline = Instant::now() + wait;
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(io::Error::other(format!("frame length {len} exceeds cap")));
-                }
-                if self.buf.len() >= 4 + len {
-                    let frame = Frame::decode_body(&self.buf[4..4 + len])
-                        .map_err(|e| io::Error::other(format!("{e:?}")))?;
-                    self.buf.drain(..4 + len);
-                    return Ok(Some(frame));
-                }
+            if let Some((frame, used)) =
+                Frame::split_buffered(&self.buf).map_err(|e| io::Error::other(format!("{e:?}")))?
+            {
+                self.buf.drain(..used);
+                return Ok(Some(frame));
             }
             if Instant::now() >= deadline {
                 return Ok(None);

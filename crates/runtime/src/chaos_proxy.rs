@@ -33,7 +33,7 @@ use crossbeam::channel::{unbounded, RecvTimeoutError};
 use ssp_model::ProcessId;
 
 use crate::net::{roll, splitmix};
-use crate::transport::{Frame, TransportError, MAX_FRAME_LEN};
+use crate::transport::Frame;
 
 /// Salt for the per-frame delay decision (keyed on seq only).
 const SALT_PROXY_DELAY: u64 = 0x9d1a;
@@ -288,42 +288,36 @@ fn forward_connection(
     let mut downstream_r = downstream;
     let mut buf: Vec<u8> = Vec::new();
     'conn: loop {
-        // Extract complete frames from the buffer.
-        while buf.len() >= 4 {
-            let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if len > MAX_FRAME_LEN || buf.len() < 4 + len {
-                if len > MAX_FRAME_LEN {
-                    break 'conn;
-                }
-                break;
-            }
-            let raw: Vec<u8> = buf.drain(..4 + len).collect();
-            let mut due = Instant::now();
-            match Frame::decode_body(&raw[4..]) {
-                Ok(Frame::Data { seq, attempt, .. }) => {
-                    let nth = data_seen.fetch_add(1, Ordering::SeqCst) + 1;
-                    if let Some(k) = cfg.reset_after {
-                        if nth >= k && !reset_done.swap(true, Ordering::SeqCst) {
-                            stats.resets.fetch_add(1, Ordering::Relaxed);
-                            break 'conn;
-                        }
-                    }
-                    if partitioned
-                        || per_mille(cfg.seed, SALT_PROXY_DROP, link, seq, attempt, cfg.drop_pm)
-                    {
-                        stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    // Delay keys on seq alone: every copy of a delayed
-                    // frame is delayed, so retransmits cannot undo it.
-                    if per_mille(cfg.seed, SALT_PROXY_DELAY, link, seq, 0, cfg.delay_pm) {
-                        stats.delayed.fetch_add(1, Ordering::Relaxed);
-                        due += cfg.delay;
-                    }
-                }
-                Ok(_) => {}
-                Err(TransportError::FrameCorrupt(_)) => break 'conn,
+        // Extract complete frames from the buffer; a corrupt one ends
+        // the connection.
+        loop {
+            let (frame, used) = match Frame::split_buffered(&buf) {
+                Ok(Some(split)) => split,
+                Ok(None) => break,
                 Err(_) => break 'conn,
+            };
+            let raw: Vec<u8> = buf.drain(..used).collect();
+            let mut due = Instant::now();
+            if let Frame::Data { seq, attempt, .. } = frame {
+                let nth = data_seen.fetch_add(1, Ordering::SeqCst) + 1;
+                if let Some(k) = cfg.reset_after {
+                    if nth >= k && !reset_done.swap(true, Ordering::SeqCst) {
+                        stats.resets.fetch_add(1, Ordering::Relaxed);
+                        break 'conn;
+                    }
+                }
+                if partitioned
+                    || per_mille(cfg.seed, SALT_PROXY_DROP, link, seq, attempt, cfg.drop_pm)
+                {
+                    stats.dropped.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                // Delay keys on seq alone: every copy of a delayed
+                // frame is delayed, so retransmits cannot undo it.
+                if per_mille(cfg.seed, SALT_PROXY_DELAY, link, seq, 0, cfg.delay_pm) {
+                    stats.delayed.fetch_add(1, Ordering::Relaxed);
+                    due += cfg.delay;
+                }
             }
             if tx.send((due, raw)).is_err() {
                 break 'conn;

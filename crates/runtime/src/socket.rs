@@ -48,9 +48,7 @@ use ssp_model::{ProcessId, Round};
 
 use crate::fd::{DegradeMode, LastSeenBoard, SynchronyEvent, SynchronyMonitor};
 use crate::seqset::SeqSet;
-use crate::transport::{
-    backoff_delay, Frame, GatewayStats, TransportError, TransportStats, MAX_FRAME_LEN,
-};
+use crate::transport::{backoff_delay, Frame, GatewayStats, TransportError, TransportStats};
 
 /// Supervisor command-poll granularity; bounds shutdown latency and
 /// RTO/heartbeat timer resolution.
@@ -508,19 +506,9 @@ impl FrameReader {
     /// [`TransportError::FrameCorrupt`] on an unparseable stream.
     pub fn next(&mut self, shutdown: &AtomicBool) -> Result<Frame, TransportError> {
         loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(TransportError::FrameCorrupt(format!(
-                        "frame length {len} exceeds cap"
-                    )));
-                }
-                if self.buf.len() >= 4 + len {
-                    let frame = Frame::decode_body(&self.buf[4..4 + len])?;
-                    self.buf.drain(..4 + len);
-                    return Ok(frame);
-                }
+            if let Some((frame, used)) = Frame::split_buffered(&self.buf)? {
+                self.buf.drain(..used);
+                return Ok(frame);
             }
             if shutdown.load(Ordering::SeqCst) {
                 return Err(TransportError::Reset);

@@ -225,6 +225,35 @@ fn take_u64(buf: &[u8], at: &mut usize) -> Result<u64, TransportError> {
     Ok(u64::from_le_bytes(take::<8>(buf, at)?))
 }
 
+/// A `u32`-length-prefixed payload, capped at [`MAX_FRAME_LEN`].
+fn take_payload(buf: &[u8], at: &mut usize) -> Result<Vec<u8>, TransportError> {
+    let len = take_u32(buf, at)? as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(TransportError::FrameCorrupt(format!(
+            "payload length {len} exceeds cap"
+        )));
+    }
+    let end = at
+        .checked_add(len)
+        .filter(|&e| e <= buf.len())
+        .ok_or_else(|| TransportError::FrameCorrupt("truncated payload".into()))?;
+    let payload = buf[*at..end].to_vec();
+    *at = end;
+    Ok(payload)
+}
+
+/// The body length a frame's length prefix announces, capped at
+/// [`MAX_FRAME_LEN`].
+fn body_len(prefix: [u8; 4]) -> Result<usize, TransportError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(TransportError::FrameCorrupt(format!(
+            "frame length {len} exceeds cap"
+        )));
+    }
+    Ok(len)
+}
+
 impl Frame {
     /// Encodes the frame body (everything after the length prefix).
     #[must_use]
@@ -313,33 +342,14 @@ impl Frame {
                 src: ProcessId::new(take_u32(buf, &mut at)? as usize),
                 epoch: take_u64(buf, &mut at)?,
             },
-            TAG_DATA => {
-                let instance = take_u64(buf, &mut at)?;
-                let round = take_u32(buf, &mut at)?;
-                let seq = take_u64(buf, &mut at)?;
-                let attempt = take_u32(buf, &mut at)?;
-                let sent_micros = take_u64(buf, &mut at)?;
-                let len = take_u32(buf, &mut at)? as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(TransportError::FrameCorrupt(format!(
-                        "payload length {len} exceeds cap"
-                    )));
-                }
-                let end = at
-                    .checked_add(len)
-                    .filter(|&e| e <= buf.len())
-                    .ok_or_else(|| TransportError::FrameCorrupt("truncated payload".into()))?;
-                let payload = buf[at..end].to_vec();
-                at = end;
-                Frame::Data {
-                    instance,
-                    round,
-                    seq,
-                    attempt,
-                    sent_micros,
-                    payload,
-                }
-            }
+            TAG_DATA => Frame::Data {
+                instance: take_u64(buf, &mut at)?,
+                round: take_u32(buf, &mut at)?,
+                seq: take_u64(buf, &mut at)?,
+                attempt: take_u32(buf, &mut at)?,
+                sent_micros: take_u64(buf, &mut at)?,
+                payload: take_payload(buf, &mut at)?,
+            },
             TAG_ACK => Frame::Ack {
                 seq: take_u64(buf, &mut at)?,
             },
@@ -349,27 +359,11 @@ impl Frame {
             TAG_ABORT => Frame::Abort {
                 instance: take_u64(buf, &mut at)?,
             },
-            TAG_SUBMIT => {
-                let client = take_u64(buf, &mut at)?;
-                let req = take_u64(buf, &mut at)?;
-                let len = take_u32(buf, &mut at)? as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(TransportError::FrameCorrupt(format!(
-                        "payload length {len} exceeds cap"
-                    )));
-                }
-                let end = at
-                    .checked_add(len)
-                    .filter(|&e| e <= buf.len())
-                    .ok_or_else(|| TransportError::FrameCorrupt("truncated payload".into()))?;
-                let payload = buf[at..end].to_vec();
-                at = end;
-                Frame::Submit {
-                    client,
-                    req,
-                    payload,
-                }
-            }
+            TAG_SUBMIT => Frame::Submit {
+                client: take_u64(buf, &mut at)?,
+                req: take_u64(buf, &mut at)?,
+                payload: take_payload(buf, &mut at)?,
+            },
             TAG_CLIENT_ACK => Frame::ClientAck {
                 req: take_u64(buf, &mut at)?,
                 seq: take_u64(buf, &mut at)?,
@@ -424,16 +418,30 @@ impl Frame {
         let mut prefix = [0u8; 4];
         r.read_exact(&mut prefix)
             .map_err(|e| TransportError::from_io(&e))?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(TransportError::FrameCorrupt(format!(
-                "frame length {len} exceeds cap"
-            )));
-        }
-        let mut body = vec![0u8; len];
+        let mut body = vec![0u8; body_len(prefix)?];
         r.read_exact(&mut body)
             .map_err(|e| TransportError::from_io(&e))?;
         Frame::decode_body(&body)
+    }
+
+    /// Parses the first `length prefix ‖ body` frame at the start of
+    /// `buf`, returning it with the number of bytes it spans, or
+    /// `Ok(None)` while the frame is still incomplete. The caller
+    /// drains the spanned bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::FrameCorrupt`] on an oversized prefix or an
+    /// unparseable body.
+    pub fn split_buffered(buf: &[u8]) -> Result<Option<(Frame, usize)>, TransportError> {
+        let Some(&prefix) = buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let end = 4 + body_len(prefix)?;
+        match buf.get(4..end) {
+            Some(body) => Ok(Some((Frame::decode_body(body)?, end))),
+            None => Ok(None),
+        }
     }
 }
 

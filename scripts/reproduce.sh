@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full reproduction: tests (all claims asserted), the report examples,
-# and the benchmark harness. Expect ~20 minutes on a laptop.
+# and the benchmark declared in BENCHMARK.json. Expect ~20 minutes on a
+# laptop.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +19,9 @@ cargo run --release -- latency -n 3 -t 1
 cargo run --release -- verify floodset-ws rws -n 3 -t 1
 cargo run --release -- refute-sdd
 
-echo "== 4/4: benchmarks (one per experiment) =="
-cargo bench --workspace
+echo "== 4/4: benchmark (the gated workloads of BENCHMARK.json) =="
+for workload in engine failover; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 30 --trace 0
+done
 
 echo "Reproduction complete. See EXPERIMENTS.md for the claim-by-claim map."

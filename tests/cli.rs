@@ -272,6 +272,11 @@ fn trace_dump_is_backend_invariant() {
         std::fs::read_to_string(&r).unwrap(),
         "the §5.3 run log is byte-identical across clock backends"
     );
+    assert_eq!(
+        std::fs::read_to_string(&v).unwrap(),
+        include_str!("golden/seed519_a1_rws.jsonl"),
+        "the CLI dump is the pinned §5.3 run log"
+    );
     for p in [v, r] {
         let _ = std::fs::remove_file(p);
     }

@@ -71,7 +71,8 @@ fn vote_flood_without_halt_breaks_in_rws() {
 }
 
 /// RS commits strictly more often than RWS on identical adversarial
-/// scenarios, and the gap is exactly the pending-vote runs.
+/// scenarios, and the gap is exactly the pending-vote runs — at every
+/// crash rate, with a gap once crashes are common.
 #[test]
 fn commit_rate_gap_exists_and_is_consistent() {
     let workload = CommitWorkload::all_yes(4, 2, 0.6);
@@ -81,6 +82,12 @@ fn commit_rate_gap_exists_and_is_consistent() {
     assert!(report.gap_runs > 0, "{report:?}");
     assert_eq!(report.gap_runs, report.rs_commits - report.rws_commits);
     assert!(report.rs_rate() > 0.8, "{report:?}");
+    for crash_prob in [0.2, 0.5, 0.8] {
+        let report = commit_rate_experiment(&CommitWorkload::all_yes(4, 2, crash_prob), 500, 7);
+        assert!(report.rs_commits >= report.rws_commits, "{report:?}");
+        assert_eq!(report.gap_runs, report.rs_commits - report.rws_commits);
+        assert!(crash_prob < 0.3 || report.gap_runs > 0, "{report:?}");
+    }
 }
 
 /// §3's boosted guarantee, pointwise: all-Yes votes plus a mid-round-1

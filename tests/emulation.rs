@@ -281,9 +281,37 @@ fn rws_on_sp_satisfies_weak_round_synchrony() {
 }
 
 /// The emulation cost table of §4.1: `K_r` grows geometrically in `r`
-/// (factor `Φ+1`), linearly in `n` and `Δ`.
+/// (factor `Φ+1`), linearly in `n` and `Δ` — and the lock-step `RS` on
+/// `SS` pays it, while `RWS` on `SP` adapts to actual delays and takes
+/// fewer steps for the same FloodSet run.
 #[test]
 fn emulation_budget_shape() {
+    let (n, t) = (3, 1);
+    let horizon = RoundAlgorithm::<u64>::round_horizon(&FloodSet, n, t);
+    let spawn = |i: usize| RoundAlgorithm::<u64>::spawn(&FloodSet, p(i), n, t, i as u64);
+    let rs: Vec<BoxedAutomaton<EmuMsg<_>, (u64, Round)>> = (0..n)
+        .map(|i| Box::new(RsOnSs::new(spawn(i), p(i), n, horizon, 1, 1)) as _)
+        .collect();
+    let events = cumulative_round_budget(1, 1, n, horizon) * n as u64 + 64;
+    let mut adv = FairAdversary::new(n, events);
+    let rs_steps = run(ModelKind::ss(1, 1), rs, &mut adv, events + 10)
+        .expect("legal SS run")
+        .trace
+        .len();
+    let rws: Vec<BoxedAutomaton<EmuMsg<_>, (u64, Round)>> = (0..n)
+        .map(|i| Box::new(RwsOnSp::new(spawn(i), p(i), n, horizon)) as _)
+        .collect();
+    let mut adv = FairAdversary::new(n, 50_000);
+    let sp = ModelKind::sp(DetectionDelays::immediate(n));
+    let rws_steps = run(sp, rws, &mut adv, 60_000)
+        .expect("legal SP run")
+        .trace
+        .len();
+    assert!(
+        rws_steps < rs_steps,
+        "RWS-on-SP {rws_steps} vs RS-on-SS {rs_steps}"
+    );
+
     // Geometric in r.
     let k: Vec<u64> = (0..=5)
         .map(|r| cumulative_round_budget(1, 1, 3, r))

@@ -96,12 +96,19 @@ fn ct_rws_decides_at_the_horizon_and_audits_clean() {
     assert_eq!(report.stats.retired_instances, 0);
 }
 
+/// The service-level Theorem 5.2 gap as an exact count: on the same
+/// failure-free workload every `A1`/`RS` instance decides in 1 round
+/// and every `CtRounds`/`RWS` instance in 2.
 #[test]
 fn a1_rs_retires_and_beats_the_rws_round_bill() {
-    let mut cfg = EngineConfig::new(3, 1, PlanModel::Rs);
-    cfg.instances = 5;
-    cfg.seed = 3;
-    cfg.faults = FaultMode::FailureFree;
+    let failure_free = |model| {
+        let mut cfg = EngineConfig::new(3, 1, model);
+        cfg.instances = 5;
+        cfg.seed = 3;
+        cfg.faults = FaultMode::FailureFree;
+        cfg
+    };
+    let cfg = failure_free(PlanModel::Rs);
     let mut workload = workload_for(&cfg, 6);
     let report = serve(&A1, &cfg, &mut workload).unwrap();
     assert_eq!(
@@ -110,6 +117,15 @@ fn a1_rs_retires_and_beats_the_rws_round_bill() {
     );
     assert_eq!(report.stats.decide_rounds_p50(), 1, "Λ(A1) = 1 in RS");
     assert!(report.audits.iter().all(|a| a.retired));
+
+    let cfg = failure_free(PlanModel::Rws);
+    let mut workload = workload_for(&cfg, 6);
+    let rws = serve(&CtRounds, &cfg, &mut workload).unwrap();
+    for (stats, rounds) in [(&report.stats, 1), (&rws.stats, 2)] {
+        assert_eq!(stats.decided_instances, 5);
+        assert_eq!(stats.audit_violations + stats.audit_divergences, 0);
+        assert!(stats.decide_rounds.iter().all(|&r| r == rounds), "{rounds}");
+    }
 }
 
 #[test]

@@ -206,6 +206,7 @@ fn cross_shard_chaos_runs_are_deterministic_and_audit_clean() {
             "{model:?}: every transaction resolves"
         );
         assert_eq!(a.cross.nbac_violations, 0, "{model:?}");
+        assert!(a.cross.committed > 0, "{model:?}: NBAC keeps committing");
         assert!(clean, "{model:?}: NBAC audit must be clean");
         let agg = a.aggregate();
         assert_eq!(agg.audit_violations, 0, "{model:?}");
@@ -217,6 +218,36 @@ fn cross_shard_chaos_runs_are_deterministic_and_audit_clean() {
         assert!(
             agg.commands_decided + a.cross.committed + a.cross.aborted + unresolved >= submitted,
             "{model:?}: nothing vanished"
+        );
+    }
+}
+
+/// Groups decide side by side: over the same 40 failure-free ticks,
+/// the commands resolved grow with the group count, in both models.
+#[test]
+fn resolved_commands_grow_with_the_group_count() {
+    for model in [PlanModel::Rs, PlanModel::Rws] {
+        let resolved: Vec<u64> = [1usize, 2, 4, 8]
+            .into_iter()
+            .map(|shards| {
+                let mut engine = EngineConfig::new(3, 1, model);
+                engine.instances = 40;
+                engine.seed = 7;
+                engine.faults = FaultMode::FailureFree;
+                let cfg = ShardedConfig::new(engine, shards);
+                let mut wcfg = WorkloadConfig::new(16);
+                wcfg.shards = shards;
+                let mut workload = Workload::new(7, wcfg);
+                match model {
+                    PlanModel::Rs => serve_sharded(&A1, &cfg, &mut workload).unwrap().stats,
+                    PlanModel::Rws => serve_sharded(&CtRounds, &cfg, &mut workload).unwrap().stats,
+                }
+                .commands_resolved()
+            })
+            .collect();
+        assert!(
+            resolved.windows(2).all(|w| w[0] < w[1]),
+            "{model:?}: {resolved:?}"
         );
     }
 }

@@ -11,8 +11,9 @@ use ssp::lab::{
     refute_round1_candidate, LatencyAggregator, RoundModel, SddRefutation, ValidityMode,
     Verification, Verifier,
 };
-use ssp::model::{check_sdd, InitialConfig, ProcessId, SddOutcome};
-use ssp::rounds::RoundAlgorithm;
+use ssp::model::spec::ConsensusViolation;
+use ssp::model::{check_sdd, check_uniform_consensus_strong, InitialConfig, ProcessId, SddOutcome};
+use ssp::rounds::{run_rs, CrashSchedule, RoundAlgorithm};
 use ssp::sim::{run, BoxedAutomaton, FairAdversary, ModelKind, RandomAdversary};
 
 fn p(i: usize) -> ProcessId {
@@ -57,7 +58,7 @@ fn verify_rws<A: RoundAlgorithm<u64> + Sync>(
 /// legal schedules.
 #[test]
 fn e1_sdd_solvable_in_ss() {
-    for (phi, delta) in [(1u64, 1u64), (1, 3), (3, 1), (2, 2)] {
+    for (phi, delta) in [(1u64, 1u64), (1, 3), (3, 1), (2, 2), (4, 4), (8, 8)] {
         for input in [false, true] {
             for crash_after in [None, Some(0), Some(1), Some(2)] {
                 for seed in 0..8u64 {
@@ -97,7 +98,7 @@ fn e1_sdd_solvable_in_ss() {
 fn e2_sdd_impossible_in_sp() {
     let report = refute(&WaitOrSuspect, 2_000);
     assert!(matches!(report.refutation, SddRefutation::Validity { .. }));
-    for patience in [0, 3, 17, 200] {
+    for patience in [0, 3, 10, 17, 100, 200] {
         let report = refute(&PatientWait(patience), 10_000);
         assert!(matches!(report.refutation, SddRefutation::Validity { .. }));
     }
@@ -105,12 +106,19 @@ fn e2_sdd_impossible_in_sp() {
 
 /// E3 — FloodSet solves uniform consensus in RS: exhaustive over all
 /// binary configs and crash schedules, n=3 with t ∈ {1, 2} and n=4
-/// with t=1.
+/// with t=1; failure-free up to n=16, always in exactly t+1 rounds.
 #[test]
 fn e3_floodset_uniform_consensus_in_rs() {
     verify_rs(&FloodSet, 3, 1, &[0u64, 1], ValidityMode::Strong).expect_ok();
     verify_rs(&FloodSet, 3, 2, &[0u64, 1], ValidityMode::Strong).expect_ok();
     verify_rs(&FloodSet, 4, 1, &[0u64, 1], ValidityMode::Strong).expect_ok();
+    for n in [4usize, 6, 8, 12, 16] {
+        let t = n / 2;
+        let config = InitialConfig::new((0..n as u64).collect());
+        let out = run_rs(&FloodSet, &config, t, &CrashSchedule::none(n));
+        check_uniform_consensus_strong(&out).unwrap();
+        assert_eq!(out.latency_degree(), Some(t as u32 + 1), "n={n}");
+    }
 }
 
 /// E4 — FloodSet admits disagreement in RWS: the checker finds
@@ -126,14 +134,19 @@ fn e4_floodset_disagrees_in_rws() {
             !cex.pending.is_empty(),
             "the t={t} violation needs pending messages"
         );
+        assert!(matches!(
+            cex.violation,
+            ConsensusViolation::UniformAgreement { .. }
+        ));
     }
 }
 
 /// E5 — FloodSetWS solves uniform consensus in RWS (companion paper
-/// [7]), exhaustively.
+/// [7]), exhaustively: 2,936 runs at n=3, t=1.
 #[test]
 fn e5_floodset_ws_uniform_consensus_in_rws() {
-    verify_rws(&FloodSetWs, 3, 1, &[0u64, 1], ValidityMode::Strong).expect_ok();
+    let runs = verify_rws(&FloodSetWs, 3, 1, &[0u64, 1], ValidityMode::Strong).expect_ok();
+    assert_eq!(runs, 2_936);
     verify_rws(&FloodSetWs, 3, 2, &[0u64, 1], ValidityMode::Strong).expect_ok();
 }
 
@@ -144,7 +157,9 @@ fn e6_c_opt_latency_degrees() {
     let mut rs = LatencyAggregator::new();
     explore_rs(&COptFloodSet, 3, 1, &[0u64, 1], |run| rs.add(run));
     assert_eq!(rs.lat(), Some(1));
-    assert_eq!(rs.lat_for(&InitialConfig::uniform(3, 0u64)), Some(1));
+    for v in [0u64, 1] {
+        assert_eq!(rs.lat_for(&InitialConfig::uniform(3, v)), Some(1));
+    }
     assert_eq!(rs.lat_for(&InitialConfig::new(vec![0, 1, 1])), Some(2));
     assert_eq!(rs.lat_max_over_configs(), Some(2));
 
@@ -201,7 +216,9 @@ fn e8_a1_correct_with_lambda_1() {
 /// RWS-correct algorithms all have Λ ≥ 2.
 #[test]
 fn e9_rws_lower_bound() {
-    for candidate in all_round1_candidates(3) {
+    let candidates = all_round1_candidates(3);
+    assert_eq!(candidates.len(), 100);
+    for candidate in candidates {
         assert!(decides_round1_when_failure_free(&candidate, 3));
         assert!(
             refute_round1_candidate(&candidate, 3).is_some(),

@@ -10,12 +10,17 @@ use core::fmt;
 
 use proptest::prelude::*;
 
-use ssp::algos::{FloodSet, A1};
+use ssp::algos::{FloodSet, FloodSetWs, SddSender, SsSddReceiver, A1};
+use ssp::lab::{explore_rs, explore_rws, RoundModel, Verifier};
 use ssp::model::{
-    CountingObserver, InitialConfig, ProcessId, ProcessSet, Round, RunLog, RunLogObserver,
+    CountingObserver, InitialConfig, Observer, ProcessId, ProcessSet, Round, RunEvent, RunLog,
+    RunLogObserver,
 };
-use ssp::rounds::{run_rs, run_rs_observed, CrashSchedule, PendingChoice, RoundCrash};
+use ssp::rounds::{
+    run_rs, run_rs_observed, run_rws_observed, CrashSchedule, PendingChoice, RoundCrash,
+};
 use ssp::runtime::{PlanModel, RuntimeBuilder, SECTION_5_3_SEED};
+use ssp::sim::{run_observed, BoxedAutomaton, ModelKind, RandomAdversary};
 
 mod common;
 use common::{golden_check, p, section_5_3_config};
@@ -61,6 +66,89 @@ fn section_5_3_seed_runtime_log_snapshot_is_byte_stable() {
         "the seeded wall-clock run serializes identically run after run"
     );
     golden_check("seed519_a1_rws.jsonl", &first);
+}
+
+/// A sink that counts the `record` calls reaching it, whether or not it
+/// is active.
+struct RecordCounter {
+    active: bool,
+    calls: u64,
+}
+
+impl<M> Observer<M> for RecordCounter {
+    fn active(&self) -> bool {
+        self.active
+    }
+
+    fn record(&mut self, _event: RunEvent<M>) {
+        self.calls += 1;
+    }
+}
+
+/// `record` calls reaching one sink from each executor: the `RS` and
+/// `RWS` round executors over every FloodSetWS run at n=3, t=1, and the
+/// step executor over seeded SS runs of the SDD pair.
+fn record_calls(active: bool) -> [u64; 3] {
+    let mut sink = RecordCounter { active, calls: 0 };
+    let mut calls = [0; 3];
+    explore_rs(&FloodSetWs, 3, 1, &[0u64, 1], |run| {
+        run_rs_observed(&FloodSetWs, run.config, 1, run.schedule, &mut sink).unwrap();
+    });
+    calls[0] = std::mem::take(&mut sink.calls);
+    explore_rws(&FloodSetWs, 3, 1, &[0u64, 1], |run| {
+        run_rws_observed(
+            &FloodSetWs,
+            run.config,
+            1,
+            run.schedule,
+            run.pending,
+            &mut sink,
+        )
+        .unwrap();
+    });
+    calls[1] = std::mem::take(&mut sink.calls);
+    for input in [false, true] {
+        for crash_after in [None, Some(0), Some(1)] {
+            for seed in 0..4 {
+                let automata: Vec<BoxedAutomaton<bool, bool>> = vec![
+                    Box::new(SddSender::new(p(1), input)),
+                    Box::new(SsSddReceiver::new(p(0), 1, 1)),
+                ];
+                let mut adv = RandomAdversary::new(2, 300, seed);
+                if let Some(k) = crash_after {
+                    adv = adv.with_crash(p(0), k);
+                }
+                run_observed(ModelKind::ss(1, 1), automata, &mut adv, 10_000, &mut sink).unwrap();
+            }
+        }
+    }
+    calls[2] = sink.calls;
+    calls
+}
+
+/// The observer pipeline costs nothing when nobody listens: every
+/// executor guards event construction with `Observer::active`, so an
+/// inactive sink (what `NullObserver` is) receives not one `record`
+/// call, while the same sink active receives events from all three
+/// executors. The verifier's counting path sweeps the same space as its
+/// `NullObserver` path.
+#[test]
+fn inactive_observer_receives_no_record_call() {
+    assert_eq!(record_calls(false), [0, 0, 0]);
+    assert!(record_calls(true).iter().all(|&calls| calls > 0));
+
+    let sweep = |count: bool| {
+        let v = Verifier::new(&FloodSetWs)
+            .n(3)
+            .t(1)
+            .domain(&[0u64, 1])
+            .model(RoundModel::Rws);
+        if count { v.count_events() } else { v }.run()
+    };
+    let (plain, counted) = (sweep(false), sweep(true));
+    assert_eq!(plain.runs, counted.runs, "same space");
+    assert!(plain.events.is_none());
+    assert!(counted.events.expect("count_events was requested").delivers > 0);
 }
 
 /// A payload wrapper whose `Debug` is the verbatim parsed text, so a

@@ -4,12 +4,15 @@
 //! gated exclusively on the PFD staleness timeout, never on TCP
 //! connection state.
 
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 use ssp::model::ProcessId;
 use ssp::runtime::{
-    backoff_delay, ChaosProxy, ChaosProxyConfig, FdModule, Frame, LinkSpec, SocketConfig,
-    SocketMsg, SocketNet, StalenessFd, TransportError, BACKOFF_BASE, BACKOFF_CAP,
+    backoff_delay, ChaosProxy, ChaosProxyConfig, FdModule, Frame, FrameReader, LinkSpec,
+    SocketConfig, SocketMsg, SocketNet, StalenessFd, TransportError, BACKOFF_BASE, BACKOFF_CAP,
     BACKOFF_JITTER_MAX,
 };
 
@@ -86,6 +89,11 @@ fn frame_codec_roundtrips_and_classifies_corruption() {
         frame.write_to(&mut wire).expect("encode");
         let back = Frame::read_from(&mut wire.as_slice()).expect("decode");
         assert_eq!(&back, frame);
+        assert_eq!(
+            Frame::split_buffered(&wire),
+            Ok(Some((frame.clone(), wire.len())))
+        );
+        assert_eq!(Frame::split_buffered(&wire[..wire.len() - 1]), Ok(None));
     }
     // Truncated and garbage bodies surface as FrameCorrupt, not as a
     // panic or a silent misparse.
@@ -99,6 +107,23 @@ fn frame_codec_roundtrips_and_classifies_corruption() {
         Err(TransportError::FrameCorrupt(_)) => {}
         other => panic!("unknown tag must be FrameCorrupt, got {other:?}"),
     }
+}
+
+/// A length prefix past the cap, written over a live loopback socket,
+/// fails the reader with a typed `FrameCorrupt` before any allocation.
+#[test]
+fn frame_reader_rejects_an_oversized_prefix() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind :0");
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+    let (server, _) = listener.accept().expect("accept");
+    server
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    client.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    let err = FrameReader::new(server)
+        .next(&AtomicBool::new(false))
+        .unwrap_err();
+    assert!(matches!(err, TransportError::FrameCorrupt(_)), "{err:?}");
 }
 
 fn spawn_pair(

@@ -19,7 +19,7 @@ use ssp::model::{canonical_full_classes, canonical_value_classes, InitialConfig}
 /// for the process-symmetric algorithms, across models and (n, t).
 #[test]
 fn reduced_and_full_sweeps_agree_for_symmetric_algorithms() {
-    for (n, t) in [(2usize, 1usize), (3, 1), (3, 2)] {
+    for (n, t) in [(2usize, 1usize), (3, 1), (3, 2), (4, 1)] {
         for model in [RoundModel::Rs, RoundModel::Rws] {
             let full = Verifier::new(&FloodSetWs)
                 .n(n)

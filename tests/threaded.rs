@@ -38,6 +38,29 @@ fn floodset_n5_with_two_crashes() {
 }
 
 #[test]
+fn a1_failure_free_decides_in_round_1_on_threads() {
+    for n in [3usize, 5, 8] {
+        let config = InitialConfig::new((0..n as u64).rev().collect());
+        let result = RuntimeBuilder::new(&A1, &config)
+            .runtime(RuntimeConfig::ss_flavor(n, 5))
+            .run()
+            .unwrap();
+        check_uniform_consensus_strong(&result.outcome).unwrap();
+        assert_eq!(
+            result.outcome.latency_degree(),
+            Some(1),
+            "Λ(A1) = 1 at n={n}"
+        );
+    }
+    let config = InitialConfig::new(vec![3u64, 1, 2]);
+    let result = RuntimeBuilder::new(&A1, &config)
+        .runtime(RuntimeConfig::sp_flavor(3, 5))
+        .run()
+        .unwrap();
+    assert!(result.outcome.all_correct_decided());
+}
+
+#[test]
 fn early_deciding_failure_free_on_threads() {
     let config = InitialConfig::new(vec![5u64, 2, 8, 6]);
     let result = RuntimeBuilder::new(&EarlyDeciding, &config)
