@@ -1148,22 +1148,6 @@ pub struct KillSpec {
     pub after_instance: u64,
 }
 
-/// Socket-level fault injection for the whole mesh (every directed
-/// link is routed through a [`ChaosProxy`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ProxySpec {
-    /// Seed of the proxy's fault decisions.
-    pub seed: u64,
-    /// Per-mille probability of injecting `delay` on a data frame.
-    pub delay_pm: u32,
-    /// The injected delay.
-    pub delay: Duration,
-    /// Per-mille probability of dropping one copy of a data frame.
-    pub drop_pm: u32,
-    /// One-shot per-link reset after this many data frames.
-    pub reset_after: Option<u64>,
-}
-
 /// Client-facing gateway for a whole cluster: node `i` listens for
 /// external submissions on `127.0.0.1:(base_port + i)` — deterministic
 /// addresses, so load generators and scripts can compute them without
@@ -1184,8 +1168,9 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Optional mid-run `kill -9`.
     pub kill: Option<KillSpec>,
-    /// Optional socket-level chaos on every link.
-    pub proxy: Option<ProxySpec>,
+    /// Optional socket-level chaos: every directed link is routed
+    /// through a [`ChaosProxy`] with this fault script.
+    pub proxy: Option<ChaosProxyConfig>,
     /// Optional per-node client gateway.
     pub gateway: Option<GatewaySpec>,
 }
@@ -1214,7 +1199,7 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
     // without one, directly.
     let mut proxy = None;
     let mut peer_views: Vec<Vec<String>> = vec![addrs.clone(); n];
-    if let Some(spec) = &cfg.proxy {
+    if let Some(proxy_cfg) = cfg.proxy {
         let mut links = Vec::new();
         let mut slots = Vec::new();
         for i in 0..n {
@@ -1231,15 +1216,7 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
                 slots.push((i, j));
             }
         }
-        let p = ChaosProxy::spawn(ChaosProxyConfig {
-            seed: spec.seed,
-            delay_pm: spec.delay_pm,
-            delay: spec.delay,
-            drop_pm: spec.drop_pm,
-            reset_after: spec.reset_after,
-            partitioned: Vec::new(),
-            links,
-        })?;
+        let p = ChaosProxy::spawn(proxy_cfg, links)?;
         for (slot, addr) in slots.iter().zip(p.link_addrs()) {
             peer_views[slot.0][slot.1] = addr.to_string();
         }

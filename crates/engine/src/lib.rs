@@ -63,7 +63,7 @@ pub mod workload;
 pub use cluster::{
     decode_wire, encode_wire, merge_reports, run_cluster, serve_node, serve_node_to_file,
     serve_node_with, ClusterConfig, ClusterReport, GatewayNodeConfig, GatewaySpec, KillSpec,
-    NodeConfig, ProxySpec,
+    NodeConfig,
 };
 pub use command::{
     decode_external_ops, encode_external_ops, Batch, ClientRequest, Command, CommandId, KvStore,

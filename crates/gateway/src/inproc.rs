@@ -15,7 +15,7 @@ use ssp_engine::{
     ShardedConfig, ShardedStats, Transaction, Workload, WorkloadConfig, EXTERNAL_BIT,
 };
 use ssp_rounds::{RoundAlgorithm, RoundProcess};
-use ssp_runtime::GatewayStats;
+use ssp_runtime::{splitmix, GatewayStats};
 
 use crate::hist::ClassStats;
 use crate::load::{load_op, LOAD_KEY_BASE, LOAD_KEY_STRIDE};
@@ -46,15 +46,6 @@ impl InprocLoadConfig {
             seed,
         }
     }
-}
-
-const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(SPLITMIX_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// First external client id the in-process script uses.

@@ -20,6 +20,7 @@
 use std::time::{Duration, Instant};
 
 use ssp_engine::Op;
+use ssp_runtime::splitmix;
 
 use crate::client::{ClientConfig, ClientStats, GatewayClient};
 use crate::hist::ClassStats;
@@ -32,15 +33,6 @@ pub const LOAD_KEY_BASE: u32 = 1 << 16;
 /// `LOAD_KEY_BASE + c * LOAD_KEY_STRIDE + r` — unique per `(c, r)`, so
 /// the final store is order-independent.
 pub const LOAD_KEY_STRIDE: u32 = 1 << 12;
-
-const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(SPLITMIX_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The deterministic operation of load request `(client, req)` under
 /// `seed`.

@@ -7,7 +7,10 @@
 
 use core::fmt;
 
-use ssp_model::{spec::ConsensusViolation, ConsensusOutcome, EventCounts, InitialConfig, Value};
+use ssp_model::{
+    check_uniform_consensus, check_uniform_consensus_strong, spec::ConsensusViolation,
+    ConsensusOutcome, EventCounts, InitialConfig, Value,
+};
 use ssp_rounds::{CrashSchedule, PendingChoice};
 
 use crate::metrics::LatencyAggregator;
@@ -19,6 +22,24 @@ pub enum ValidityMode {
     Uniform,
     /// Also require decisions to be some process's input.
     Strong,
+}
+
+impl ValidityMode {
+    /// Checks `outcome` against uniform consensus with this validity
+    /// flavor.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated specification clause.
+    pub fn check<V: Value>(
+        self,
+        outcome: &ConsensusOutcome<V>,
+    ) -> Result<(), ConsensusViolation<V>> {
+        match self {
+            ValidityMode::Uniform => check_uniform_consensus(outcome),
+            ValidityMode::Strong => check_uniform_consensus_strong(outcome),
+        }
+    }
 }
 
 /// A complete counterexample: the run inputs plus the violated clause.

@@ -30,10 +30,7 @@
 use core::fmt;
 use std::ops::Range;
 
-use ssp_model::{
-    check_uniform_consensus, check_uniform_consensus_strong, InitialConfig, ProcessId, Round,
-    RunEvent, RunLogObserver, Value,
-};
+use ssp_model::{InitialConfig, ProcessId, Round, RunEvent, RunLogObserver, Value};
 use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundProcess};
 use ssp_runtime::{FaultPlan, PlanModel, RunTraceError, RuntimeBuilder, ThreadedOutcome};
 use ssp_sim::{validate_basic, validate_perfect_fd, Trace, TraceViolation};
@@ -147,20 +144,6 @@ pub struct RunReport {
     pub verdict: RunVerdict,
 }
 
-fn check_spec<V: Value>(
-    outcome: &ssp_model::ConsensusOutcome<V>,
-    mode: ValidityMode,
-) -> Option<String> {
-    match mode {
-        ValidityMode::Uniform => check_uniform_consensus(outcome)
-            .err()
-            .map(|e| e.to_string()),
-        ValidityMode::Strong => check_uniform_consensus_strong(outcome)
-            .err()
-            .map(|e| e.to_string()),
-    }
-}
-
 /// Certifies one threaded run against the round models: trace
 /// admissibility, step-trace validity, and tick-for-tick replay
 /// agreement (deliveries and outcomes).
@@ -202,7 +185,7 @@ where
         // smuggled into "RS", and its trace is typically inadmissible
         // (pending messages under round synchrony).
         return Ok(RunReport {
-            violation: check_spec(&result.outcome, mode),
+            violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
             pending: trace.pending().len(),
             verdict: RunVerdict::SynchronyViolation,
         });
@@ -250,7 +233,7 @@ where
     }
 
     Ok(RunReport {
-        violation: check_spec(&result.outcome, mode),
+        violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
         pending: pending.len(),
         verdict: match trace.degraded_at {
             Some(at) => RunVerdict::DegradedRws { at },
@@ -333,7 +316,7 @@ where
             Err(d) => InstanceAudit {
                 instance,
                 verdict: verdict_of(trace, &result.synchrony),
-                violation: check_spec(&result.outcome, mode),
+                violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
                 divergence: Some(d.to_string()),
                 retired,
             },
@@ -356,7 +339,7 @@ where
     InstanceAudit {
         instance,
         verdict: verdict_of(trace, &result.synchrony),
-        violation: check_spec(&result.outcome, mode),
+        violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
         divergence,
         retired,
     }

@@ -119,16 +119,6 @@ impl<V: Value> SampleVerification<V> {
     }
 }
 
-fn check<V: Value>(
-    outcome: &ssp_model::ConsensusOutcome<V>,
-    mode: ValidityMode,
-) -> Result<(), ssp_model::spec::ConsensusViolation<V>> {
-    match mode {
-        ValidityMode::Uniform => ssp_model::check_uniform_consensus(outcome),
-        ValidityMode::Strong => ssp_model::check_uniform_consensus_strong(outcome),
-    }
-}
-
 pub(crate) fn sample_verify<V, A>(
     algo: &A,
     space: &SampleSpace,
@@ -170,7 +160,7 @@ where
             outcome,
         };
         latency.add(&run);
-        if let Err(violation) = check(&run.outcome, mode) {
+        if let Err(violation) = mode.check(&run.outcome) {
             return SampleVerification {
                 trials: trial + 1,
                 latency,

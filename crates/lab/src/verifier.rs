@@ -506,7 +506,7 @@ where
                             weight,
                         );
                     }
-                    if let Err(violation) = check(&outcome, self.mode) {
+                    if let Err(violation) = self.mode.check(&outcome) {
                         // fetch_min is not stabilized everywhere; CAS
                         // loop keeps the minimum without contention in
                         // the common (rare-violation) case.
@@ -554,16 +554,6 @@ type WorkerTally<V> = (u64, u64, Option<LatencyAggregator<V>>, Option<EventCount
 fn pack(class: usize, sched: usize, pending: usize) -> u64 {
     debug_assert!(class < (1 << 16) && sched < (1 << 24) && pending < (1 << 24));
     ((class as u64) << 48) | ((sched as u64) << 24) | pending as u64
-}
-
-fn check<V: Value>(
-    outcome: &ssp_model::ConsensusOutcome<V>,
-    mode: ValidityMode,
-) -> Result<(), ssp_model::spec::ConsensusViolation<V>> {
-    match mode {
-        ValidityMode::Uniform => ssp_model::check_uniform_consensus(outcome),
-        ValidityMode::Strong => ssp_model::check_uniform_consensus_strong(outcome),
-    }
 }
 
 #[cfg(test)]

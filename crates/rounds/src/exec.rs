@@ -10,14 +10,14 @@
 //! Every executor emits the canonical event IR through an
 //! [`Observer`]: the plain entry points use
 //! [`NullObserver`](ssp_model::NullObserver) (the tracing
-//! monomorphizes away entirely), the `_traced` variants derive their
-//! [`RoundTrace`] as a view over the accumulated
-//! [`RunLog`](ssp_model::RunLog), and the `_observed` variants accept
-//! any sink.
+//! monomorphizes away entirely), and the `_observed` variants accept
+//! any sink — a [`RunLogObserver`](ssp_model::RunLogObserver) keeps
+//! the whole [`RunLog`](ssp_model::RunLog), whose lockstep `Close`
+//! events carry each round's delivery matrix.
 
 use core::fmt;
 
-use ssp_model::events::{DeliveryMatrix, NullObserver, Observer, RunEvent, RunLogObserver};
+use ssp_model::events::{DeliveryMatrix, NullObserver, Observer, RunEvent};
 use ssp_model::{
     process::all_processes, ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, ProcessSet,
     Round, Value,
@@ -25,10 +25,6 @@ use ssp_model::{
 
 use crate::algorithm::{RoundAlgorithm, RoundProcess};
 use crate::schedule::{validate_pending, CrashSchedule, PendingChoice, PendingError};
-use crate::trace::RoundTrace;
-
-/// A run outcome together with its per-round delivery trace.
-pub type TracedOutcome<V, M> = (ssp_model::ConsensusOutcome<V>, RoundTrace<M>);
 
 /// Why a [`CrashSchedule`] cannot drive a run of a given algorithm —
 /// the typed form of the panics documented on [`run_rs`], returned by
@@ -208,25 +204,6 @@ where
     run_rounds(algo, config, t, schedule, &PendingChoice::none(), obs)
 }
 
-/// Like [`run_rs`], additionally returning the per-round delivery
-/// trace (message complexity, forensics) — a view over the canonical
-/// [`RunLog`](ssp_model::RunLog).
-///
-/// # Panics
-///
-/// As for [`run_rs`].
-pub fn run_rs_traced<V: Value, A: RoundAlgorithm<V>>(
-    algo: &A,
-    config: &InitialConfig<V>,
-    t: usize,
-    schedule: &CrashSchedule,
-) -> TracedOutcome<V, <A::Process as RoundProcess>::Msg> {
-    let mut obs = RunLogObserver::new(config.n());
-    let outcome =
-        run_rs_observed(algo, config, t, schedule, &mut obs).unwrap_or_else(|e| panic!("{e}"));
-    (outcome, RoundTrace::from_run_log(&obs.into_log()))
-}
-
 /// Runs `algo` in the weakly synchronous round model `RWS`.
 ///
 /// Like [`run_rs`], but the messages named by `pending` are withheld
@@ -276,24 +253,6 @@ where
 {
     validate_pending(schedule, pending)?;
     Ok(run_rounds(algo, config, t, schedule, pending, obs).unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// Like [`run_rws`], additionally returning the per-round delivery
-/// trace — a view over the canonical [`RunLog`](ssp_model::RunLog).
-///
-/// # Errors
-///
-/// As for [`run_rws`].
-pub fn run_rws_traced<V: Value, A: RoundAlgorithm<V>>(
-    algo: &A,
-    config: &InitialConfig<V>,
-    t: usize,
-    schedule: &CrashSchedule,
-    pending: &PendingChoice,
-) -> Result<TracedOutcome<V, <A::Process as RoundProcess>::Msg>, PendingError> {
-    let mut obs = RunLogObserver::new(config.n());
-    let outcome = run_rws_observed(algo, config, t, schedule, pending, &mut obs)?;
-    Ok((outcome, RoundTrace::from_run_log(&obs.into_log())))
 }
 
 /// The single round-model engine: runs `algo` under `schedule` and
@@ -447,6 +406,7 @@ where
 mod tests {
     use super::*;
     use crate::schedule::RoundCrash;
+    use ssp_model::events::RunLogObserver;
     use ssp_model::{Decision, ProcessId, ProcessSet};
 
     fn p(i: usize) -> ProcessId {
@@ -708,13 +668,27 @@ mod tests {
     }
 
     #[test]
-    fn traced_outcome_is_a_view_over_the_run_log() {
+    fn observed_run_log_carries_the_round_matrices() {
         let config = InitialConfig::new(vec![5u64, 3, 9]);
         let schedule = CrashSchedule::none(3);
-        let (outcome, trace) = run_rs_traced(&MinEcho, &config, 1, &schedule);
+        let mut obs = RunLogObserver::new(3);
+        let outcome = run_rs_observed(&MinEcho, &config, 1, &schedule, &mut obs).unwrap();
         assert_eq!(outcome, run_rs(&MinEcho, &config, 1, &schedule));
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.total_delivered(), 9);
-        assert!(trace.rounds()[0].heard(p(2), p(0)));
+        let rounds: Vec<&DeliveryMatrix> = obs
+            .log()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::Close {
+                    process: None,
+                    heard,
+                    ..
+                } => Some(heard),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rounds.len(), 2);
+        assert_eq!(rounds.iter().map(|m| m.delivered()).sum::<usize>(), 9);
+        assert!(rounds[0].heard(p(2), p(0)));
     }
 }

@@ -25,16 +25,11 @@ pub mod algorithm;
 pub mod emulation;
 pub mod exec;
 pub mod schedule;
-pub mod trace;
 
 pub use algorithm::{RoundAlgorithm, RoundMsgs, RoundProcess, SymmetricAlgorithm, ValueSymmetric};
 pub use emulation::{cumulative_round_budget, round_of_step, EmuMsg, RsOnSs, RwsOnSp};
-pub use exec::{
-    run_rs, run_rs_observed, run_rs_traced, run_rws, run_rws_observed, run_rws_traced, try_run_rs,
-    ScheduleError, TracedOutcome,
-};
+pub use exec::{run_rs, run_rs_observed, run_rws, run_rws_observed, try_run_rs, ScheduleError};
 pub use schedule::{
     from_record, to_record, validate_pending, CrashSchedule, PendingChoice, PendingError,
     RoundCrash,
 };
-pub use trace::{RoundRecord, RoundTrace};

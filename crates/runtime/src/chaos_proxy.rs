@@ -3,12 +3,11 @@
 //! A [`ChaosProxy`] sits between a node's supervisor and its peer: one
 //! TCP listener per **directed link**, forwarding length-prefixed
 //! [`Frame`]s upstream while injecting faults — extra delay, drops,
-//! one-shot connection resets, and full partitions. Decisions use the
-//! same splitmix discipline as the in-process
-//! [`ChaosConfig`](crate::ChaosConfig): a fault is a pure function of
-//! `(seed, src, dst, seq[, attempt])`, never of wall-clock timing, so
-//! the *set* of injected faults is identical across runs of the same
-//! seed even though real sockets execute them.
+//! and one-shot connection resets. Decisions use the same fault rule
+//! as the in-process [`ChaosConfig`](crate::ChaosConfig): a fault is a
+//! pure function of `(seed, src, dst, seq[, attempt])`, never of
+//! wall-clock timing, so the *set* of injected faults is identical
+//! across runs of the same seed even though real sockets execute them.
 //!
 //! Two scoping rules keep experiments sharp:
 //!
@@ -32,7 +31,7 @@ use crossbeam::channel::{unbounded, RecvTimeoutError};
 
 use ssp_model::ProcessId;
 
-use crate::net::{roll, splitmix};
+use crate::net::{hits, roll};
 use crate::transport::Frame;
 
 /// Salt for the per-frame delay decision (keyed on seq only).
@@ -55,7 +54,7 @@ pub struct LinkSpec {
 
 /// Fault script for a [`ChaosProxy`]; probabilities are per-mille and
 /// resolved deterministically from the seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChaosProxyConfig {
     /// Seed for all fault decisions.
     pub seed: u64,
@@ -68,27 +67,6 @@ pub struct ChaosProxyConfig {
     /// Reset each link's connection once, after this many data frames
     /// have crossed it.
     pub reset_after: Option<u64>,
-    /// Directed links whose data frames are all silently dropped.
-    pub partitioned: Vec<(ProcessId, ProcessId)>,
-    /// The links to proxy.
-    pub links: Vec<LinkSpec>,
-}
-
-impl ChaosProxyConfig {
-    /// A proxy that forwards everything unchanged — useful to verify
-    /// the interposer itself is transparent.
-    #[must_use]
-    pub fn passthrough(seed: u64, links: Vec<LinkSpec>) -> Self {
-        ChaosProxyConfig {
-            seed,
-            delay_pm: 0,
-            delay: Duration::ZERO,
-            drop_pm: 0,
-            reset_after: None,
-            partitioned: Vec::new(),
-            links,
-        }
-    }
 }
 
 /// Counters of injected faults (observability only; determinism is
@@ -110,29 +88,27 @@ pub struct ChaosProxy {
 }
 
 impl ChaosProxy {
-    /// Binds every link listener and spawns one forwarding thread per
-    /// link.
+    /// Binds a listener for each of `links` and spawns one forwarding
+    /// thread per link, all injecting faults by `config`.
     ///
     /// # Errors
     ///
     /// Propagates listener bind failures.
-    pub fn spawn(config: ChaosProxyConfig) -> io::Result<ChaosProxy> {
+    pub fn spawn(config: ChaosProxyConfig, links: Vec<LinkSpec>) -> io::Result<ChaosProxy> {
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ProxyStats::default());
-        let mut addrs = Vec::with_capacity(config.links.len());
+        let mut addrs = Vec::with_capacity(links.len());
         let mut threads = Vec::new();
-        let cfg = Arc::new(config);
-        for (i, link) in cfg.links.iter().enumerate() {
+        for (i, link) in links.into_iter().enumerate() {
             let listener = TcpListener::bind(&link.listen)?;
             addrs.push(listener.local_addr()?);
             listener.set_nonblocking(true)?;
-            let cfg = Arc::clone(&cfg);
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("ssp-proxy-{i}"))
-                    .spawn(move || link_acceptor(&cfg, i, &listener, &shutdown, &stats))
+                    .spawn(move || link_acceptor(&config, &link, &listener, &shutdown, &stats))
                     .expect("spawn proxy link thread"),
             );
         }
@@ -144,7 +120,7 @@ impl ChaosProxy {
         })
     }
 
-    /// Bound listener addresses, in `config.links` order (resolves
+    /// Bound listener addresses, in `links` order (resolves
     /// `:0` binds to real ports).
     #[must_use]
     pub fn link_addrs(&self) -> &[SocketAddr] {
@@ -180,18 +156,15 @@ impl Drop for ChaosProxy {
 }
 
 fn per_mille(seed: u64, salt: u64, link: &LinkSpec, seq: u64, attempt: u32, pm: u32) -> bool {
-    if pm == 0 {
-        return false;
-    }
-    splitmix(roll(seed, salt, link.src, link.dst, seq, attempt)) % 1000 < u64::from(pm)
+    hits(pm, roll(seed, salt, link.src, link.dst, seq, attempt))
 }
 
 /// Accepts connections for one directed link, handling them
 /// sequentially — each reconnect from the supervisor gets a fresh
 /// upstream connection.
 fn link_acceptor(
-    cfg: &Arc<ChaosProxyConfig>,
-    idx: usize,
+    cfg: &ChaosProxyConfig,
+    link: &LinkSpec,
     listener: &TcpListener,
     shutdown: &Arc<AtomicBool>,
     stats: &Arc<ProxyStats>,
@@ -205,7 +178,7 @@ fn link_acceptor(
             Ok((downstream, _)) => {
                 forward_connection(
                     cfg,
-                    idx,
+                    link,
                     downstream,
                     shutdown,
                     stats,
@@ -228,15 +201,14 @@ fn link_acceptor(
 /// the line behind them, like a genuinely slow link would).
 #[allow(clippy::too_many_arguments)]
 fn forward_connection(
-    cfg: &Arc<ChaosProxyConfig>,
-    idx: usize,
+    cfg: &ChaosProxyConfig,
+    link: &LinkSpec,
     downstream: TcpStream,
     shutdown: &Arc<AtomicBool>,
     stats: &Arc<ProxyStats>,
     data_seen: &AtomicU64,
     reset_done: &AtomicBool,
 ) {
-    let link = &cfg.links[idx];
     let _ = downstream.set_nodelay(true);
     let _ = downstream.set_read_timeout(Some(Duration::from_millis(50)));
     // The upstream node may not be listening yet; retry briefly.
@@ -281,10 +253,6 @@ fn forward_connection(
             Err(RecvTimeoutError::Disconnected) => return,
         }
     });
-    let partitioned = cfg
-        .partitioned
-        .iter()
-        .any(|&(s, d)| s == link.src && d == link.dst);
     let mut downstream_r = downstream;
     let mut buf: Vec<u8> = Vec::new();
     'conn: loop {
@@ -306,9 +274,7 @@ fn forward_connection(
                         break 'conn;
                     }
                 }
-                if partitioned
-                    || per_mille(cfg.seed, SALT_PROXY_DROP, link, seq, attempt, cfg.drop_pm)
-                {
+                if per_mille(cfg.seed, SALT_PROXY_DROP, link, seq, attempt, cfg.drop_pm) {
                     stats.dropped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
@@ -359,18 +325,19 @@ mod tests {
     }
 
     /// Two nodes with the 0→1 direction proxied.
-    fn proxied_pair(
-        cfg_fn: impl FnOnce(Vec<LinkSpec>) -> ChaosProxyConfig,
-    ) -> (SocketNet, SocketNet, ChaosProxy) {
+    fn proxied_pair(cfg: ChaosProxyConfig) -> (SocketNet, SocketNet, ChaosProxy) {
         let a_addr = free_addr();
         let b_addr = free_addr();
         let proxy_addr = free_addr();
-        let proxy = ChaosProxy::spawn(cfg_fn(vec![LinkSpec {
-            src: p(0),
-            dst: p(1),
-            listen: proxy_addr.clone(),
-            upstream: b_addr.clone(),
-        }]))
+        let proxy = ChaosProxy::spawn(
+            cfg,
+            vec![LinkSpec {
+                src: p(0),
+                dst: p(1),
+                listen: proxy_addr.clone(),
+                upstream: b_addr.clone(),
+            }],
+        )
         .unwrap();
         // Node 0 dials node 1 through the proxy; everything else is
         // direct.
@@ -392,27 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_proxy_is_transparent() {
-        let (a, b, proxy) = proxied_pair(|links| ChaosProxyConfig::passthrough(7, links));
-        a.send(p(1), 0, Round::FIRST, vec![42]);
-        let got = b.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(got.payload, vec![42]);
-        assert_eq!(proxy.injected(), (0, 0, 0));
-        drop(a);
-        drop(b);
-        proxy.shutdown();
-    }
-
-    #[test]
     fn injected_delay_holds_frames_for_the_scripted_duration() {
-        let (a, b, proxy) = proxied_pair(|links| ChaosProxyConfig {
+        let (a, b, proxy) = proxied_pair(ChaosProxyConfig {
             seed: 7,
             delay_pm: 1000,
             delay: Duration::from_millis(300),
             drop_pm: 0,
             reset_after: None,
-            partitioned: Vec::new(),
-            links,
         });
         let t0 = Instant::now();
         a.send(p(1), 0, Round::FIRST, vec![5]);
@@ -432,14 +385,12 @@ mod tests {
 
     #[test]
     fn reset_link_recovers_through_reconnect_and_retransmit() {
-        let (a, b, proxy) = proxied_pair(|links| ChaosProxyConfig {
+        let (a, b, proxy) = proxied_pair(ChaosProxyConfig {
             seed: 7,
             delay_pm: 0,
             delay: Duration::ZERO,
             drop_pm: 0,
             reset_after: Some(1),
-            partitioned: Vec::new(),
-            links,
         });
         // The first data frame trips the one-shot reset; the
         // supervisor reconnects and resends, and delivery still
@@ -451,8 +402,8 @@ mod tests {
             b.recv_timeout(Duration::from_millis(200)).is_err(),
             "dedup must suppress the retransmitted copy"
         );
-        let (_, _, resets) = proxy.injected();
-        assert_eq!(resets, 1);
+        // Zero delay and drop rates inject nothing but the reset.
+        assert_eq!(proxy.injected(), (0, 0, 1));
         let stats = a.stats();
         assert!(stats.reconnects >= 1, "supervisor must have reconnected");
         drop(a);

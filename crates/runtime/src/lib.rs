@@ -9,8 +9,8 @@
 //!   ([`TimeoutFd`], §3's construction), and a drain period that turns
 //!   suspicion into certainty about in-flight messages: rounds satisfy
 //!   round synchrony;
-//! * the **`SP` flavour** — finite but arbitrary link delays
-//!   ([`NetConfig::with_sender_delay`]), an oracle detector
+//! * the **`SP` flavour** — finite but arbitrary link delays (a
+//!   [`LinkScript`] pins any wire's delay), an oracle detector
 //!   ([`OracleFd`]) that knows *that* a process crashed but nothing
 //!   about its in-flight messages, and rounds that close on suspicion:
 //!   weak round synchrony, real pending messages.
@@ -74,8 +74,8 @@ pub use fd::{
     StalenessFd, SynchronyEvent, SynchronyMonitor, SynchronyReport, TimeoutFd,
 };
 pub use net::{
-    spawn_network, spawn_network_watched, ChaosConfig, LinkScript, NetConfig, NetEnvelope,
-    NetHandle, NetReceiver, NetSender, NetStats, ShutdownTimeout, MAX_SEND_ATTEMPTS, RTO_INITIAL,
+    spawn_network, spawn_network_watched, splitmix, ChaosConfig, LinkScript, NetConfig,
+    NetEnvelope, NetHandle, NetReceiver, NetSender, NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
 pub use plan::{FaultPlan, PlanModel, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
 pub use seqset::SeqSet;

@@ -7,8 +7,8 @@
 //!
 //! * **bounded** (the `SS` flavour): every delay ≤ a known bound, so
 //!   timeouts can implement a perfect failure detector;
-//! * **unbounded** (the `SP` flavour): finite but arbitrary — link
-//!   overrides let tests hold a specific sender's messages back long
+//! * **unbounded** (the `SP` flavour): finite but arbitrary — a
+//!   [`LinkScript`] can hold a specific sender's messages back long
 //!   enough to create real *pending* messages.
 //!
 //! For deterministic fault injection, a [`LinkScript`] pins the delay
@@ -159,7 +159,11 @@ const SALT_REORDER: u64 = 0x0c0c;
 const SALT_ACK_LOSS: u64 = 0xacc0;
 const SALT_ACK_DELAY: u64 = 0xaccd;
 
-pub(crate) fn splitmix(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: the one mixing function behind every
+/// seed-deterministic decision of the runtime (and of the load
+/// generators built on it).
+#[must_use]
+pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -181,22 +185,25 @@ pub(crate) fn roll(
     splitmix(h ^ u64::from(attempt))
 }
 
-impl ChaosConfig {
-    fn hits(pm: u16, r: u64) -> bool {
-        pm > 0 && r % 1000 < u64::from(pm)
-    }
+/// The seeded fault rule of both injectors (this network's chaos and
+/// the socket-level [`crate::ChaosProxy`]): a fault at per-mille rate
+/// `pm` fires iff the decision's `roll` falls below it mod 1000.
+pub(crate) fn hits(pm: u32, roll: u64) -> bool {
+    pm > 0 && roll % 1000 < u64::from(pm)
+}
 
+impl ChaosConfig {
     fn drops_data(self, seed: u64, s: ProcessId, d: ProcessId, k: u64, a: u32) -> bool {
-        Self::hits(self.loss_pm, roll(seed, SALT_LOSS, s, d, k, a))
+        hits(self.loss_pm.into(), roll(seed, SALT_LOSS, s, d, k, a))
     }
 
     fn duplicates(self, seed: u64, s: ProcessId, d: ProcessId, k: u64, a: u32) -> bool {
-        Self::hits(self.dup_pm, roll(seed, SALT_DUP, s, d, k, a))
+        hits(self.dup_pm.into(), roll(seed, SALT_DUP, s, d, k, a))
     }
 
     fn reorder_extra(self, seed: u64, s: ProcessId, d: ProcessId, k: u64, a: u32) -> Duration {
         let r = roll(seed, SALT_REORDER, s, d, k, a);
-        if Self::hits(self.reorder_pm, r) {
+        if hits(self.reorder_pm.into(), r) {
             let span = REORDER_JITTER_MAX.as_micros() as u64;
             Duration::from_micros(splitmix(r) % (span + 1))
         } else {
@@ -205,13 +212,13 @@ impl ChaosConfig {
     }
 
     fn drops_ack(self, seed: u64, s: ProcessId, d: ProcessId, k: u64, a: u32) -> bool {
-        Self::hits(self.loss_pm, roll(seed, SALT_ACK_LOSS, s, d, k, a))
+        hits(self.loss_pm.into(), roll(seed, SALT_ACK_LOSS, s, d, k, a))
     }
 }
 
-/// Network configuration: a base delay window plus per-link overrides,
-/// an optional deterministic [`LinkScript`], and optional chaos faults
-/// (which imply the reliable-delivery layer).
+/// Network configuration: a base delay window, an optional
+/// deterministic [`LinkScript`], and optional chaos faults (which imply
+/// the reliable-delivery layer).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Minimum link delay.
@@ -220,10 +227,8 @@ pub struct NetConfig {
     pub max_delay: Duration,
     /// RNG seed for reproducible delay draws and chaos decisions.
     pub seed: u64,
-    overrides: Vec<(ProcessId, ProcessId, Duration)>,
     script: Option<Arc<LinkScript>>,
     chaos: Option<ChaosConfig>,
-    reliable: bool,
 }
 
 impl NetConfig {
@@ -234,33 +239,13 @@ impl NetConfig {
             min_delay: Duration::ZERO,
             max_delay: max,
             seed,
-            overrides: Vec::new(),
             script: None,
             chaos: None,
-            reliable: false,
         }
-    }
-
-    /// Overrides the delay of one directed link (the `SP` adversary's
-    /// unbounded-delay knob).
-    #[must_use]
-    pub fn with_link_delay(mut self, src: ProcessId, dst: ProcessId, delay: Duration) -> Self {
-        self.overrides.push((src, dst, delay));
-        self
-    }
-
-    /// Overrides every outgoing link of `src`.
-    #[must_use]
-    pub fn with_sender_delay(mut self, src: ProcessId, n: usize, delay: Duration) -> Self {
-        for i in 0..n {
-            self.overrides.push((src, ProcessId::new(i), delay));
-        }
-        self
     }
 
     /// Installs a deterministic per-link delivery script. Scripted
-    /// entries take precedence over both overrides and the random
-    /// window.
+    /// entries take precedence over the random window.
     #[must_use]
     pub fn with_script(mut self, script: LinkScript) -> Self {
         self.script = Some(Arc::new(script));
@@ -272,15 +257,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
-        self.reliable = true;
-        self
-    }
-
-    /// Enables the reliable-delivery layer without chaos (acks +
-    /// retransmits + dedup over an already-lossless link).
-    #[must_use]
-    pub fn with_reliable(mut self) -> Self {
-        self.reliable = true;
         self
     }
 
@@ -290,10 +266,11 @@ impl NetConfig {
         self.chaos
     }
 
-    /// Whether the reliable-delivery layer is active.
+    /// Whether the reliable-delivery layer is active (it is exactly
+    /// when chaos faults are).
     #[must_use]
     pub fn is_reliable(&self) -> bool {
-        self.reliable || self.chaos.is_some()
+        self.chaos.is_some()
     }
 
     /// Worst-case trigger offset of the final transmission attempt:
@@ -319,11 +296,6 @@ impl NetConfig {
     fn delay_for<M, R: Rng>(&self, env: &NetEnvelope<M>, nth: usize, rng: &mut R) -> Duration {
         if let Some(script) = &self.script {
             if let Some(delay) = script.delay(env.src, env.dst, nth) {
-                return delay;
-            }
-        }
-        for &(s, d, delay) in &self.overrides {
-            if s == env.src && d == env.dst {
                 return delay;
             }
         }
@@ -470,44 +442,11 @@ impl<M> NetReceiver<M> {
     }
 }
 
-/// How the network thread should wind down.
-#[derive(Debug, Clone, Copy)]
-enum ShutdownSignal {
-    /// Stop immediately; in-flight wires are stranded (and counted).
-    Now,
-    /// Keep delivering already-scheduled wires for at most this long,
-    /// then stop, stranding whatever remains.
-    Drain(Duration),
-}
-
-/// Typed error of [`NetHandle::shutdown_within`]: the drain deadline
-/// elapsed with wires still in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShutdownTimeout {
-    /// Wires still undelivered when the drain gave up.
-    pub undelivered: u64,
-    /// The full transport counters at shutdown (the drained deliveries
-    /// are in [`NetStats::delivered`]).
-    pub stats: NetStats,
-}
-
-impl core::fmt::Display for ShutdownTimeout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "network shutdown drain timed out with {} wire(s) undelivered",
-            self.undelivered
-        )
-    }
-}
-
-impl std::error::Error for ShutdownTimeout {}
-
 /// Owns the network thread: signals shutdown and joins it on drop, so
 /// no run leaks the thread or its in-flight envelopes.
 #[derive(Debug)]
 pub struct NetHandle {
-    shutdown: Sender<ShutdownSignal>,
+    shutdown: Sender<()>,
     gate: Gate,
     thread: Option<std::thread::JoinHandle<NetStats>>,
 }
@@ -523,7 +462,7 @@ impl NetHandle {
     /// Panics if the network thread itself panicked.
     #[must_use]
     pub fn shutdown(mut self) -> NetStats {
-        let _ = self.shutdown.try_send(ShutdownSignal::Now);
+        let _ = self.shutdown.try_send(());
         self.gate.notify();
         self.thread
             .take()
@@ -531,46 +470,12 @@ impl NetHandle {
             .join()
             .expect("network thread panicked")
     }
-
-    /// Signals shutdown but lets the network keep delivering
-    /// already-submitted wires for up to `drain` — a *bounded* drain,
-    /// in contrast to the sender-drop path which flushes an unbounded
-    /// backlog. Works on both clock backends; under virtual time the
-    /// drain window elapses in simulated time.
-    ///
-    /// # Errors
-    ///
-    /// [`ShutdownTimeout`] if the deadline passed with wires still in
-    /// flight; the stranded wires are counted in the error (and in its
-    /// embedded [`NetStats::undelivered`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network thread itself panicked.
-    pub fn shutdown_within(mut self, drain: Duration) -> Result<NetStats, ShutdownTimeout> {
-        let _ = self.shutdown.try_send(ShutdownSignal::Drain(drain));
-        self.gate.notify();
-        let stats = self
-            .thread
-            .take()
-            .expect("network thread handle")
-            .join()
-            .expect("network thread panicked");
-        if stats.undelivered > 0 {
-            Err(ShutdownTimeout {
-                undelivered: stats.undelivered,
-                stats,
-            })
-        } else {
-            Ok(stats)
-        }
-    }
 }
 
 impl Drop for NetHandle {
     fn drop(&mut self) {
         if let Some(t) = self.thread.take() {
-            let _ = self.shutdown.try_send(ShutdownSignal::Now);
+            let _ = self.shutdown.try_send(());
             self.gate.notify();
             let _ = t.join();
         }
@@ -601,7 +506,7 @@ pub fn spawn_network_watched<M: Clone + Send + 'static>(
     clock: Clock,
 ) -> (NetSender<M>, Vec<NetReceiver<M>>, NetHandle) {
     let (submit_tx, submit_rx) = unbounded::<NetEnvelope<M>>();
-    let (shutdown_tx, shutdown_rx) = bounded::<ShutdownSignal>(1);
+    let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
     let submit_gate = clock.gate();
     let mut inboxes_tx = Vec::with_capacity(n);
     let mut inboxes_rx = Vec::with_capacity(n);
@@ -649,8 +554,9 @@ pub fn spawn_network_watched<M: Clone + Send + 'static>(
 }
 
 /// Schedules transmission attempt `attempt` of wire `wi` at `now`:
-/// rolls chaos loss/duplication/reorder and arms the next retransmit
-/// timer. The final attempt is never dropped.
+/// rolls chaos loss/duplication/reorder and, with chaos on, arms the
+/// reliable layer's next retransmit timer. The final attempt is never
+/// dropped.
 #[allow(clippy::too_many_arguments)]
 fn schedule_attempt<M>(
     heap: &mut BinaryHeap<Scheduled>,
@@ -658,7 +564,6 @@ fn schedule_attempt<M>(
     stats: &mut NetStats,
     chaos: Option<ChaosConfig>,
     seed: u64,
-    reliable: bool,
     w: &WireState<M>,
     wi: usize,
     attempt: u32,
@@ -684,7 +589,7 @@ fn schedule_attempt<M>(
             push(at + DUP_OFFSET, NetEvent::Deliver { wire: wi, attempt });
         }
     }
-    if reliable && !last {
+    if chaos.is_some() && !last {
         push(
             now + RTO_INITIAL * (1 << attempt),
             NetEvent::Retransmit {
@@ -745,7 +650,6 @@ fn admit_wire<M: Clone + Send + 'static>(
         stats,
         config.chaos(),
         config.seed,
-        config.is_reliable(),
         &w,
         wi,
         0,
@@ -761,10 +665,9 @@ fn net_thread<M: Clone + Send + 'static>(
     clock: &Clock,
     gate: &Gate,
     submit_rx: &Receiver<NetEnvelope<M>>,
-    shutdown_rx: &Receiver<ShutdownSignal>,
+    shutdown_rx: &Receiver<()>,
     inboxes_tx: &[(Sender<NetEnvelope<M>>, Gate)],
 ) -> NetStats {
-    let reliable = config.is_reliable();
     let chaos = config.chaos();
     let seed = config.seed;
     let armed = monitor.is_armed();
@@ -775,7 +678,6 @@ fn net_thread<M: Clone + Send + 'static>(
     let mut seq = 0u64;
     let mut stats = NetStats::default();
     let mut closed = false;
-    let mut draining: Option<Tick> = None;
     // Per-link wire counters, for LinkScript indexing and the reliable
     // layer's sequence numbers.
     let mut link_count: HashMap<(usize, usize), u64> = HashMap::new();
@@ -823,11 +725,11 @@ fn net_thread<M: Clone + Send + 'static>(
                         let _ = inbox.try_send(w.env.clone());
                         inbox_gate.notify();
                     }
-                    if reliable {
+                    if let Some(c) = chaos {
                         // The receiving transport acks every copy, so a
                         // lost ack cannot strand the sender forever.
                         let (src, dst, k) = (w.env.src, w.env.dst, w.link_seq);
-                        if chaos.is_some_and(|c| c.drops_ack(seed, src, dst, k, attempt)) {
+                        if c.drops_ack(seed, src, dst, k, attempt) {
                             stats.acks_lost += 1;
                         } else {
                             let span = config
@@ -861,7 +763,6 @@ fn net_thread<M: Clone + Send + 'static>(
                             &mut stats,
                             chaos,
                             seed,
-                            reliable,
                             &wires[wire],
                             wire,
                             attempt,
@@ -871,54 +772,8 @@ fn net_thread<M: Clone + Send + 'static>(
                 }
             }
         }
-        match shutdown_rx.try_recv() {
-            Ok(ShutdownSignal::Now) => return finish(&wires, stats),
-            Ok(ShutdownSignal::Drain(d)) => draining = Some(clock.now() + d),
-            Err(_) => {}
-        }
-        if let Some(deadline) = draining {
-            // Bounded drain: absorb any submissions that raced the
-            // signal, then keep firing already-scheduled deliveries
-            // until everything lands or the window elapses. Whatever
-            // is still in flight at the deadline is stranded and
-            // counted, same as an immediate shutdown.
-            while let Ok(env) = submit_rx.try_recv() {
-                admit_wire(
-                    env,
-                    config,
-                    monitor,
-                    clock,
-                    &mut rng,
-                    &mut link_count,
-                    &mut heap,
-                    &mut wires,
-                    &mut seq,
-                    &mut stats,
-                );
-            }
-            if wires.iter().all(|w| w.delivered) {
-                return finish(&wires, stats);
-            }
-            let now = clock.now();
-            if now >= deadline {
-                return finish(&wires, stats);
-            }
-            let wait = match heap.peek() {
-                // No events left but undelivered wires remain (their
-                // attempts were all dropped): nothing more can land.
-                None => return finish(&wires, stats),
-                // The earliest remaining event is past the deadline:
-                // the window cannot deliver anything else.
-                Some(s) if s.at > deadline => return finish(&wires, stats),
-                Some(s) => s.at.saturating_duration_since(now),
-            };
-            if !wait.is_zero() {
-                match clock.backend() {
-                    Backend::Real => std::thread::sleep(wait.min(IDLE_POLL)),
-                    Backend::Virtual => clock.sleep(wait),
-                }
-            }
-            continue;
+        if shutdown_rx.try_recv().is_ok() {
+            return finish(&wires, stats);
         }
         if closed && (heap.is_empty() || clock.is_virtual()) {
             // Every sender gone means every worker has exited. Under
@@ -1026,13 +881,16 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
+    /// A network whose first wire on `p1 → p2` is held for `delay`.
+    fn slow_first_wire(max: Duration, seed: u64, delay: Duration) -> NetConfig {
+        let mut script = LinkScript::new();
+        script.set(p(0), p(1), 0, delay);
+        NetConfig::bounded(max, seed).with_script(script)
+    }
+
     #[test]
-    fn link_override_holds_messages_back() {
-        let config = NetConfig::bounded(Duration::from_millis(1), 7).with_link_delay(
-            p(0),
-            p(1),
-            Duration::from_millis(150),
-        );
+    fn link_script_holds_messages_back() {
+        let config = slow_first_wire(Duration::from_millis(1), 7, Duration::from_millis(150));
         let (tx, rx, _net) = spawn_network::<u32>(2, config);
         let t0 = Instant::now();
         tx.send(p(0), p(1), 42);
@@ -1208,11 +1066,7 @@ mod tests {
     #[test]
     fn watchdog_sees_over_delta_scheduling_and_stranded_wires() {
         let monitor = SynchronyMonitor::armed(Duration::from_millis(50), DegradeMode::Off);
-        let config = NetConfig::bounded(Duration::from_millis(1), 3).with_link_delay(
-            p(0),
-            p(1),
-            Duration::from_millis(400),
-        );
+        let config = slow_first_wire(Duration::from_millis(1), 3, Duration::from_millis(400));
         let (tx, _rx, net) =
             spawn_network_watched::<u32>(2, config, Arc::clone(&monitor), Clock::real());
         tx.send(p(0), p(1), 1);
@@ -1243,11 +1097,7 @@ mod tests {
     #[test]
     fn late_delivery_is_reported_when_the_wire_lands() {
         let monitor = SynchronyMonitor::armed(Duration::from_millis(30), DegradeMode::Off);
-        let config = NetConfig::bounded(Duration::from_millis(1), 3).with_link_delay(
-            p(0),
-            p(1),
-            Duration::from_millis(80),
-        );
+        let config = slow_first_wire(Duration::from_millis(1), 3, Duration::from_millis(80));
         let (tx, rx, _net) =
             spawn_network_watched::<u32>(2, config, Arc::clone(&monitor), Clock::real());
         tx.send(p(0), p(1), 9);
@@ -1267,70 +1117,5 @@ mod tests {
         assert_eq!(plain.worst_transport_delay(), Duration::from_millis(2));
         let chaotic = plain.clone().with_chaos(ChaosConfig::default());
         assert!(chaotic.worst_transport_delay() > Duration::from_millis(48));
-    }
-
-    #[test]
-    fn bounded_drain_times_out_with_wires_in_flight() {
-        let config = NetConfig::bounded(Duration::ZERO, 11).with_link_delay(
-            p(0),
-            p(1),
-            Duration::from_millis(150),
-        );
-        let clock = Clock::simulated();
-        // The test thread holds a running slot for the whole sequence,
-        // so virtual time is frozen at zero until the drain signal is
-        // in place: the 150 ms wire cannot race the 50 ms deadline.
-        clock.register();
-        let (tx, rx, net) =
-            spawn_network_watched::<u32>(2, config, SynchronyMonitor::disarmed(), clock.clone());
-        tx.send(p(0), p(1), 5);
-        // The drain deadline (50 ms) precedes the wire's delivery
-        // (150 ms), so the network thread finishes without ever
-        // needing virtual time to advance — holding our slot through
-        // the join cannot deadlock it.
-        let err = net
-            .shutdown_within(Duration::from_millis(50))
-            .expect_err("the 150 ms wire cannot land inside a 50 ms drain");
-        clock.deregister();
-        assert_eq!(err.undelivered, 1);
-        assert_eq!(err.stats.delivered, 0);
-        assert_eq!(err.stats.wires, 1);
-        assert!(err.to_string().contains("undelivered"), "{err}");
-        assert!(rx[1].try_recv().is_err(), "nothing was delivered");
-        drop(tx);
-    }
-
-    #[test]
-    fn bounded_drain_flushes_in_flight_wires_in_virtual_time() {
-        let config = NetConfig::bounded(Duration::ZERO, 11).with_link_delay(
-            p(0),
-            p(1),
-            Duration::from_millis(150),
-        );
-        let clock = Clock::simulated();
-        let (tx, rx, net) =
-            spawn_network_watched::<u32>(2, config, SynchronyMonitor::disarmed(), clock.clone());
-        tx.send(p(0), p(1), 6);
-        let wall = Instant::now();
-        // A generous window: the network thread (the sole registered
-        // thread) advances virtual time to the wire's 150 ms deadline
-        // and delivers it, then exits early — the remaining window is
-        // never waited out, in virtual or real time.
-        let stats = net
-            .shutdown_within(Duration::from_secs(600))
-            .expect("the wire lands well inside the window");
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.undelivered, 0);
-        assert_eq!(rx[1].try_recv().unwrap().payload, 6);
-        assert!(
-            clock.now() <= Tick::ZERO + Duration::from_millis(150),
-            "drain ends at delivery, not at the window: {:?}",
-            clock.now()
-        );
-        assert!(
-            wall.elapsed() < Duration::from_secs(30),
-            "no real-time wait for a virtual window"
-        );
-        drop(tx);
     }
 }

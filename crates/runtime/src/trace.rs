@@ -10,15 +10,14 @@
 //!
 //! * a [`CrashSchedule`] + [`PendingChoice`] pair — the round-model
 //!   adversary that *this* wall-clock run realized, replayable
-//!   tick-for-tick through `ssp_rounds::run_rws_traced`;
-//! * a [`RoundTrace`] of observed deliveries, comparable with the
-//!   replay's trace matrix-for-matrix;
+//!   tick-for-tick through `ssp_rounds::run_rws_observed`;
+//! * the canonical round-level [`RunLog`] itself
+//!   ([`RunTrace::run_log`]), whose lockstep `Close` events carry the
+//!   observed delivery matrices and whose projection onto delivery
+//!   events diffs directly against the replay's log;
 //! * an `ssp-sim` step [`Trace`] (via [`RunTrace::step_log`] and
 //!   [`Trace::from_run_log`]), checkable by the §2 validators
-//!   (`validate_basic`, `validate_perfect_fd`);
-//! * the canonical round-level [`RunLog`] itself
-//!   ([`RunTrace::run_log`]), whose projection onto delivery events
-//!   diffs directly against a replay's log.
+//!   (`validate_basic`, `validate_perfect_fd`).
 //!
 //! [`RunTrace::validate`] certifies internal admissibility: complete
 //! logs, message integrity across matching send/receive cells, no
@@ -36,10 +35,7 @@ use std::collections::BTreeMap;
 use crate::net::NetStats;
 use ssp_model::events::{DeliveryMatrix, StepStamp};
 use ssp_model::{ProcessId, ProcessSet, Round, RunEvent, RunLog, StepIndex, Time};
-use ssp_rounds::{
-    validate_pending, CrashSchedule, PendingChoice, PendingError, RoundCrash, RoundRecord,
-    RoundTrace,
-};
+use ssp_rounds::{validate_pending, CrashSchedule, PendingChoice, PendingError, RoundCrash};
 
 /// One process's observation of one round.
 ///
@@ -360,29 +356,6 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
             log.push(RunEvent::Abort);
         }
         log
-    }
-
-    /// The per-round delivery matrices, in the convention of
-    /// [`ssp_rounds::run_rws_traced`]: a crashed (or unclosed)
-    /// receiver's row is all-`None`, and null wires flatten to `None`.
-    #[must_use]
-    pub fn round_trace(&self) -> RoundTrace<M> {
-        let mut trace = RoundTrace::new();
-        for r in 1..=self.horizon {
-            let mut deliveries: Vec<Vec<Option<M>>> = vec![vec![None; self.n]; self.n];
-            for (q, log) in self.logs.iter().enumerate() {
-                let Some(obs) = log.get((r - 1) as usize) else {
-                    continue;
-                };
-                let Some(row) = &obs.received else { continue };
-                deliveries[q] = row.iter().map(|c| c.clone().flatten()).collect();
-            }
-            trace.push(RoundRecord {
-                round: Round::new(r),
-                deliveries,
-            });
-        }
-        trace
     }
 
     /// Certifies that the trace is an admissible run of its model.
@@ -912,15 +885,6 @@ mod tests {
             t.validate(),
             Err(RunTraceError::WrongLogLength { .. })
         ));
-    }
-
-    #[test]
-    fn round_trace_flattens_null_wires() {
-        let t = clean_trace();
-        let rt = t.round_trace();
-        assert_eq!(rt.len(), 1);
-        assert!(rt.rounds()[0].heard(ProcessId::new(0), ProcessId::new(1)));
-        assert_eq!(rt.total_delivered(), 4);
     }
 
     #[test]

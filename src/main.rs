@@ -31,7 +31,7 @@ use ssp::commit::{commit_rate_experiment, CommitWorkload};
 use ssp::engine::{
     rate_pm, run_cluster, serve, serve_node_to_file, serve_node_with, serve_sharded, ClusterConfig,
     EngineConfig, EngineCrash, FaultMode, GatewayNodeConfig, GatewaySpec, KillSpec, NodeConfig,
-    ProxySpec, ShardedConfig, Workload, WorkloadConfig,
+    ShardedConfig, Workload, WorkloadConfig,
 };
 use ssp::explore::Explorer;
 use ssp::fd::classify;
@@ -45,8 +45,8 @@ use ssp::lab::{
 use ssp::model::{InitialConfig, RunLog};
 use ssp::rounds::{cumulative_round_budget, RoundAlgorithm};
 use ssp::runtime::{
-    Backend, ChaosConfig, ConfigError, DegradeMode, FaultPlan, PlanModel, RuntimeBuilder,
-    ThreadCrash, SECTION_5_3_SEED,
+    Backend, ChaosConfig, ChaosProxyConfig, ConfigError, DegradeMode, FaultPlan, PlanModel,
+    RuntimeBuilder, ThreadCrash, SECTION_5_3_SEED,
 };
 
 /// Flags that take no value: their presence means `true`.
@@ -1064,7 +1064,7 @@ fn cmd_serve_cluster(flags: &Flags) -> Result<(), String> {
             None => None,
             Some(_) => Some(flags.u64_or("proxy-reset-after", 0)?),
         };
-        Some(ProxySpec {
+        Some(ChaosProxyConfig {
             seed: flags.u64_or("proxy-seed", flags.u64_or("seed", 1)?)?,
             delay_pm: u32::from(flags.rate_pm_or("proxy-delay-rate", 1000)?),
             delay: ms_or(flags, "proxy-delay-ms", 0)?,

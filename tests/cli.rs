@@ -202,6 +202,21 @@ fn runtime_fuzz_reproduces_the_section_5_3_violation_from_its_seed() {
         stdout.contains("checker sweeping the same space agrees: true"),
         "{stdout}"
     );
+    // Chaos is masked by the reliable layer: the anomaly survives it.
+    let (ok, stdout, _) = ssp(&[
+        "runtime-fuzz",
+        "a1",
+        "rws",
+        "--seed-range",
+        "519..520",
+        "--chaos",
+        "--loss",
+        "0.3",
+        "--dup",
+        "0.1",
+    ]);
+    assert!(ok, "a spec violation is a finding, not a CLI failure");
+    assert!(stdout.contains("spec violations: 1"), "{stdout}");
 }
 
 #[test]
@@ -294,6 +309,10 @@ fn bad_flag_value_fails() {
     let (ok, _, stderr) = ssp(&["latency", "-n", "lots"]);
     assert!(!ok);
     assert!(stderr.contains("bad number"));
+    // An undersized drain is a typed config error, not a hang.
+    let (ok, _, stderr) = ssp(&["serve", "a1", "rs", "--instances", "2", "--drain", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("drain"), "{stderr}");
 }
 
 #[test]
@@ -335,6 +354,11 @@ fn delta_violation_flags_then_degrades_from_the_cli() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("degraded at"), "{stdout}");
     assert!(stdout.contains("admissible RWS run"), "{stdout}");
+
+    // Same seed with --degrade=abort: stopped undecided.
+    let (ok, stdout, stderr) = ssp(&["runtime-fuzz", "--delta-violation", "--degrade=abort"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("verdict: aborted"), "{stdout}");
 }
 
 #[test]
@@ -497,5 +521,32 @@ fn load_inproc_reports_the_client_observed_round_gap() {
         "4",
     ]);
     assert!(ok, "{stderr}");
+    assert!(rws_out.contains("\"p50_rounds\":2"), "{rws_out}");
+    // Sharded, with cross-shard traffic: the gap holds and each report
+    // is byte-identical per seed.
+    let sharded = |algo: &str, model: &str| {
+        let (ok, out, stderr) = ssp(&[
+            "load",
+            "--inproc",
+            algo,
+            model,
+            "--shards",
+            "2",
+            "--cross-rate",
+            "0.2",
+            "--clients",
+            "4",
+            "--requests-per-client",
+            "8",
+            "--seed",
+            "7",
+        ]);
+        assert!(ok, "{stderr}");
+        out
+    };
+    let rs_out = sharded("a1", "rs");
+    assert_eq!(rs_out, sharded("a1", "rs"), "same seed, same report");
+    assert!(rs_out.contains("\"p50_rounds\":1"), "{rs_out}");
+    let rws_out = sharded("ct", "rws");
     assert!(rws_out.contains("\"p50_rounds\":2"), "{rws_out}");
 }

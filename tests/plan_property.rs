@@ -95,7 +95,7 @@ proptest! {
         };
         let a = run();
         let b = run();
-        prop_assert_eq!(a.trace.round_trace(), b.trace.round_trace());
+        prop_assert_eq!(a.trace.run_log(), b.trace.run_log());
         prop_assert_eq!(&a.trace.crashes, &b.trace.crashes);
         prop_assert_eq!(a.trace.pending().triples(), b.trace.pending().triples());
     }
@@ -112,7 +112,7 @@ proptest! {
         };
         let a = run();
         let b = run();
-        prop_assert_eq!(a.trace.round_trace(), b.trace.round_trace());
+        prop_assert_eq!(a.trace.run_log(), b.trace.run_log());
         prop_assert!(a.trace.pending().is_empty(), "RS drains everything");
     }
 }

@@ -101,17 +101,12 @@ fn replayed_traces_are_deterministic_across_repeated_runs() {
     };
     let first = run();
     let second = run();
-    // The canonical run logs — and hence every view derived from them —
-    // are byte-identical run after run.
+    // The canonical run logs — delivery matrices included — are
+    // byte-identical run after run.
     assert_eq!(
         first.trace.run_log().to_jsonl(),
         second.trace.run_log().to_jsonl(),
         "a fixed plan yields one run log, run after run"
-    );
-    assert_eq!(
-        first.trace.round_trace(),
-        second.trace.round_trace(),
-        "the round-matrix view inherits that determinism"
     );
     assert_eq!(first.trace.crashes, second.trace.crashes);
 }

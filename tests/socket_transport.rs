@@ -161,20 +161,21 @@ fn spawn_pair(
 #[test]
 fn reset_and_reconnect_inside_delta_never_suspects() {
     let upstream = free_addr();
-    let proxy = ChaosProxy::spawn(ChaosProxyConfig {
-        seed: 3,
-        delay_pm: 0,
-        delay: Duration::ZERO,
-        drop_pm: 0,
-        reset_after: Some(2),
-        partitioned: Vec::new(),
-        links: vec![LinkSpec {
+    let proxy = ChaosProxy::spawn(
+        ChaosProxyConfig {
+            seed: 3,
+            delay_pm: 0,
+            delay: Duration::ZERO,
+            drop_pm: 0,
+            reset_after: Some(2),
+        },
+        vec![LinkSpec {
             src: ProcessId::new(0),
             dst: ProcessId::new(1),
             listen: "127.0.0.1:0".to_string(),
             upstream: upstream.clone(),
         }],
-    })
+    )
     .expect("spawn proxy");
     // Rebind the upstream address for node 1's listener.
     let addr0 = free_addr();

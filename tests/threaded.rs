@@ -233,3 +233,58 @@ fn pending_votes_abort_on_threads() {
         }
     }
 }
+
+#[test]
+fn early_close_crash_mid_burst_keeps_the_scripted_cut() {
+    use ssp::model::{ProcessSet, RunEvent};
+    // Every A1 process decides in round 1, retires at the start of
+    // round 2 and bursts its relay. The victim dies during that burst,
+    // after a prefix of its send slots or after an explicit receiver
+    // set: the retire round, the crash round and the reached receivers
+    // must all survive, and none of its round-2 wires is delivered
+    // (every receiver has retired too).
+    let config = InitialConfig::new(vec![4u64, 9, 2]);
+    let cuts = [
+        (p(0), ThreadCrash::prefix(2, 1), ProcessSet::singleton(p(0))),
+        (
+            p(1),
+            ThreadCrash::prefix(2, 2),
+            ProcessSet::from_iter([p(0), p(1)]),
+        ),
+        (
+            p(1),
+            ThreadCrash::sending_to(2, ProcessSet::singleton(p(2))),
+            ProcessSet::singleton(p(2)),
+        ),
+    ];
+    for (victim, crash, reached) in cuts {
+        let runtime = RuntimeConfig::ss_flavor(3, 5)
+            .with_early_close(true)
+            .with_crash(victim, crash);
+        let result = RuntimeBuilder::new(&A1, &config)
+            .runtime(runtime)
+            .run()
+            .unwrap();
+        let trace = &result.trace;
+        assert_eq!(trace.retired, vec![Some(Round::new(2)); 3], "{crash:?}");
+        let mut crashes = vec![None; 3];
+        crashes[victim.index()] = Some(Round::new(2));
+        assert_eq!(trace.crashes, crashes, "{crash:?}");
+        let cut = trace.schedule().crash_of(victim).expect("victim crashed");
+        assert_eq!(cut.sends_to, reached, "{crash:?}");
+        let round_2_receivers: Vec<_> = trace
+            .run_log()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::Deliver {
+                    src, dst, round, ..
+                } if *src == victim && *round == Some(Round::new(2)) => Some(*dst),
+                _ => None,
+            })
+            .collect();
+        assert!(round_2_receivers.is_empty(), "{round_2_receivers:?}");
+        check_uniform_consensus_strong(&result.outcome).unwrap();
+        trace.validate().unwrap();
+    }
+}
