@@ -46,7 +46,9 @@ use ssp_runtime::{
     SynchronyReport, ThreadedOutcome, TransportStats,
 };
 
-use crate::command::{decode_external_ops, Batch, Command, CommandId, KvStore, Op, EXTERNAL_BIT};
+use crate::command::{
+    decode_external_ops, put_op, take, take_op, Batch, Command, CommandId, KvStore, EXTERNAL_BIT,
+};
 use crate::proposer::Proposer;
 use crate::stats::EngineStats;
 use crate::workload::{Workload, WorkloadConfig};
@@ -137,11 +139,14 @@ pub struct GatewayNodeConfig {
     /// Bounded admission queue: submissions beyond this get a typed
     /// `Busy` rejection instead of unbounded buffering.
     pub queue_cap: usize,
-    /// Backpressure hint carried in `Busy` rejections.
-    pub retry_after: Duration,
-    /// Largest external tail appended to a proposal per instance.
-    pub tail_max: usize,
 }
+
+/// Backpressure hint carried in a gateway node's `Busy` rejections.
+const GATEWAY_RETRY_AFTER: Duration = Duration::from_millis(25);
+
+/// Largest external tail a gateway node appends to its proposal per
+/// instance.
+const GATEWAY_TAIL_MAX: usize = 8;
 
 impl GatewayNodeConfig {
     /// Conventional gateway knobs on `listen`.
@@ -150,8 +155,6 @@ impl GatewayNodeConfig {
         GatewayNodeConfig {
             listen: listen.into(),
             queue_cap: 64,
-            retry_after: Duration::from_millis(25),
-            tail_max: 8,
         }
     }
 }
@@ -160,71 +163,27 @@ impl GatewayNodeConfig {
 // Wire/report codec for `Option<A1Msg<Batch>>`
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    let (head, rest) = buf.split_first_chunk::<4>()?;
-    *buf = rest;
-    Some(u32::from_le_bytes(*head))
-}
-
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = buf.split_first_chunk::<8>()?;
-    *buf = rest;
-    Some(u64::from_le_bytes(*head))
-}
-
+/// Batch framing around the shared command codec: `u32 count`, then
+/// per command `u32 client ‖ u32 seq ‖ op`, all little-endian.
 fn put_batch(out: &mut Vec<u8>, batch: &Batch) {
-    put_u32(out, u32::try_from(batch.len()).expect("batch fits u32"));
+    let count = u32::try_from(batch.len()).expect("batch fits u32");
+    out.extend_from_slice(&count.to_le_bytes());
     for cmd in batch.iter() {
-        put_u32(out, cmd.id.client);
-        put_u32(out, cmd.id.seq);
-        match cmd.op {
-            Op::Put { key, value } => {
-                out.push(1);
-                put_u32(out, key);
-                put_u64(out, value);
-            }
-            Op::Delete { key } => {
-                out.push(2);
-                put_u32(out, key);
-            }
-            Op::Prepare { tx } => {
-                out.push(3);
-                put_u32(out, tx);
-            }
-        }
+        out.extend_from_slice(&cmd.id.client.to_le_bytes());
+        out.extend_from_slice(&cmd.id.seq.to_le_bytes());
+        put_op(out, &cmd.op);
     }
 }
 
 fn take_batch(buf: &mut &[u8]) -> Option<Batch> {
-    let count = take_u32(buf)?;
+    let count = u32::from_le_bytes(take(buf)?);
     let mut cmds = Vec::with_capacity(count.min(4096) as usize);
     for _ in 0..count {
-        let client = take_u32(buf)?;
-        let seq = take_u32(buf)?;
-        let (&tag, rest) = buf.split_first()?;
-        *buf = rest;
-        let op = match tag {
-            1 => Op::Put {
-                key: take_u32(buf)?,
-                value: take_u64(buf)?,
-            },
-            2 => Op::Delete {
-                key: take_u32(buf)?,
-            },
-            3 => Op::Prepare { tx: take_u32(buf)? },
-            _ => return None,
-        };
+        let client = u32::from_le_bytes(take(buf)?);
+        let seq = u32::from_le_bytes(take(buf)?);
         cmds.push(Command {
             id: CommandId { client, seq },
-            op,
+            op: take_op(buf)?,
         });
     }
     Some(Batch(cmds))
@@ -285,6 +244,18 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
         .collect()
+}
+
+/// A batch as it appears in `X` and `D` report lines.
+fn hex_batch(batch: &Batch) -> String {
+    let mut bytes = Vec::new();
+    put_batch(&mut bytes, batch);
+    to_hex(&bytes)
+}
+
+/// Parses a [`hex_batch`] field; bytes after the batch are ignored.
+fn unhex_batch(hex: &str) -> Option<Batch> {
+    take_batch(&mut from_hex(hex)?.as_slice())
 }
 
 fn cell_to_str(cell: &Option<Vec<u8>>) -> String {
@@ -374,12 +345,11 @@ pub fn serve_node_with(
     let mut kv = KvStore::default();
     // Early arrivals from rounds/instances we have not reached yet.
     let mut future: Vec<(u64, u32, ProcessId, Option<A1Msg<Batch>>)> = Vec::new();
-    let mut halted = false;
     let listener = match gateway {
         Some(gw) => Some(GatewayListener::spawn(
             &gw.listen,
             gw.queue_cap,
-            gw.retry_after,
+            GATEWAY_RETRY_AFTER,
         )?),
         None => None,
     };
@@ -433,11 +403,9 @@ pub fn serve_node_with(
                     gw_deduped += 1;
                 }
             }
-            gw_tail = Batch(proposer.external_tail(gw.tail_max));
+            gw_tail = Batch(proposer.external_tail(GATEWAY_TAIL_MAX));
             if !gw_tail.0.is_empty() {
-                let mut bytes = Vec::new();
-                put_batch(&mut bytes, &gw_tail);
-                writeln!(out, "X {k} {}", to_hex(&bytes))?;
+                writeln!(out, "X {k} {}", hex_batch(&gw_tail))?;
                 out.flush()?;
             }
         }
@@ -562,9 +530,7 @@ pub fn serve_node_with(
             proc_.trans(Round::new(r), &received);
             if !decided_written {
                 if let Some((batch, round)) = proc_.decision() {
-                    let mut bytes = Vec::new();
-                    put_batch(&mut bytes, &batch);
-                    writeln!(out, "D {k} {} {}", round.get(), to_hex(&bytes))?;
+                    writeln!(out, "D {k} {} {}", round.get(), hex_batch(&batch))?;
                     out.flush()?;
                     decided_written = true;
                 }
@@ -609,22 +575,15 @@ pub fn serve_node_with(
         // the last line) so a `kill -9` loses at most the counts of the
         // instance in flight, not the whole node's ledger view.
         if let Some(listener) = &listener {
-            let gw_stats = listener.stats();
-            writeln!(
-                out,
-                "W {gw_admitted} {gw_deduped} {} {}",
-                gw_stats.busy_rejected, gw_stats.redirects,
-            )?;
+            write_gateway_line(out, listener, gw_admitted, gw_deduped)?;
         }
         out.flush()?;
         if aborted || gave_up {
             // Continuing with a state that diverged from the peers
             // (uncommitted batch) would poison every later instance.
-            halted = true;
             break 'instances;
         }
     }
-    let _ = halted;
     let t = net.stats();
     writeln!(
         out,
@@ -639,18 +598,29 @@ pub fn serve_node_with(
         t.corrupt_drops,
     )?;
     if let Some(listener) = listener {
-        let gw_stats = listener.stats();
-        writeln!(
-            out,
-            "W {gw_admitted} {gw_deduped} {} {}",
-            gw_stats.busy_rejected, gw_stats.redirects,
-        )?;
+        write_gateway_line(out, &listener, gw_admitted, gw_deduped)?;
         listener.shutdown();
     }
     writeln!(out, "K {} {}", kv.digest(), kv.applied())?;
     out.flush()?;
     net.shutdown();
     Ok(())
+}
+
+/// Writes the `W` report line: the node's own admission counters plus
+/// the listener's busy and redirect counts.
+fn write_gateway_line(
+    out: &mut dyn Write,
+    listener: &GatewayListener,
+    admitted: u64,
+    deduped: u64,
+) -> io::Result<()> {
+    let stats = listener.stats();
+    writeln!(
+        out,
+        "W {admitted} {deduped} {} {}",
+        stats.busy_rejected, stats.redirects
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -746,12 +716,8 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
                 }
             }
             "D" => {
-                let (Some(k), Some(r), Some(hex)) = (num(1), num(2), parts.get(3)) else {
-                    continue;
-                };
-                let Some(bytes) = from_hex(hex) else { continue };
-                let mut buf = bytes.as_slice();
-                let Some(batch) = take_batch(&mut buf) else {
+                let batch = parts.get(3).and_then(|hex| unhex_batch(hex));
+                let (Some(k), Some(r), Some(batch)) = (num(1), num(2), batch) else {
                     continue;
                 };
                 #[allow(clippy::cast_possible_truncation)]
@@ -789,12 +755,8 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
                 }
             }
             "X" => {
-                let (Some(k), Some(hex)) = (num(1), parts.get(2)) else {
-                    continue;
-                };
-                let Some(bytes) = from_hex(hex) else { continue };
-                let mut buf = bytes.as_slice();
-                let Some(batch) = take_batch(&mut buf) else {
+                let batch = parts.get(2).and_then(|hex| unhex_batch(hex));
+                let (Some(k), Some(batch)) = (num(1), batch) else {
                     continue;
                 };
                 log.ext.insert(k, batch);
@@ -929,56 +891,40 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
 
         for (i, nl) in nodes.iter().enumerate() {
             let mut log: Vec<RoundObs<A1Msg<Batch>>> = Vec::new();
-            if nl.summary.contains_key(&k) || nl.gave_up.contains_key(&k) {
-                // The node finished the instance (possibly by abort or
-                // give-up): its own rows are authoritative.
-                for r in 1..=HORIZON {
-                    let sent = nl.sent.get(&(k, r));
-                    let recv = nl.recv.get(&(k, r));
-                    match (sent, recv) {
-                        (Some(s), Some(g)) => log.push(RoundObs {
-                            sent: decode_cells(s),
-                            received: Some(decode_cells(g)),
-                        }),
-                        (Some(s), None) => {
-                            // Sent but never closed: abort or give-up.
-                            log.push(RoundObs {
-                                sent: decode_cells(s),
-                                received: None,
-                            });
-                            break;
-                        }
-                        _ => break,
-                    }
+            // A node that finished the instance (possibly by abort or
+            // give-up) has authoritative rows, a final sent-only row
+            // included. A node that died mid-run (killed) has its
+            // completed rounds in its file; its crash round's sends
+            // are whatever the survivors actually received from it.
+            let finished = nl.summary.contains_key(&k) || nl.gave_up.contains_key(&k);
+            let mut completed = 0u32;
+            for r in 1..=HORIZON {
+                let Some(s) = nl.sent.get(&(k, r)) else { break };
+                let received = nl.recv.get(&(k, r)).map(|g| decode_cells(g));
+                if received.is_none() && !finished {
+                    break;
                 }
-            } else {
-                // The node died mid-run (killed): completed rounds come
-                // from its file; the crash round's sends are whatever
-                // the survivors actually received from it.
-                let mut completed = 0u32;
-                for r in 1..=HORIZON {
-                    let (Some(s), Some(g)) = (nl.sent.get(&(k, r)), nl.recv.get(&(k, r))) else {
-                        break;
-                    };
-                    log.push(RoundObs {
-                        sent: decode_cells(s),
-                        received: Some(decode_cells(g)),
-                    });
-                    completed = r;
+                let closed = received.is_some();
+                log.push(RoundObs {
+                    sent: decode_cells(s),
+                    received,
+                });
+                if !closed {
+                    break; // sent but never closed: abort or give-up
                 }
+                completed = r;
+            }
+            if !finished {
                 let crash_round = completed + 1;
                 if crash_round <= HORIZON {
-                    let mut sent: Vec<Option<Option<A1Msg<Batch>>>> = vec![None; n];
-                    for (q, peer) in nodes.iter().enumerate() {
-                        if q == i {
-                            continue;
-                        }
-                        if let Some(row) = peer.recv.get(&(k, crash_round)) {
-                            if let Some(bytes) = &row[i] {
-                                sent[q] = decode_wire(bytes);
-                            }
-                        }
-                    }
+                    let sent = nodes
+                        .iter()
+                        .enumerate()
+                        .map(|(q, peer)| {
+                            let row = peer.recv.get(&(k, crash_round)).filter(|_| q != i);
+                            row.and_then(|row| row[i].as_deref()).and_then(decode_wire)
+                        })
+                        .collect();
                     log.push(RoundObs {
                         sent,
                         received: None,
@@ -1330,6 +1276,7 @@ pub fn serve_node_to_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::{encode_external_ops, Op};
 
     fn cmd(client: u32, seq: u32, key: u32) -> Command {
         Command {
@@ -1358,6 +1305,24 @@ mod tests {
         ] {
             let bytes = encode_wire(&payload);
             assert_eq!(decode_wire(&bytes), Some(payload));
+        }
+    }
+
+    #[test]
+    fn an_op_encodes_alike_in_a_batch_and_in_an_external_payload() {
+        for op in [
+            Op::Put {
+                key: 7,
+                value: u64::MAX - 1,
+            },
+            Op::Delete { key: 0x0102_0304 },
+        ] {
+            let mut batch = Vec::new();
+            let id = CommandId::external(5, 9);
+            put_batch(&mut batch, &Batch(vec![Command { id, op }]));
+            // Batch: u32 count, u32 client, u32 seq, op.
+            // External payload: u8 count, op.
+            assert_eq!(batch[12..], encode_external_ops(&[op])[1..], "{op:?}");
         }
     }
 

@@ -127,11 +127,59 @@ pub enum ClientRequest {
     Cross(Transaction),
 }
 
+/// Takes the next `N` bytes off the front of `buf`; `None` on
+/// truncation.
+pub(crate) fn take<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
+}
+
+/// Appends one operation in the command codec every payload shares:
+/// `tag ‖ LE fields`, 1 = Put `key,value`, 2 = Delete `key`, 3 =
+/// Prepare `tx`.
+pub(crate) fn put_op(out: &mut Vec<u8>, op: &Op) {
+    match *op {
+        Op::Put { key, value } => {
+            out.push(1);
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+        Op::Delete { key } => {
+            out.push(2);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        Op::Prepare { tx } => {
+            out.push(3);
+            out.extend_from_slice(&tx.to_le_bytes());
+        }
+    }
+}
+
+/// Takes one [`put_op`]-encoded operation off the front of `buf`;
+/// `None` on an unknown tag or truncation.
+pub(crate) fn take_op(buf: &mut &[u8]) -> Option<Op> {
+    let [tag] = take(buf)?;
+    Some(match tag {
+        1 => Op::Put {
+            key: u32::from_le_bytes(take(buf)?),
+            value: u64::from_le_bytes(take(buf)?),
+        },
+        2 => Op::Delete {
+            key: u32::from_le_bytes(take(buf)?),
+        },
+        3 => Op::Prepare {
+            tx: u32::from_le_bytes(take(buf)?),
+        },
+        _ => return None,
+    })
+}
+
 /// Encodes the operations of one external submission as an opaque
-/// gateway payload: `u8 count ‖ ops`, each op `tag ‖ LE fields`
-/// (1 = Put `key,value`, 2 = Delete `key`). One op is a single-key
-/// command; two or more form a cross-shard transaction. Prepare
-/// markers are engine-internal and cannot be encoded.
+/// gateway payload: `u8 count ‖ ops`, each op in the shared command
+/// codec. One op is a single-key command; two or more form a
+/// cross-shard transaction. Prepare markers are engine-internal and
+/// cannot be encoded.
 ///
 /// # Panics
 ///
@@ -141,24 +189,18 @@ pub fn encode_external_ops(ops: &[Op]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + ops.len() * 13);
     out.push(u8::try_from(ops.len()).expect("at most 255 ops per submission"));
     for op in ops {
-        match *op {
-            Op::Put { key, value } => {
-                out.push(1);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            Op::Delete { key } => {
-                out.push(2);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            Op::Prepare { tx } => panic!("prepare marker for tx {tx} is not a client operation"),
+        if let Op::Prepare { tx } = op {
+            panic!("prepare marker for tx {tx} is not a client operation");
         }
+        put_op(&mut out, op);
     }
     out
 }
 
 /// Decodes an external submission payload. `None` means the bytes are
-/// corrupt (unknown tag, truncation, trailing garbage, or zero ops).
+/// corrupt (unknown tag, truncation, trailing garbage, or zero ops) or
+/// carry a Prepare marker: a decided prepare is a group's commit vote,
+/// so no client may submit one.
 #[must_use]
 pub fn decode_external_ops(bytes: &[u8]) -> Option<Vec<Op>> {
     let (&count, mut buf) = bytes.split_first()?;
@@ -167,34 +209,12 @@ pub fn decode_external_ops(bytes: &[u8]) -> Option<Vec<Op>> {
     }
     let mut ops = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let (&tag, rest) = buf.split_first()?;
-        buf = rest;
-        let op = match tag {
-            1 => {
-                let (key, rest) = buf.split_first_chunk::<4>()?;
-                let (value, rest) = rest.split_first_chunk::<8>()?;
-                buf = rest;
-                Op::Put {
-                    key: u32::from_le_bytes(*key),
-                    value: u64::from_le_bytes(*value),
-                }
-            }
-            2 => {
-                let (key, rest) = buf.split_first_chunk::<4>()?;
-                buf = rest;
-                Op::Delete {
-                    key: u32::from_le_bytes(*key),
-                }
-            }
-            _ => return None,
-        };
-        ops.push(op);
+        match take_op(&mut buf)? {
+            Op::Prepare { .. } => return None,
+            op => ops.push(op),
+        }
     }
-    if buf.is_empty() {
-        Some(ops)
-    } else {
-        None
-    }
+    buf.is_empty().then_some(ops)
 }
 
 /// The unit of agreement: an ordered batch of commands. Proposals are
@@ -365,6 +385,11 @@ mod tests {
         assert_eq!(decode_external_ops(&[]), None, "empty");
         assert_eq!(decode_external_ops(&[0]), None, "zero ops");
         assert_eq!(decode_external_ops(&[1, 9]), None, "unknown tag");
+        assert_eq!(
+            decode_external_ops(&[1, 3, 5, 0, 0, 0]),
+            None,
+            "a client can never submit a prepare marker (a group's commit vote)"
+        );
         let mut bytes = encode_external_ops(&[Op::Put { key: 1, value: 2 }]);
         bytes.push(0);
         assert_eq!(decode_external_ops(&bytes), None, "trailing byte");

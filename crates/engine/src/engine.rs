@@ -33,7 +33,7 @@
 
 use std::time::Duration;
 
-use ssp_lab::{InstanceAudit, ValidityMode};
+use ssp_lab::InstanceAudit;
 use ssp_model::TaggedRunLog;
 use ssp_rounds::{RoundAlgorithm, RoundProcess};
 use ssp_runtime::{
@@ -94,11 +94,6 @@ pub struct EngineConfig {
     pub degrade: DegradeMode,
     /// Largest per-process proposal prefix.
     pub batch_max: usize,
-    /// Early-retire fast path (effective for algorithms that declare
-    /// [`RoundAlgorithm::retires_after_decision`]).
-    pub early_close: bool,
-    /// Spec the post-run audit checks each instance against.
-    pub validity: ValidityMode,
     /// `RS` drain override; passed to the runtime's typed validation,
     /// so an inadequate drain is a [`ConfigError`], not a forfeited
     /// round-synchrony guarantee.
@@ -114,8 +109,11 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Defaults: seeded faults, no chaos, uniform validity, batch cap
-    /// 8, early close on, virtual clock backend.
+    /// Defaults: seeded faults, no chaos, batch cap 8, virtual clock
+    /// backend. Not configurable: every instance runs with the
+    /// early-retire fast path on (effective for algorithms that declare
+    /// [`RoundAlgorithm::retires_after_decision`]) and is audited
+    /// against uniform validity.
     #[must_use]
     pub fn new(n: usize, t: usize, model: PlanModel) -> Self {
         EngineConfig {
@@ -129,8 +127,6 @@ impl EngineConfig {
             chaos: None,
             degrade: DegradeMode::Off,
             batch_max: 8,
-            early_close: true,
-            validity: ValidityMode::Uniform,
             drain: None,
             backend: Backend::Virtual,
             run_to_drain: false,
@@ -183,7 +179,7 @@ pub(crate) fn instance_runtime(cfg: &EngineConfig, instance: u64, horizon: u32) 
         plan = plan.with_chaos(chaos);
     }
     plan = plan.with_degrade(cfg.degrade);
-    let mut runtime = plan.runtime_config().with_early_close(cfg.early_close);
+    let mut runtime = plan.runtime_config().with_early_close(true);
     if let Some(drain) = cfg.drain {
         if matches!(runtime.policy, SyncPolicy::Rs { .. }) {
             runtime.policy = SyncPolicy::Rs { drain };

@@ -1,19 +1,22 @@
 //! The engine-side contract for external command sources.
 //!
 //! The seed-deterministic [`Workload`](crate::Workload) is one client
-//! population; a gateway accepting real TCP submissions is another.
-//! [`ExternalSource`] is the seam between them and the serving loops:
-//! the serving layer drains admitted submissions, rides them as a
+//! population; externally submitted commands are another.
+//! [`ExternalSource`] is the seam between them and the in-process
+//! sharded engine ([`serve_sharded_with`](crate::serve_sharded_with)):
+//! the serving loop drains admitted submissions, rides them as a
 //! *tail* on every proposal (so the seed-replayed proposal prefixes
-//! stay byte-identical across replicas), and acknowledges each decided
-//! command back through the source with the `(instance, round)` it was
-//! decided at — the client-observed latency ledger for Theorem 5.2.
+//! stay byte-identical), and acknowledges each decided command back
+//! through the source with the `(instance, round)` it was decided at —
+//! the client-observed latency ledger for Theorem 5.2.
 //!
-//! The engine never sees sockets: an adapter (the `ssp` binary's
-//! gateway glue) decodes wire payloads into [`ClientRequest`]s and
-//! routes acks back to sessions. Scripted sources drive the same seam
-//! in tests, which is how exactly-once-under-resubmission is checked
-//! for both round models without a network.
+//! Every source is in-process and the engine never sees sockets. The
+//! gateway crate's `ScriptedLoad` drives `ssp load --inproc` and the
+//! exactly-once-under-resubmission tests for both round models without
+//! a network; `perfbench`'s `engine` workload has a source of its own.
+//! The socket node does not use this seam: it admits client frames
+//! through [`GatewayListener`](ssp_runtime::GatewayListener) directly
+//! (see [`serve_node_with`](crate::serve_node_with)).
 
 use ssp_runtime::GatewayStats;
 
@@ -45,11 +48,4 @@ pub trait ExternalSource {
 
     /// Admission counters so far.
     fn stats(&self) -> GatewayStats;
-
-    /// Leadership hint from the serving layer: whether this node
-    /// currently admits submissions, and where refused clients should
-    /// be redirected. Single-node sources may ignore it.
-    fn set_accepting(&mut self, accepting: bool, redirect_to: u32) {
-        let _ = (accepting, redirect_to);
-    }
 }

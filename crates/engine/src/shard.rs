@@ -39,12 +39,12 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use ssp_commit::{run_live_nbac, CommitOutcome, NbacFaults, NbacModel, NbacViolation};
-use ssp_lab::{audit_instance, InstanceAudit};
+use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{InitialConfig, TaggedRunLog};
 use ssp_rounds::{RoundAlgorithm, RoundProcess};
 use ssp_runtime::{Backend, ConfigError, PlanModel, RuntimeBuilder, ThreadedOutcome};
 
-use crate::command::{KvStore, Op, Transaction};
+use crate::command::{Batch, ClientRequest, Command, CommandId, KvStore, Op, Transaction};
 use crate::engine::{instance_runtime, instance_seed, EngineConfig, EngineCrash, EngineReport};
 use crate::external::ExternalSource;
 use crate::proposer::Proposer;
@@ -85,12 +85,6 @@ impl GroupRouter {
     pub fn new(groups: usize) -> Self {
         assert!(groups >= 1, "a router needs at least one group");
         GroupRouter { groups }
-    }
-
-    /// Number of groups keys are partitioned over.
-    #[must_use]
-    pub fn groups(&self) -> usize {
-        self.groups
     }
 
     /// The group owning `key`. Stable per `(key, groups)`.
@@ -172,13 +166,14 @@ pub struct ShardedConfig {
     pub prepare_patience: u64,
     /// Scripted crashes pinned to one group: `(group, crash)`.
     pub group_crashes: Vec<(usize, EngineCrash)>,
-    /// With an [`ExternalSource`] attached: how long the engine idles
-    /// (seed workload quiet, proposers empty, transactions resolved,
-    /// no admissions arriving) before it stops serving. Real time —
-    /// external clients live on the wall clock even when the instances
-    /// run on the virtual one.
-    pub external_idle_timeout: Duration,
 }
+
+/// With an [`ExternalSource`] attached: how long the engine idles
+/// (seed workload quiet, proposers empty, transactions resolved, no
+/// admissions arriving) before it stops serving. Real time — external
+/// clients live on the wall clock even when the instances run on the
+/// virtual one.
+const EXTERNAL_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl ShardedConfig {
     /// A sharded run over `shards` groups with no cross-shard traffic
@@ -191,7 +186,6 @@ impl ShardedConfig {
             cross_shard_rate: 0.0,
             prepare_patience: 8,
             group_crashes: Vec::new(),
-            external_idle_timeout: Duration::from_millis(2000),
         }
     }
 
@@ -264,98 +258,136 @@ struct Group {
     instance: u64,
 }
 
-/// Records group `g`'s `Yes` vote for a decided prepare marker (or a
-/// late arrival after resolution).
-fn record_prepare(txs: &mut [TxState], cross: &mut CrossShardStats, g: usize, tx: u32) {
-    let state = &mut txs[tx as usize];
-    if state.resolved {
-        cross.late_prepares += 1;
-        return;
-    }
-    if let Some(slot) = state.owners.iter().position(|&o| o == g) {
-        if state.votes[slot].is_none() {
-            state.votes[slot] = Some(true);
-            cross.prepares_decided += 1;
-        }
-    }
+/// The cross-shard transaction table: every registered transaction
+/// (its index is the `tx` of its prepare markers), the commit
+/// counters, and the first NBAC audit violation.
+#[derive(Default)]
+struct TxTable {
+    txs: Vec<TxState>,
+    stats: CrossShardStats,
+    first_violation: Option<NbacViolation>,
 }
 
-/// Resolves every transaction whose votes are complete (voting `No`
-/// for owners past the prepare patience; with `force`, for every
-/// missing vote): runs the audited NBAC exchange and folds the typed
-/// outcome into exactly-once application.
-#[allow(clippy::too_many_arguments)]
-fn resolve_txs(
-    tick: u64,
-    force: bool,
-    cfg: &ShardedConfig,
-    nbac_model: NbacModel,
-    router: GroupRouter,
-    groups: &mut [Group],
-    txs: &mut [TxState],
-    workload: &mut Workload,
-    source: &mut dyn ExternalSource,
-    cross: &mut CrossShardStats,
-    first_violation: &mut Option<NbacViolation>,
-) {
-    let seeded_faults =
-        cfg.engine.faults == crate::engine::FaultMode::Seeded || cfg.engine.chaos.is_some();
-    for (index, state) in txs.iter_mut().enumerate() {
+impl TxTable {
+    /// Registers transaction `tx` over its owning groups: one prepare
+    /// marker queued in each owner's proposer (its decision is that
+    /// group's `Yes` vote), then the table entry, registered at `tick`.
+    fn register(&mut self, tx: Transaction, owners: Vec<usize>, groups: &mut [Group], tick: u64) {
+        #[allow(clippy::cast_possible_truncation)]
+        let index = self.txs.len() as u32;
+        for &g in &owners {
+            groups[g].proposer.submit(Command {
+                id: CommandId {
+                    client: PREPARE_CLIENT,
+                    seq: index,
+                },
+                op: Op::Prepare { tx: index },
+            });
+        }
+        self.stats.submitted += 1;
+        self.txs.push(TxState {
+            votes: vec![None; owners.len()],
+            owners,
+            tx,
+            registered_tick: tick,
+            resolved: false,
+        });
+    }
+
+    /// Records group `g`'s `Yes` vote for a decided prepare marker (or
+    /// a late arrival after resolution).
+    fn record_prepare(&mut self, g: usize, tx: u32) {
+        let state = &mut self.txs[tx as usize];
         if state.resolved {
-            continue;
+            self.stats.late_prepares += 1;
+            return;
         }
-        let expired = tick.saturating_sub(state.registered_tick) >= cfg.prepare_patience;
-        if force || expired {
-            for vote in &mut state.votes {
-                if vote.is_none() {
-                    *vote = Some(false);
-                    cross.timeout_no_votes += 1;
-                }
+        if let Some(slot) = state.owners.iter().position(|&o| o == g) {
+            if state.votes[slot].is_none() {
+                state.votes[slot] = Some(true);
+                self.stats.prepares_decided += 1;
             }
         }
-        if !state.votes.iter().all(Option::is_some) {
-            continue;
-        }
-        let votes: Vec<bool> = state.votes.iter().map(|v| v.unwrap_or(false)).collect();
-        let faults = if seeded_faults {
-            NbacFaults::from_seed(
-                instance_seed(cfg.engine.seed ^ TX_FAULT_SALT, index as u64),
-                state.owners.len(),
-                nbac_model == NbacModel::Rws,
-            )
-        } else {
-            NbacFaults::none(state.owners.len())
+    }
+
+    /// Resolves every transaction whose votes are complete (voting
+    /// `No` for owners past the prepare patience; with `force`, for
+    /// every missing vote): runs the audited NBAC exchange and folds
+    /// the typed outcome into exactly-once application.
+    fn resolve(
+        &mut self,
+        tick: u64,
+        force: bool,
+        cfg: &ShardedConfig,
+        groups: &mut [Group],
+        workload: &mut Workload,
+        source: &mut dyn ExternalSource,
+    ) {
+        let router = GroupRouter::new(cfg.shards);
+        let nbac_model = match cfg.engine.model {
+            PlanModel::Rs => NbacModel::Rs,
+            PlanModel::Rws => NbacModel::Rws,
         };
-        let run = run_live_nbac(&votes, nbac_model, &faults);
-        if run.votes_survived {
-            cross.votes_survived += 1;
-        }
-        if let Some(violation) = run.violation {
-            cross.nbac_violations += 1;
-            first_violation.get_or_insert(violation);
-        }
-        match run.outcome {
-            CommitOutcome::Commit => {
-                cross.committed += 1;
-                for op in &state.tx.ops {
-                    groups[router.group_of(op_key(op))].kv.apply(op);
+        let seeded_faults =
+            cfg.engine.faults == crate::engine::FaultMode::Seeded || cfg.engine.chaos.is_some();
+        let cross = &mut self.stats;
+        for (index, state) in self.txs.iter_mut().enumerate() {
+            if state.resolved {
+                continue;
+            }
+            let expired = tick.saturating_sub(state.registered_tick) >= cfg.prepare_patience;
+            if force || expired {
+                for vote in &mut state.votes {
+                    if vote.is_none() {
+                        *vote = Some(false);
+                        cross.timeout_no_votes += 1;
+                    }
                 }
             }
-            CommitOutcome::Abort => cross.aborted += 1,
+            if !state.votes.iter().all(Option::is_some) {
+                continue;
+            }
+            let votes: Vec<bool> = state.votes.iter().map(|v| v.unwrap_or(false)).collect();
+            let faults = if seeded_faults {
+                NbacFaults::from_seed(
+                    instance_seed(cfg.engine.seed ^ TX_FAULT_SALT, index as u64),
+                    state.owners.len(),
+                    nbac_model == NbacModel::Rws,
+                )
+            } else {
+                NbacFaults::none(state.owners.len())
+            };
+            let run = run_live_nbac(&votes, nbac_model, &faults);
+            if run.votes_survived {
+                cross.votes_survived += 1;
+            }
+            if let Some(violation) = run.violation {
+                cross.nbac_violations += 1;
+                self.first_violation.get_or_insert(violation);
+            }
+            match run.outcome {
+                CommitOutcome::Commit => {
+                    cross.committed += 1;
+                    for op in &state.tx.ops {
+                        groups[router.group_of(op_key(op))].kv.apply(op);
+                    }
+                }
+                CommitOutcome::Abort => cross.aborted += 1,
+            }
+            workload.acknowledge(state.tx.id);
+            if state.tx.id.is_external() {
+                // External transactions ack with resolution ticks in
+                // the round slot — the cross-shard client-latency
+                // analogue of a single command's decision round.
+                #[allow(clippy::cast_possible_truncation)]
+                source.acknowledge(
+                    state.tx.id,
+                    tick,
+                    tick.saturating_sub(state.registered_tick) as u32,
+                );
+            }
+            state.resolved = true;
         }
-        workload.acknowledge(state.tx.id);
-        if state.tx.id.is_external() {
-            // External transactions ack with resolution ticks in the
-            // round slot — the cross-shard client-latency analogue of
-            // a single command's decision round.
-            #[allow(clippy::cast_possible_truncation)]
-            source.acknowledge(
-                state.tx.id,
-                tick,
-                tick.saturating_sub(state.registered_tick) as u32,
-            );
-        }
-        state.resolved = true;
     }
 }
 
@@ -369,8 +401,7 @@ fn drain_external(
     source: &mut dyn ExternalSource,
     router: GroupRouter,
     groups: &mut [Group],
-    txs: &mut Vec<TxState>,
-    cross: &mut CrossShardStats,
+    table: &mut TxTable,
     batch_max: usize,
     tick: u64,
 ) -> bool {
@@ -380,7 +411,7 @@ fn drain_external(
     }
     for request in requests {
         match request {
-            crate::command::ClientRequest::Single(cmd) => {
+            ClientRequest::Single(cmd) => {
                 let g = router.group_of(op_key(&cmd.op));
                 if let Some((instance, round)) = groups[g].proposer.decided_at(cmd.id) {
                     source.acknowledge(cmd.id, instance, round);
@@ -388,30 +419,11 @@ fn drain_external(
                     groups[g].proposer.submit_external(cmd);
                 }
             }
-            crate::command::ClientRequest::Cross(tx) => {
-                if txs.iter().any(|s| s.tx.id == tx.id) {
-                    continue;
+            ClientRequest::Cross(tx) => {
+                if !table.txs.iter().any(|s| s.tx.id == tx.id) {
+                    let owners = router.owners(&tx);
+                    table.register(tx, owners, groups, tick);
                 }
-                let owners = router.owners(&tx);
-                #[allow(clippy::cast_possible_truncation)]
-                let index = txs.len() as u32;
-                for &g in &owners {
-                    groups[g].proposer.submit(crate::command::Command {
-                        id: crate::command::CommandId {
-                            client: PREPARE_CLIENT,
-                            seq: index,
-                        },
-                        op: Op::Prepare { tx: index },
-                    });
-                }
-                cross.submitted += 1;
-                txs.push(TxState {
-                    votes: vec![None; owners.len()],
-                    owners,
-                    tx,
-                    registered_tick: tick,
-                    resolved: false,
-                });
             }
         }
     }
@@ -448,7 +460,7 @@ pub fn serve_sharded<A>(
     workload: &mut Workload,
 ) -> Result<ShardedReport<<A::Process as RoundProcess>::Msg>, ConfigError>
 where
-    A: RoundAlgorithm<crate::command::Batch> + Sync,
+    A: RoundAlgorithm<Batch> + Sync,
     A::Process: Send + 'static,
     <A::Process as RoundProcess>::Msg: Clone + Send + 'static,
 {
@@ -468,8 +480,8 @@ where
 /// With an inert source this is exactly [`serve_sharded`]; a draining
 /// run with nothing runnable — every group idle or out of instance
 /// budget — whose source is not [`exhausted`](ExternalSource::exhausted)
-/// idles up to [`ShardedConfig::external_idle_timeout`] for more
-/// admissions before stopping.
+/// idles up to 2 s of wall-clock time for more admissions before
+/// stopping.
 ///
 /// # Errors
 ///
@@ -482,7 +494,7 @@ pub fn serve_sharded_with<A>(
     source: &mut dyn ExternalSource,
 ) -> Result<ShardedReport<<A::Process as RoundProcess>::Msg>, ConfigError>
 where
-    A: RoundAlgorithm<crate::command::Batch> + Sync,
+    A: RoundAlgorithm<Batch> + Sync,
     A::Process: Send + 'static,
     <A::Process as RoundProcess>::Msg: Clone + Send + 'static,
 {
@@ -494,11 +506,11 @@ where
 struct NullSource;
 
 impl ExternalSource for NullSource {
-    fn drain(&mut self, _max: usize) -> Vec<crate::command::ClientRequest> {
+    fn drain(&mut self, _max: usize) -> Vec<ClientRequest> {
         Vec::new()
     }
 
-    fn acknowledge(&mut self, _id: crate::command::CommandId, _instance: u64, _round: u32) {}
+    fn acknowledge(&mut self, _id: CommandId, _instance: u64, _round: u32) {}
 
     fn exhausted(&self) -> bool {
         true
@@ -517,7 +529,7 @@ fn serve_sharded_inner<A>(
     source: Option<&mut dyn ExternalSource>,
 ) -> Result<ShardedReport<<A::Process as RoundProcess>::Msg>, ConfigError>
 where
-    A: RoundAlgorithm<crate::command::Batch> + Sync,
+    A: RoundAlgorithm<Batch> + Sync,
     A::Process: Send + 'static,
     <A::Process as RoundProcess>::Msg: Clone + Send + 'static,
 {
@@ -531,10 +543,6 @@ where
     let shards = cfg.shards;
     let router = GroupRouter::new(shards);
     let horizon = algo.round_horizon(cfg.engine.n, cfg.engine.t);
-    let nbac_model = match cfg.engine.model {
-        PlanModel::Rs => NbacModel::Rs,
-        PlanModel::Rws => NbacModel::Rws,
-    };
 
     let mut groups: Vec<Group> = (0..shards)
         .map(|g| {
@@ -547,7 +555,7 @@ where
                     .map(|(_, crash)| *crash),
             );
             let stats = EngineStats {
-                algo: RoundAlgorithm::<crate::command::Batch>::name(algo).to_string(),
+                algo: RoundAlgorithm::<Batch>::name(algo).to_string(),
                 model: match cfg.engine.model {
                     PlanModel::Rs => "rs".to_string(),
                     PlanModel::Rws => "rws".to_string(),
@@ -567,17 +575,15 @@ where
         })
         .collect();
 
-    let mut txs: Vec<TxState> = Vec::new();
-    let mut cross = CrossShardStats::default();
-    let mut first_violation: Option<NbacViolation> = None;
+    let mut table = TxTable::default();
     let mut sim_elapsed = Duration::ZERO;
     let mut ticks = 0u64;
 
     struct AuditJob<M> {
         group: usize,
         instance: u64,
-        config: InitialConfig<crate::command::Batch>,
-        result: ThreadedOutcome<crate::command::Batch, M>,
+        config: InitialConfig<Batch>,
+        result: ThreadedOutcome<Batch, M>,
     }
 
     let started = Instant::now();
@@ -592,7 +598,7 @@ where
                     &job.config,
                     cfg.engine.t,
                     &job.result,
-                    cfg.engine.validity,
+                    ValidityMode::Uniform,
                     job.instance,
                 );
                 certified[job.group].0.push(audit);
@@ -619,18 +625,18 @@ where
                         g.instance >= g.cfg.instances
                             || (g.proposer.pending_len() == 0 && g.proposer.external_len() == 0)
                     })
-                    && txs.iter().all(|t| t.resolved);
+                    && table.txs.iter().all(|t| t.resolved);
                 if quiescent && source.exhausted() {
                     break;
                 }
                 for request in workload.poll_requests() {
                     match request {
-                        crate::command::ClientRequest::Single(cmd) => {
+                        ClientRequest::Single(cmd) => {
                             let g = router.group_of(op_key(&cmd.op));
                             groups[g].stats.commands_submitted += 1;
                             groups[g].proposer.submit(cmd);
                         }
-                        crate::command::ClientRequest::Cross(tx) => {
+                        ClientRequest::Cross(tx) => {
                             let owners = router.owners(&tx);
                             assert!(
                                 owners.len() >= 2,
@@ -638,25 +644,7 @@ where
                                  engine shard counts must match",
                                 tx.id
                             );
-                            #[allow(clippy::cast_possible_truncation)]
-                            let index = txs.len() as u32;
-                            for &g in &owners {
-                                groups[g].proposer.submit(crate::command::Command {
-                                    id: crate::command::CommandId {
-                                        client: PREPARE_CLIENT,
-                                        seq: index,
-                                    },
-                                    op: Op::Prepare { tx: index },
-                                });
-                            }
-                            cross.submitted += 1;
-                            txs.push(TxState {
-                                votes: vec![None; owners.len()],
-                                owners,
-                                tx,
-                                registered_tick: ticks,
-                                resolved: false,
-                            });
+                            table.register(tx, owners, &mut groups, ticks);
                         }
                     }
                 }
@@ -664,8 +652,7 @@ where
                     source,
                     router,
                     &mut groups,
-                    &mut txs,
-                    &mut cross,
+                    &mut table,
                     cfg.engine.batch_max,
                     ticks,
                 );
@@ -679,7 +666,7 @@ where
                     // advance here, so the deterministic tick count is
                     // untouched by wall-clock idling.
                     let since = *idle_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= cfg.external_idle_timeout {
+                    if since.elapsed() >= EXTERNAL_IDLE_TIMEOUT {
                         break;
                     }
                     std::thread::sleep(Duration::from_millis(1));
@@ -733,7 +720,7 @@ where
                             let mut applied = 0u64;
                             for cmd in &committed {
                                 if let Op::Prepare { tx } = cmd.op {
-                                    record_prepare(&mut txs, &mut cross, g, tx);
+                                    table.record_prepare(g, tx);
                                 } else if cmd.id.is_external() {
                                     group.kv.apply(&cmd.op);
                                     source.acknowledge(cmd.id, group.instance, round.get());
@@ -773,36 +760,12 @@ where
                 }
                 ticks += 1;
                 sim_elapsed += tick_elapsed;
-                resolve_txs(
-                    ticks,
-                    false,
-                    cfg,
-                    nbac_model,
-                    router,
-                    &mut groups,
-                    &mut txs,
-                    workload,
-                    source,
-                    &mut cross,
-                    &mut first_violation,
-                );
+                table.resolve(ticks, false, cfg, &mut groups, workload, source);
             }
             // Groups are out of budget (or drained): any transaction
             // still waiting on a vote resolves now, missing votes as
             // `No` — aborting is always safe, hanging never is.
-            resolve_txs(
-                ticks,
-                true,
-                cfg,
-                nbac_model,
-                router,
-                &mut groups,
-                &mut txs,
-                workload,
-                source,
-                &mut cross,
-                &mut first_violation,
-            );
+            table.resolve(ticks, true, cfg, &mut groups, workload, source);
             Ok(())
         };
         let outcome = drive();
@@ -842,7 +805,7 @@ where
     let stats = ShardedStats {
         shards,
         ticks,
-        cross,
+        cross: table.stats,
         groups: reports.iter().map(|r| r.stats.clone()).collect(),
         elapsed: match cfg.engine.backend {
             Backend::Virtual => sim_elapsed,
@@ -854,7 +817,7 @@ where
     Ok(ShardedReport {
         stats,
         groups: reports,
-        cross_violation: first_violation,
+        cross_violation: table.first_violation,
     })
 }
 

@@ -20,6 +20,10 @@ use rand::{Rng, SeedableRng};
 use crate::command::{ClientRequest, Command, CommandId, Op, Transaction};
 use crate::shard::GroupRouter;
 
+/// Probability that a single-key command is a `Delete` instead of a
+/// `Put`.
+const DELETE_PROB: f64 = 0.1;
+
 /// Sizing knobs of a [`Workload`].
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadConfig {
@@ -30,8 +34,6 @@ pub struct WorkloadConfig {
     /// Zipf skew exponent `s` (`0.0` = uniform; `~1.0` = classic web
     /// skew).
     pub skew: f64,
-    /// Probability that a command is a `Delete` instead of a `Put`.
-    pub delete_prob: f64,
     /// Per-client command budget; `None` runs the workload open-ended.
     pub commands_per_client: Option<u32>,
     /// Number of shard groups the key space is partitioned over.
@@ -54,7 +56,6 @@ impl WorkloadConfig {
             clients,
             keys: 64,
             skew: 1.0,
-            delete_prob: 0.1,
             commands_per_client: None,
             shards: 1,
             cross_shard_rate: 0.0,
@@ -79,7 +80,6 @@ pub struct Workload {
     next_seq: Vec<u32>,
     in_flight: Vec<bool>,
     submitted: u64,
-    cross_submitted: u64,
 }
 
 /// Fixed-point scale for the Zipf weights.
@@ -128,7 +128,6 @@ impl Workload {
             next_seq: vec![0; cfg.clients],
             in_flight: vec![false; cfg.clients],
             submitted: 0,
-            cross_submitted: 0,
             cfg,
         }
     }
@@ -171,11 +170,10 @@ impl Workload {
             self.in_flight[client] = true;
             self.submitted += 1;
             if cross {
-                self.cross_submitted += 1;
                 out.push(ClientRequest::Cross(self.cross_transaction(id)));
             } else {
                 let key = self.zipf_key();
-                let delete = self.rng.gen_bool(self.cfg.delete_prob);
+                let delete = self.rng.gen_bool(DELETE_PROB);
                 let op = if delete {
                     Op::Delete { key }
                 } else {
@@ -262,12 +260,6 @@ impl Workload {
     #[must_use]
     pub fn submitted(&self) -> u64 {
         self.submitted
-    }
-
-    /// Cross-shard transactions submitted so far.
-    #[must_use]
-    pub fn cross_submitted(&self) -> u64 {
-        self.cross_submitted
     }
 
     /// Whether a budgeted workload has both exhausted every client's

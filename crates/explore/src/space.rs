@@ -89,62 +89,46 @@ pub fn skeletons(n: usize, t: usize, horizon: u32) -> Vec<Skeleton> {
 
 /// The choice wires of a skeleton, sorted by `(round, src, dst)`.
 ///
-/// For a victim crashing in round `c ≤ horizon`: its round-`c` wires
-/// to observing receivers (those alive past round `c`... precisely:
-/// with a later crash round) carry `{Deliver, Omit}` plus `Withhold`
-/// under `RWS`; under `RWS` its round-`c−1` wires (always emitted —
-/// the crash happens a round later) additionally carry `Withhold`.
-/// For a post-horizon victim under `RWS`: its round-`horizon` wires
-/// carry `Withhold`. Self-wires are excluded (a process's message to
+/// They are Lemma 4.1's pendable triples ([`CrashSchedule::pendable`])
+/// of the skeleton with full crash-round sends, kept only toward
+/// observers: receivers with a later crash round (wires to
+/// already-dead receivers are semantically inert). A victim crashing
+/// in round `c ≤ horizon` has its round-`c` wires carry `{Deliver,
+/// Omit}`, plus `Withhold` under `RWS`; its round-`c−1` wires, and the
+/// round-`horizon` wires of a post-horizon victim, carry `Withhold`
+/// under `RWS` only. Self-wires are excluded (a process's message to
 /// itself is delivered by construction and invisible to the
 /// adversary).
 #[must_use]
 pub fn choice_wires(skeleton: &Skeleton, horizon: u32, model: PlanModel) -> Vec<Wire> {
     let n = skeleton.len();
     let rws = model == PlanModel::Rws;
-    let crash_round = |q: usize| skeleton[q].unwrap_or(u32::MAX);
-    let mut wires = Vec::new();
+    let crash_round = |q: ProcessId| skeleton[q.index()].unwrap_or(u32::MAX);
+    let mut full_sends = CrashSchedule::none(n);
     for (v, &slot) in skeleton.iter().enumerate() {
-        let Some(c) = slot else { continue };
-        if c <= horizon {
-            if rws && c >= 2 {
-                for q in 0..n {
-                    if q != v && crash_round(q) > c - 1 {
-                        wires.push(Wire {
-                            round: c - 1,
-                            src: ProcessId::new(v),
-                            dst: ProcessId::new(q),
-                            can_omit: false,
-                            can_withhold: true,
-                        });
-                    }
-                }
-            }
-            for q in 0..n {
-                if q != v && crash_round(q) > c {
-                    wires.push(Wire {
-                        round: c,
-                        src: ProcessId::new(v),
-                        dst: ProcessId::new(q),
-                        can_omit: true,
-                        can_withhold: rws,
-                    });
-                }
-            }
-        } else if rws {
-            for q in 0..n {
-                if q != v && crash_round(q) > horizon {
-                    wires.push(Wire {
-                        round: horizon,
-                        src: ProcessId::new(v),
-                        dst: ProcessId::new(q),
-                        can_omit: false,
-                        can_withhold: true,
-                    });
-                }
-            }
+        if let Some(c) = slot {
+            full_sends.crash(
+                ProcessId::new(v),
+                RoundCrash {
+                    round: Round::new(c),
+                    sends_to: ProcessSet::full(n),
+                },
+            );
         }
     }
+    let mut wires: Vec<Wire> = full_sends
+        .pendable(horizon)
+        .into_iter()
+        .filter(|&(r, _, dst)| crash_round(dst) > r.get())
+        .map(|(r, src, dst)| Wire {
+            round: r.get(),
+            src,
+            dst,
+            can_omit: r.get() == crash_round(src),
+            can_withhold: rws,
+        })
+        .filter(|w| w.can_omit || w.can_withhold)
+        .collect();
     wires.sort_by_key(|w| (w.round, w.src, w.dst));
     wires
 }

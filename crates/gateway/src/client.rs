@@ -27,25 +27,26 @@ pub struct ClientConfig {
     /// Per-submission give-up: how long a request may retry before
     /// [`GatewayClient::submit`] reports `TimedOut`.
     pub deadline: Duration,
-    /// How long one attempt waits for an ack before resubmitting.
-    pub ack_wait: Duration,
-    /// Cap on the reconnect/retry backoff.
-    pub backoff_cap: Duration,
-    /// Dial timeout per connection attempt.
-    pub connect_timeout: Duration,
 }
 
+/// How long one attempt waits for an ack before resubmitting.
+const ACK_WAIT: Duration = Duration::from_millis(250);
+
+/// Cap on the reconnect/retry backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
+
+/// Dial timeout per connection attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
 impl ClientConfig {
-    /// Defaults: 10 s deadline, 250 ms ack wait, 200 ms backoff cap.
+    /// Defaults: 10 s deadline. Every attempt waits 250 ms for its ack;
+    /// retries back off up to 200 ms.
     #[must_use]
     pub fn new(client_id: u64, targets: Vec<String>) -> Self {
         ClientConfig {
             client_id,
             targets,
             deadline: Duration::from_secs(10),
-            ack_wait: Duration::from_millis(250),
-            backoff_cap: Duration::from_millis(200),
-            connect_timeout: Duration::from_secs(1),
         }
     }
 }
@@ -92,12 +93,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(addr: &str, timeout: Duration) -> io::Result<Conn> {
+    fn dial(addr: &str) -> io::Result<Conn> {
         let sock = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::other(format!("{addr}: no address")))?;
-        let stream = TcpStream::connect_timeout(&sock, timeout)?;
+        let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_millis(5)))?;
         Ok(Conn {
@@ -171,17 +172,10 @@ impl GatewayClient {
         }
     }
 
-    /// The node index this client currently targets.
-    #[must_use]
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
     /// Deterministic capped backoff for retry `attempt`.
     fn backoff(&self, attempt: u32) -> Duration {
         let base = Duration::from_millis(5);
-        base.saturating_mul(1u32 << attempt.min(6))
-            .min(self.cfg.backoff_cap)
+        base.saturating_mul(1u32 << attempt.min(6)).min(BACKOFF_CAP)
     }
 
     fn rotate_target(&mut self) {
@@ -191,7 +185,7 @@ impl GatewayClient {
     fn ensure_conn(&mut self) -> io::Result<&mut Conn> {
         if self.conn.is_none() {
             let addr = self.cfg.targets[self.target].clone();
-            match Conn::dial(&addr, self.cfg.connect_timeout) {
+            match Conn::dial(&addr) {
                 Ok(conn) => {
                     self.consecutive_dial_failures = 0;
                     self.conn = Some(conn);
@@ -269,7 +263,6 @@ impl GatewayClient {
                 req,
                 payload: payload.clone(),
             };
-            let ack_wait = self.cfg.ack_wait;
             let conn = match self.ensure_conn() {
                 Ok(conn) => conn,
                 Err(_) => continue,
@@ -280,7 +273,7 @@ impl GatewayClient {
             }
             // One response cycle: wait out Busy/foreign frames until
             // the ack, a redirect, a timeout, or connection death.
-            let cycle_end = Instant::now() + ack_wait;
+            let cycle_end = Instant::now() + ACK_WAIT;
             loop {
                 let left = cycle_end.saturating_duration_since(Instant::now());
                 if left.is_zero() {
@@ -305,8 +298,7 @@ impl GatewayClient {
                     })) if r == req => {
                         self.stats.busy += 1;
                         std::thread::sleep(
-                            Duration::from_millis(u64::from(retry_after_ms))
-                                .min(self.cfg.backoff_cap),
+                            Duration::from_millis(u64::from(retry_after_ms)).min(BACKOFF_CAP),
                         );
                         break; // resubmit
                     }

@@ -9,13 +9,53 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+/// Sample counts per `u32` key, with a rank walk: the core both
+/// histograms share.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Counts {
+    by_key: BTreeMap<u32, u64>,
+    total: u64,
+}
+
+impl Counts {
+    fn record(&mut self, key: u32) {
+        *self.by_key.entry(key).or_insert(0) += 1;
+        self.total += 1;
+    }
+
+    fn merge(&mut self, other: &Counts) {
+        for (&key, &n) in &other.by_key {
+            *self.by_key.entry(key).or_insert(0) += n;
+        }
+        self.total += other.total;
+    }
+
+    /// The key holding the sample of rank `⌈total · q⌉` (at least 1),
+    /// `q` clamped to `[0, 1]`; `None` when empty.
+    fn quantile_key(&self, q: f64) -> Option<u32> {
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
+        let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        self.by_key
+            .iter()
+            .find(|&(_, &n)| {
+                seen += n;
+                seen >= rank
+            })
+            .map(|(&key, _)| key)
+    }
+}
+
 /// Log2-bucketed microsecond histogram (bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` µs), quantiles answered as the upper bound of the
 /// rank's bucket.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: BTreeMap<u32, u64>,
-    count: u64,
+    buckets: Counts,
     max_micros: u64,
 }
 
@@ -23,44 +63,27 @@ impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&mut self, sample: Duration) {
         let micros = u64::try_from(sample.as_micros()).unwrap_or(u64::MAX);
-        #[allow(clippy::cast_possible_truncation)]
-        let bucket = 64 - micros.max(1).leading_zeros();
-        *self.buckets.entry(bucket).or_insert(0) += 1;
-        self.count += 1;
+        self.buckets.record(64 - micros.max(1).leading_zeros());
         self.max_micros = self.max_micros.max(micros);
     }
 
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.total
     }
 
     /// The `q`-quantile in milliseconds (upper bucket bound; exact max
     /// for `q = 1`). Zero when empty.
     #[must_use]
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
         if q >= 1.0 {
-            return micros_to_ms(self.max_micros);
+            return self.max_ms();
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let rank = ((self.count as f64) * q.max(0.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (&bucket, &n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                let upper = 1u64.checked_shl(bucket).unwrap_or(u64::MAX);
-                return micros_to_ms(upper.min(self.max_micros));
-            }
-        }
-        micros_to_ms(self.max_micros)
+        self.buckets.quantile_key(q).map_or(0.0, |bucket| {
+            let upper = 1u64.checked_shl(bucket).unwrap_or(u64::MAX);
+            micros_to_ms(upper.min(self.max_micros))
+        })
     }
 
     /// Maximum sample in milliseconds.
@@ -71,10 +94,7 @@ impl LatencyHistogram {
 
     /// Folds another histogram in (bucket-exact).
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (&bucket, &n) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += n;
-        }
-        self.count += other.count;
+        self.buckets.merge(&other.buckets);
         self.max_micros = self.max_micros.max(other.max_micros);
     }
 }
@@ -88,57 +108,36 @@ fn micros_to_ms(micros: u64) -> f64 {
 /// rank walk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundHistogram {
-    counts: BTreeMap<u32, u64>,
-    count: u64,
+    rounds: Counts,
 }
 
 impl RoundHistogram {
     /// Records one decided round.
     pub fn record(&mut self, round: u32) {
-        *self.counts.entry(round).or_insert(0) += 1;
-        self.count += 1;
+        self.rounds.record(round);
     }
 
     /// Number of samples recorded.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.rounds.total
     }
 
     /// The `q`-quantile round (exact). Zero when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u32 {
-        if self.count == 0 {
-            return 0;
-        }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (&round, &n) in &self.counts {
-            seen += n;
-            if seen >= rank {
-                return round;
-            }
-        }
-        self.counts.keys().next_back().copied().unwrap_or(0)
+        self.rounds.quantile_key(q).unwrap_or(0)
     }
 
     /// Maximum recorded round.
     #[must_use]
     pub fn max(&self) -> u32 {
-        self.counts.keys().next_back().copied().unwrap_or(0)
+        self.rounds.by_key.keys().next_back().copied().unwrap_or(0)
     }
 
     /// Folds another histogram in (exact).
     pub fn merge(&mut self, other: &RoundHistogram) {
-        for (&round, &n) in &other.counts {
-            *self.counts.entry(round).or_insert(0) += n;
-        }
-        self.count += other.count;
+        self.rounds.merge(&other.rounds);
     }
 }
 

@@ -11,14 +11,14 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ssp_engine::{
-    serve_sharded_with, ClientRequest, Command, CommandId, ExternalSource, GroupRouter, Op,
-    ShardedConfig, ShardedStats, Transaction, Workload, WorkloadConfig, EXTERNAL_BIT,
+    rate_pm, serve_sharded_with, ClientRequest, Command, CommandId, ExternalSource, GroupRouter,
+    Op, ShardedConfig, ShardedStats, Transaction, Workload, WorkloadConfig, EXTERNAL_BIT,
 };
 use ssp_rounds::{RoundAlgorithm, RoundProcess};
 use ssp_runtime::{splitmix, GatewayStats};
 
 use crate::hist::ClassStats;
-use crate::load::{load_op, LOAD_KEY_BASE, LOAD_KEY_STRIDE};
+use crate::load::{load_op, FIRST_CLIENT, LOAD_KEY_BASE, LOAD_KEY_STRIDE};
 
 /// Knobs of one in-process load run.
 #[derive(Debug, Clone)]
@@ -47,9 +47,6 @@ impl InprocLoadConfig {
         }
     }
 }
-
-/// First external client id the in-process script uses.
-const INPROC_CLIENT_BASE: u64 = 1;
 
 /// A scripted closed-loop external source: each client holds at most
 /// one request outstanding, freed by the engine's acknowledgement.
@@ -84,15 +81,10 @@ impl ScriptedLoad {
             "cross-shard load needs at least two shards"
         );
         let router = GroupRouter::new(shards.max(1));
-        #[allow(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            clippy::cast_precision_loss
-        )]
-        let cross_pm = (cfg.cross_rate.clamp(0.0, 1.0) * 1000.0).round() as u64;
+        let cross_pm = u64::try_from(rate_pm(cfg.cross_rate.clamp(0.0, 1.0))).unwrap_or(0);
         let mut scripts = Vec::with_capacity(cfg.clients);
         for c in 0..cfg.clients as u64 {
-            let client = INPROC_CLIENT_BASE + c;
+            let client = FIRST_CLIENT + c;
             let mut script = VecDeque::with_capacity(cfg.requests_per_client as usize);
             for r in 0..u64::from(cfg.requests_per_client) {
                 let id = CommandId::external(client, r);
@@ -126,12 +118,6 @@ impl ScriptedLoad {
     #[must_use]
     pub fn acked(&self) -> u64 {
         self.acked
-    }
-
-    /// Requests admitted (drained) so far.
-    #[must_use]
-    pub fn admitted(&self) -> u64 {
-        self.admitted
     }
 }
 
@@ -184,7 +170,7 @@ impl ExternalSource for ScriptedLoad {
     }
 
     fn acknowledge(&mut self, id: CommandId, _instance: u64, round: u32) {
-        let client = usize::try_from(u64::from(id.client & !EXTERNAL_BIT) - INPROC_CLIENT_BASE)
+        let client = usize::try_from(u64::from(id.client & !EXTERNAL_BIT) - FIRST_CLIENT)
             .expect("scripted client index");
         assert_eq!(
             self.outstanding[client],

@@ -34,6 +34,10 @@ pub const LOAD_KEY_BASE: u32 = 1 << 16;
 /// the final store is order-independent.
 pub const LOAD_KEY_STRIDE: u32 = 1 << 12;
 
+/// First external client id a load generator uses; client `c` is
+/// `FIRST_CLIENT + c`.
+pub(crate) const FIRST_CLIENT: u64 = 1;
+
 /// The deterministic operation of load request `(client, req)` under
 /// `seed`.
 ///
@@ -80,8 +84,6 @@ pub struct LoadConfig {
     pub mode: LoadMode,
     /// Per-request give-up.
     pub deadline: Duration,
-    /// First client id; client `c` uses `client_base + c`.
-    pub client_base: u64,
 }
 
 impl LoadConfig {
@@ -94,7 +96,6 @@ impl LoadConfig {
             requests: 32,
             mode: LoadMode::Closed { concurrency: 4 },
             deadline: Duration::from_secs(10),
-            client_base: 1,
         }
     }
 
@@ -220,15 +221,15 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
         ),
     };
 
-    // Request i is handled by worker (i mod W) as that client's
-    // (i div W)-th request — a deterministic partition, so client ids
-    // and request ids are reproducible per seed regardless of thread
-    // interleaving.
+    // Request i is handled by worker w = i mod W, as client
+    // FIRST_CLIENT + w's (i div W)-th request — a deterministic
+    // partition, so client ids and request ids are reproducible per
+    // seed regardless of thread interleaving.
     let mut handles = Vec::with_capacity(workers);
     for w in 0..workers {
         let cfg = cfg.clone();
         handles.push(std::thread::spawn(move || {
-            let client_id = cfg.client_base + w as u64;
+            let client_id = FIRST_CLIENT + w as u64;
             let mut client_cfg = ClientConfig::new(client_id, cfg.targets.clone());
             client_cfg.deadline = cfg.deadline;
             let mut client = GatewayClient::new(client_cfg);

@@ -17,8 +17,7 @@
 //! to millions of runs, each checked in microseconds.
 
 use ssp_model::{
-    config::enumerate_configs, process::all_processes, ConsensusOutcome, InitialConfig, ProcessId,
-    ProcessSet, Round, Value,
+    config::enumerate_configs, ConsensusOutcome, InitialConfig, ProcessId, ProcessSet, Round, Value,
 };
 use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash};
 
@@ -75,37 +74,8 @@ pub fn crash_schedules(n: usize, max_faults: usize, max_round: u32) -> Vec<Crash
     out
 }
 
-/// The individually-withholdable `(round, sender, receiver)` triples
-/// for a crash schedule: sent messages (within rounds `1..=horizon`)
-/// whose sender crashes by the end of the following round.
-#[must_use]
-pub fn pendable_triples(
-    schedule: &CrashSchedule,
-    horizon: u32,
-) -> Vec<(Round, ProcessId, ProcessId)> {
-    let n = schedule.n();
-    let mut out = Vec::new();
-    for sender in all_processes(n) {
-        let Some(crash) = schedule.crash_of(sender) else {
-            continue;
-        };
-        for r in 1..=horizon {
-            let r = Round::new(r);
-            if crash.round > r.next() {
-                continue; // weak round synchrony would be violated
-            }
-            for receiver in all_processes(n) {
-                if receiver != sender && schedule.emits(sender, r, receiver) {
-                    out.push((r, sender, receiver));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Every valid [`PendingChoice`] for the schedule (the power set of
-/// [`pendable_triples`]). The first element is always the empty choice.
+/// [`CrashSchedule::pendable`]). The first element is always the empty choice.
 ///
 /// # Panics
 ///
@@ -113,7 +83,7 @@ pub fn pendable_triples(
 /// keep `n`, `t` small.
 #[must_use]
 pub fn pending_choices(schedule: &CrashSchedule, horizon: u32) -> Vec<PendingChoice> {
-    let triples = pendable_triples(schedule, horizon);
+    let triples = schedule.pendable(horizon);
     assert!(
         triples.len() <= 20,
         "{} pendable triples is too many to enumerate",
@@ -247,25 +217,6 @@ mod tests {
         assert_eq!(crash_schedules(2, 1, 2).len(), 17);
         // Two faults add C(2,2)·(2·4)² = 64 ⇒ 81.
         assert_eq!(crash_schedules(2, 2, 2).len(), 81);
-    }
-
-    #[test]
-    fn pendable_triples_respect_weak_synchrony() {
-        let mut schedule = CrashSchedule::none(3);
-        schedule.crash(
-            ProcessId::new(0),
-            RoundCrash {
-                round: Round::new(2),
-                sends_to: ProcessSet::singleton(ProcessId::new(1)),
-            },
-        );
-        let triples = pendable_triples(&schedule, 2);
-        // Round 1 (crash ≤ 2 ✓): both receivers. Round 2: only p2 gets
-        // the partial send. Round-1 from correct senders: none.
-        assert_eq!(triples.len(), 3);
-        assert!(triples.contains(&(Round::FIRST, ProcessId::new(0), ProcessId::new(1))));
-        assert!(triples.contains(&(Round::FIRST, ProcessId::new(0), ProcessId::new(2))));
-        assert!(triples.contains(&(Round::new(2), ProcessId::new(0), ProcessId::new(1))));
     }
 
     #[test]

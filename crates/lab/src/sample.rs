@@ -73,22 +73,9 @@ pub fn sample_pending<R: Rng>(
     rng: &mut R,
 ) -> PendingChoice {
     let mut pending = PendingChoice::none();
-    for sender in (0..space.n).map(ProcessId::new) {
-        let Some(crash) = schedule.crash_of(sender) else {
-            continue;
-        };
-        for r in (1..=horizon).map(Round::new) {
-            if crash.round > r.next() {
-                continue;
-            }
-            for receiver in (0..space.n).map(ProcessId::new) {
-                if receiver != sender
-                    && schedule.emits(sender, r, receiver)
-                    && rng.gen_bool(space.pending_prob)
-                {
-                    pending.withhold(r, sender, receiver);
-                }
-            }
+    for (r, sender, receiver) in schedule.pendable(horizon) {
+        if rng.gen_bool(space.pending_prob) {
+            pending.withhold(r, sender, receiver);
         }
     }
     pending

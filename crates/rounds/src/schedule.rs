@@ -350,6 +350,38 @@ impl fmt::Display for PendingError {
 
 impl std::error::Error for PendingError {}
 
+impl CrashSchedule {
+    /// Lemma 4.1's window: whether weak round synchrony lets a
+    /// round-`r` message from `sender` be pending, i.e. the sender
+    /// crashes by the end of round `r + 1`.
+    fn may_withhold(&self, sender: ProcessId, r: Round) -> bool {
+        self.crash_of(sender).is_some_and(|c| c.round <= r.next())
+    }
+
+    /// Every individually withholdable `(round, sender, receiver)`
+    /// triple within rounds `1..=horizon`: emitted non-self messages
+    /// inside [Lemma 4.1's window](validate_pending). Ordered by
+    /// sender, then round, then receiver.
+    #[must_use]
+    pub fn pendable(&self, horizon: u32) -> Vec<(Round, ProcessId, ProcessId)> {
+        let procs = || (0..self.n()).map(ProcessId::new);
+        let mut out = Vec::new();
+        for sender in procs() {
+            for r in (1..=horizon).map(Round::new) {
+                if !self.may_withhold(sender, r) {
+                    continue;
+                }
+                for receiver in procs() {
+                    if receiver != sender && self.emits(sender, r, receiver) {
+                        out.push((r, sender, receiver));
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Validates a pending choice against the weak round synchrony
 /// property: every withheld round-`r` message was actually sent, is not
 /// a self-message, and its sender crashes by the end of round `r + 1`.
@@ -372,10 +404,8 @@ pub fn validate_pending(
                 receiver,
             });
         }
-        // Sender must crash by end of round r+1, i.e. crash round ≤ r+1.
-        match schedule.crash_of(sender) {
-            Some(c) if c.round <= round.next() => {}
-            _ => return Err(PendingError::SenderOutlivesBound { round, sender }),
+        if !schedule.may_withhold(sender, round) {
+            return Err(PendingError::SenderOutlivesBound { round, sender });
         }
     }
     Ok(())
@@ -408,6 +438,25 @@ mod tests {
         assert!(!s.emits(p(0), Round::new(3), p(2)));
         assert!(s.sends_in(p(0), Round::new(2)));
         assert!(!s.sends_in(p(0), Round::new(3)));
+    }
+
+    #[test]
+    fn pendable_triples_respect_weak_synchrony() {
+        let mut schedule = CrashSchedule::none(3);
+        schedule.crash(
+            p(0),
+            RoundCrash {
+                round: Round::new(2),
+                sends_to: ProcessSet::singleton(p(1)),
+            },
+        );
+        let triples = schedule.pendable(2);
+        // Round 1 (crash ≤ 2 ✓): both receivers. Round 2: only p(1)
+        // gets the partial send. Round-1 from correct senders: none.
+        assert_eq!(triples.len(), 3);
+        assert!(triples.contains(&(Round::FIRST, p(0), p(1))));
+        assert!(triples.contains(&(Round::FIRST, p(0), p(2))));
+        assert!(triples.contains(&(Round::new(2), p(0), p(1))));
     }
 
     #[test]

@@ -12,6 +12,34 @@ fn ssp(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Every value of the integer field `field` in a stats JSON, in
+/// document order.
+fn json_values(json: &str, field: &str) -> Vec<u64> {
+    let key = format!("\"{field}\":");
+    json.match_indices(&key)
+        .map(|(at, _)| {
+            let digits: String = json[at + key.len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse().expect("integer field")
+        })
+        .collect()
+}
+
+/// Runs `ssp serve <args> --stats-out FILE` and returns the stats JSON.
+fn serve_stats(args: &[&str], name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("ssp-cli-{}-{name}.json", std::process::id()));
+    let mut full = vec!["serve"];
+    full.extend_from_slice(args);
+    full.extend(["--stats-out", path.to_str().unwrap()]);
+    let (ok, _, stderr) = ssp(&full);
+    assert!(ok, "{args:?}: {stderr}");
+    let json = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    json
+}
+
 #[test]
 fn help_prints_usage() {
     let (ok, stdout, _) = ssp(&["help"]);
@@ -436,6 +464,75 @@ fn sharded_serve_reports_groups_and_cross_shard_commits() {
     assert!(stdout.contains("shard groups"), "{stdout}");
     assert!(stdout.contains("cross-shard:"), "{stdout}");
     assert!(stdout.contains("0 NBAC violations"), "{stdout}");
+
+    // A scripted crash stays local to its group, and audits stay clean.
+    let stats = serve_stats(
+        &[
+            "a1",
+            "rs",
+            "--shards",
+            "4",
+            "--cross-shard-rate",
+            "0.1",
+            "--clients",
+            "8",
+            "--instances",
+            "10",
+            "--seed",
+            "7",
+            "--failure-free",
+            "--crash-group",
+            "2",
+            "--crash-instance",
+            "1",
+            "--crash-process",
+            "0",
+            "--crash-round",
+            "1",
+        ],
+        "shard-crash",
+    );
+    let (aggregate, groups) = stats.split_once("\"groups\":").unwrap();
+    assert_eq!(json_values(groups, "crashed_instances"), [0, 0, 1, 0]);
+    assert_eq!(json_values(aggregate, "undecided_instances"), [0]);
+    assert_eq!(json_values(aggregate, "audit_violations"), [0]);
+    assert_eq!(json_values(aggregate, "nbac_violations"), [0]);
+}
+
+#[test]
+fn serve_under_loss_is_audit_clean_and_byte_identical_per_seed() {
+    let plain = ["--clients", "16", "--instances", "50"];
+    let sharded = [
+        "--shards",
+        "4",
+        "--cross-shard-rate",
+        "0.1",
+        "--clients",
+        "16",
+        "--instances",
+        "30",
+    ];
+    for (algo, model) in [("a1", "rs"), ("ct", "rws")] {
+        for shape in [&plain[..], &sharded[..]] {
+            let mut args = vec![algo, model];
+            args.extend_from_slice(shape);
+            args.extend(["--seed", "2026", "--loss", "0.2"]);
+            let first = serve_stats(&args, "loss-a");
+            assert_eq!(
+                first,
+                serve_stats(&args, "loss-b"),
+                "same seed twice is byte-identical: {args:?}"
+            );
+            let audits = json_values(&first, "audit_violations");
+            assert!(
+                !audits.is_empty() && audits.iter().all(|&v| v == 0),
+                "{args:?}: {first}"
+            );
+            if shape == sharded {
+                assert_eq!(json_values(&first, "nbac_violations"), [0], "{args:?}");
+            }
+        }
+    }
 }
 
 #[test]
