@@ -24,7 +24,7 @@ pub mod spec;
 pub mod vote_flood;
 pub mod workload;
 
-pub use live::{run_live_nbac, CommitOutcome, LiveNbacRun, NbacFaults, NbacModel};
+pub use live::{run_live_nbac, CommitOutcome, LiveNbacRun, NbacFaults};
 pub use spec::{check_nbac, NbacViolation, NonTriviality};
 pub use vote_flood::{votes_all_survive, VoteFlood, VoteFloodProcess, VoteFloodWs, VoteMap};
 pub use workload::{

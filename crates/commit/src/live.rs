@@ -19,20 +19,10 @@
 //! models in §3.
 
 use ssp_model::{InitialConfig, ProcessId, ProcessSet, Round};
-use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundCrash};
+use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundCrash, RoundModel};
 
 use crate::spec::{check_nbac, NbacViolation, NonTriviality};
 use crate::vote_flood::{votes_all_survive, VoteFlood, VoteFloodWs};
-
-/// The round model the vote exchange runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NbacModel {
-    /// Synchronous rounds: [`VoteFlood`], SDD-boosted non-triviality.
-    Rs,
-    /// Weakly synchronous rounds: [`VoteFloodWs`], classic
-    /// non-triviality — withheld votes force aborts.
-    Rws,
-}
 
 /// The uniform decision of one atomic-commit exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,16 +62,16 @@ impl NbacFaults {
 
     /// Derives the exchange's faults from a seed: with probability 1/4
     /// one participant crashes in round 1 after reaching a
-    /// seed-chosen subset of its peers; under `RWS`
-    /// (`withholds = true`) each of those partial sends is withheld
-    /// with probability 1/2. Deterministic per `(seed, participants)`.
+    /// seed-chosen subset of its peers; under `RWS` each of those
+    /// partial sends is withheld with probability 1/2. Deterministic
+    /// per `(seed, participants, model)`.
     ///
     /// # Panics
     ///
     /// Panics if `participants < 2` — atomic commit across fewer than
     /// two owners is a single-group command, not a transaction.
     #[must_use]
-    pub fn from_seed(seed: u64, participants: usize, withholds: bool) -> Self {
+    pub fn from_seed(seed: u64, participants: usize, model: RoundModel) -> Self {
         assert!(participants >= 2, "NBAC needs at least two participants");
         let mut faults = NbacFaults::none(participants);
         let r = mix(seed, 0x6bac_c035_11fe_c0de);
@@ -102,7 +92,7 @@ impl NbacFaults {
                 sends_to,
             },
         );
-        if withholds {
+        if model == RoundModel::Rws {
             for d in sends_to.iter() {
                 if (r >> (40 + d.index())) & 1 == 1 {
                     faults.pending.withhold(Round::FIRST, victim, d);
@@ -140,18 +130,18 @@ pub struct LiveNbacRun {
 /// faults are inconsistent with the model (never the case for
 /// [`NbacFaults`]-constructed scripts).
 #[must_use]
-pub fn run_live_nbac(votes: &[bool], model: NbacModel, faults: &NbacFaults) -> LiveNbacRun {
+pub fn run_live_nbac(votes: &[bool], model: RoundModel, faults: &NbacFaults) -> LiveNbacRun {
     assert!(votes.len() >= 2, "NBAC needs at least two participants");
     let t = votes.len() - 1;
     #[allow(clippy::cast_possible_truncation)]
     let horizon = t as u32 + 1;
     let config = InitialConfig::new(votes.to_vec());
     let (out, mode) = match model {
-        NbacModel::Rs => (
+        RoundModel::Rs => (
             run_rs(&VoteFlood, &config, t, &faults.schedule),
             NonTriviality::SddBoosted,
         ),
-        NbacModel::Rws => (
+        RoundModel::Rws => (
             run_rws(&VoteFloodWs, &config, t, &faults.schedule, &faults.pending)
                 .expect("NbacFaults withholds only crash-round sends"),
             NonTriviality::Classic,
@@ -176,7 +166,7 @@ mod tests {
 
     #[test]
     fn failure_free_all_yes_commits_in_both_models() {
-        for model in [NbacModel::Rs, NbacModel::Rws] {
+        for model in [RoundModel::Rs, RoundModel::Rws] {
             let run = run_live_nbac(&[true, true, true], model, &NbacFaults::none(3));
             assert_eq!(run.outcome, CommitOutcome::Commit);
             assert!(run.votes_survived);
@@ -186,7 +176,7 @@ mod tests {
 
     #[test]
     fn one_no_vote_aborts_cleanly() {
-        let run = run_live_nbac(&[true, false], NbacModel::Rs, &NbacFaults::none(2));
+        let run = run_live_nbac(&[true, false], RoundModel::Rs, &NbacFaults::none(2));
         assert_eq!(run.outcome, CommitOutcome::Abort);
         assert!(run.violation.is_none());
     }
@@ -194,9 +184,9 @@ mod tests {
     #[test]
     fn seeded_faults_are_deterministic_and_audit_clean() {
         for seed in 0..256u64 {
-            for (model, withholds) in [(NbacModel::Rs, false), (NbacModel::Rws, true)] {
-                let a = NbacFaults::from_seed(seed, 3, withholds);
-                let b = NbacFaults::from_seed(seed, 3, withholds);
+            for model in [RoundModel::Rs, RoundModel::Rws] {
+                let a = NbacFaults::from_seed(seed, 3, model);
+                let b = NbacFaults::from_seed(seed, 3, model);
                 let ra = run_live_nbac(&[true, true, true], model, &a);
                 let rb = run_live_nbac(&[true, true, true], model, &b);
                 assert_eq!(ra.outcome, rb.outcome, "seed {seed}");
@@ -221,7 +211,7 @@ mod tests {
                 sends_to: ProcessSet::empty(),
             },
         );
-        let run = run_live_nbac(&[true, true, true], NbacModel::Rs, &faults);
+        let run = run_live_nbac(&[true, true, true], RoundModel::Rs, &faults);
         assert_eq!(run.outcome, CommitOutcome::Abort);
         assert!(!run.votes_survived);
         assert!(run.violation.is_none());
@@ -244,11 +234,11 @@ mod tests {
             .withhold(Round::FIRST, ProcessId::new(0), ProcessId::new(1));
 
         let votes = [true, true, true];
-        let in_rs = run_live_nbac(&votes, NbacModel::Rs, &rs);
+        let in_rs = run_live_nbac(&votes, RoundModel::Rs, &rs);
         assert_eq!(in_rs.outcome, CommitOutcome::Commit);
         assert!(in_rs.violation.is_none());
 
-        let in_rws = run_live_nbac(&votes, NbacModel::Rws, &rws);
+        let in_rws = run_live_nbac(&votes, RoundModel::Rws, &rws);
         assert_eq!(in_rws.outcome, CommitOutcome::Abort);
         assert!(in_rws.violation.is_none());
     }

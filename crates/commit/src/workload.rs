@@ -11,8 +11,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ssp_model::{InitialConfig, ProcessId, ProcessSet, Round};
-use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundCrash};
+use ssp_lab::sample::{sample_pending, sample_schedule, SampleSpace};
+use ssp_model::InitialConfig;
+use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice};
 
 use crate::spec::{check_nbac, NonTriviality};
 use crate::vote_flood::{votes_all_survive, VoteFlood, VoteFloodWs};
@@ -58,48 +59,23 @@ pub struct CommitScenario {
     pub pending: PendingChoice,
 }
 
-/// Draws a random scenario.
+/// Draws a random scenario: the votes, then a crash schedule and a
+/// pending choice from `ssp-lab`'s samplers (crash rounds up to
+/// `horizon + 1`, Lemma 4.1's window for the withheld sends).
 #[must_use]
 pub fn sample_scenario<R: Rng>(workload: &CommitWorkload, rng: &mut R) -> CommitScenario {
-    let CommitWorkload {
-        n,
-        t,
-        yes_prob,
-        crash_prob,
-        pending_prob,
-    } = *workload;
-    let horizon = t as u32 + 1;
-    let votes: Vec<bool> = (0..n).map(|_| rng.gen_bool(yes_prob)).collect();
-    let mut schedule = CrashSchedule::none(n);
-    let mut crashes = 0;
-    for i in 0..n {
-        if crashes < t && rng.gen_bool(crash_prob) {
-            let round = Round::new(rng.gen_range(1..=horizon + 1));
-            let sends_to = ProcessSet::from_bits(rng.gen_range(0..(1u64 << n)));
-            schedule.crash(ProcessId::new(i), RoundCrash { round, sends_to });
-            crashes += 1;
-        }
-    }
-    let mut pending = PendingChoice::none();
-    for sender in (0..n).map(ProcessId::new) {
-        let Some(crash) = schedule.crash_of(sender) else {
-            continue;
-        };
-        for r in 1..=horizon {
-            let r = Round::new(r);
-            if crash.round > r.next() {
-                continue;
-            }
-            for receiver in (0..n).map(ProcessId::new) {
-                if receiver != sender
-                    && schedule.emits(sender, r, receiver)
-                    && rng.gen_bool(pending_prob)
-                {
-                    pending.withhold(r, sender, receiver);
-                }
-            }
-        }
-    }
+    let space = SampleSpace {
+        n: workload.n,
+        t: workload.t,
+        crash_prob: workload.crash_prob,
+        pending_prob: workload.pending_prob,
+    };
+    let horizon = workload.t as u32 + 1;
+    let votes: Vec<bool> = (0..workload.n)
+        .map(|_| rng.gen_bool(workload.yes_prob))
+        .collect();
+    let schedule = sample_schedule(&space, horizon + 1, rng);
+    let pending = sample_pending(&space, &schedule, horizon, rng);
     CommitScenario {
         votes,
         schedule,
@@ -209,6 +185,16 @@ mod tests {
         let a = commit_rate_experiment(&w, 200, 11);
         let b = commit_rate_experiment(&w, 200, 11);
         assert_eq!(a, b);
+        assert_eq!(
+            a,
+            CommitRateReport {
+                trials: 200,
+                all_yes_trials: 200,
+                rs_commits: 187,
+                rws_commits: 154,
+                gap_runs: 33,
+            }
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use ssp_algos::{A1Msg, A1};
 use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, Round, TaggedRunLog};
-use ssp_rounds::{RoundAlgorithm, RoundProcess};
+use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 use ssp_runtime::{
     ChaosProxy, ChaosProxyConfig, DegradeMode, FdModule, GatewayListener, GatewayStats, LinkSpec,
     NetStats, RoundObs, RunTrace, SocketConfig, SocketNet, StalenessFd, SynchronyEvent,
@@ -962,13 +962,12 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
         let trace = RunTrace {
             n,
             horizon: HORIZON,
-            rs: true,
+            model: RoundModel::Rs,
             logs: trace_logs,
             crashes: crashes.clone(),
             retired: vec![None; n],
             degraded_at,
             aborted,
-            net: NetStats::default(),
         };
         let outcome = ThreadedOutcome {
             outcome: ConsensusOutcome::new(outcomes),

@@ -35,10 +35,10 @@ use std::time::Duration;
 
 use ssp_lab::InstanceAudit;
 use ssp_model::TaggedRunLog;
-use ssp_rounds::{RoundAlgorithm, RoundProcess};
+use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 use ssp_runtime::{
-    Backend, ChaosConfig, ConfigError, DegradeMode, FaultPlan, PlanModel, RuntimeConfig,
-    SyncPolicy, ThreadCrash,
+    Backend, ChaosConfig, ConfigError, DegradeMode, FaultPlan, RuntimeConfig, SyncPolicy,
+    ThreadCrash,
 };
 
 use crate::command::{Batch, KvStore};
@@ -78,7 +78,7 @@ pub struct EngineConfig {
     /// Per-instance fault bound.
     pub t: usize,
     /// Round model the instances run under.
-    pub model: PlanModel,
+    pub model: RoundModel,
     /// Maximum number of instances to execute.
     pub instances: u64,
     /// Engine seed; instance seeds and the workload stream derive
@@ -115,7 +115,7 @@ impl EngineConfig {
     /// [`RoundAlgorithm::retires_after_decision`]) and is audited
     /// against uniform validity.
     #[must_use]
-    pub fn new(n: usize, t: usize, model: PlanModel) -> Self {
+    pub fn new(n: usize, t: usize, model: RoundModel) -> Self {
         EngineConfig {
             n,
             t,
@@ -237,7 +237,7 @@ mod tests {
     use ssp_algos::{CtRounds, A1};
     use ssp_model::Round;
 
-    fn quick(model: PlanModel, instances: u64) -> (EngineConfig, Workload) {
+    fn quick(model: RoundModel, instances: u64) -> (EngineConfig, Workload) {
         let mut cfg = EngineConfig::new(3, 1, model);
         cfg.instances = instances;
         cfg.seed = 11;
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn failure_free_a1_rs_decides_every_instance_in_one_round() {
-        let (cfg, mut workload) = quick(PlanModel::Rs, 4);
+        let (cfg, mut workload) = quick(RoundModel::Rs, 4);
         let report = serve(&A1, &cfg, &mut workload).unwrap();
         assert_eq!(report.stats.decided_instances, 4);
         assert_eq!(
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn failure_free_ct_rws_pays_t_plus_1_rounds() {
-        let (cfg, mut workload) = quick(PlanModel::Rws, 4);
+        let (cfg, mut workload) = quick(RoundModel::Rws, 4);
         let report = serve(&CtRounds, &cfg, &mut workload).unwrap();
         assert_eq!(report.stats.decided_instances, 4);
         assert_eq!(
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn scripted_leader_crash_reproposes_the_orphaned_batch() {
-        let (mut cfg, mut workload) = quick(PlanModel::Rs, 6);
+        let (mut cfg, mut workload) = quick(RoundModel::Rs, 6);
         // p0 (A1's round-1 proposer) dies mid-broadcast in instance 1.
         cfg.crashes.push(EngineCrash {
             instance: 1,
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn bad_drain_is_a_typed_config_error_not_a_hang() {
-        let (mut cfg, mut workload) = quick(PlanModel::Rs, 2);
+        let (mut cfg, mut workload) = quick(RoundModel::Rs, 2);
         cfg.drain = Some(Duration::from_millis(1));
         let err = serve(&A1, &cfg, &mut workload).unwrap_err();
         assert!(
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn run_to_drain_stops_early_with_everything_decided() {
-        let mut cfg = EngineConfig::new(3, 1, PlanModel::Rs);
+        let mut cfg = EngineConfig::new(3, 1, RoundModel::Rs);
         cfg.instances = 40;
         cfg.seed = 5;
         cfg.faults = FaultMode::FailureFree;
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn retired_rounds_are_recorded_in_the_trace() {
-        let (cfg, mut workload) = quick(PlanModel::Rs, 1);
+        let (cfg, mut workload) = quick(RoundModel::Rs, 1);
         let report = serve(&A1, &cfg, &mut workload).unwrap();
         assert!(report.audits[0].retired);
         assert_eq!(report.audits[0].instance, 0);

@@ -38,11 +38,11 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use ssp_commit::{run_live_nbac, CommitOutcome, NbacFaults, NbacModel, NbacViolation};
+use ssp_commit::{run_live_nbac, CommitOutcome, NbacFaults, NbacViolation};
 use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{InitialConfig, TaggedRunLog};
 use ssp_rounds::{RoundAlgorithm, RoundProcess};
-use ssp_runtime::{Backend, ConfigError, PlanModel, RuntimeBuilder, ThreadedOutcome};
+use ssp_runtime::{Backend, ConfigError, RuntimeBuilder, ThreadedOutcome};
 
 use crate::command::{Batch, ClientRequest, Command, CommandId, KvStore, Op, Transaction};
 use crate::engine::{instance_runtime, instance_seed, EngineConfig, EngineCrash, EngineReport};
@@ -324,10 +324,6 @@ impl TxTable {
         source: &mut dyn ExternalSource,
     ) {
         let router = GroupRouter::new(cfg.shards);
-        let nbac_model = match cfg.engine.model {
-            PlanModel::Rs => NbacModel::Rs,
-            PlanModel::Rws => NbacModel::Rws,
-        };
         let seeded_faults =
             cfg.engine.faults == crate::engine::FaultMode::Seeded || cfg.engine.chaos.is_some();
         let cross = &mut self.stats;
@@ -352,12 +348,12 @@ impl TxTable {
                 NbacFaults::from_seed(
                     instance_seed(cfg.engine.seed ^ TX_FAULT_SALT, index as u64),
                     state.owners.len(),
-                    nbac_model == NbacModel::Rws,
+                    cfg.engine.model,
                 )
             } else {
                 NbacFaults::none(state.owners.len())
             };
-            let run = run_live_nbac(&votes, nbac_model, &faults);
+            let run = run_live_nbac(&votes, cfg.engine.model, &faults);
             if run.votes_survived {
                 cross.votes_survived += 1;
             }
@@ -556,10 +552,7 @@ where
             );
             let stats = EngineStats {
                 algo: RoundAlgorithm::<Batch>::name(algo).to_string(),
-                model: match cfg.engine.model {
-                    PlanModel::Rs => "rs".to_string(),
-                    PlanModel::Rws => "rws".to_string(),
-                },
+                model: cfg.engine.model.to_string().to_lowercase(),
                 n: cfg.engine.n,
                 t: cfg.engine.t,
                 seed: gcfg.seed,
@@ -827,6 +820,7 @@ mod tests {
     use crate::engine::FaultMode;
     use crate::workload::WorkloadConfig;
     use ssp_algos::A1;
+    use ssp_rounds::RoundModel;
 
     #[test]
     fn router_partitions_and_is_identity_for_one_group() {
@@ -853,7 +847,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_the_degenerate_configs() {
-        let engine = EngineConfig::new(3, 1, PlanModel::Rs);
+        let engine = EngineConfig::new(3, 1, RoundModel::Rs);
         assert!(matches!(
             ShardedConfig::new(engine.clone(), 0).validate(),
             Err(ConfigError::ShardCountZero)
@@ -874,7 +868,7 @@ mod tests {
 
     #[test]
     fn cross_shard_transactions_commit_failure_free() {
-        let mut engine = EngineConfig::new(3, 1, PlanModel::Rs);
+        let mut engine = EngineConfig::new(3, 1, RoundModel::Rs);
         engine.instances = 30;
         engine.seed = 77;
         engine.faults = FaultMode::FailureFree;
@@ -909,7 +903,7 @@ mod tests {
 
     #[test]
     fn sharded_runs_are_deterministic_per_seed() {
-        let mut engine = EngineConfig::new(3, 1, PlanModel::Rws);
+        let mut engine = EngineConfig::new(3, 1, RoundModel::Rws);
         engine.instances = 12;
         engine.seed = 909;
         let mut cfg = ShardedConfig::new(engine, 2);

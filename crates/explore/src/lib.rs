@@ -50,9 +50,9 @@ use ssp_lab::{check_threaded_run, ValidityMode};
 use ssp_model::{AdversaryRecord, InitialConfig, RunEvent, RunLogObserver, Value};
 use ssp_rounds::{
     run_rws_observed, to_record, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash,
-    RoundProcess, SymmetricAlgorithm,
+    RoundModel, RoundProcess, SymmetricAlgorithm,
 };
-use ssp_runtime::{Backend, ConfigError, FaultPlan, PlanModel, RuntimeBuilder};
+use ssp_runtime::{Backend, ConfigError, FaultPlan, RuntimeBuilder};
 
 use space::{choice_wires, realizable, realize, skeletons, Fate, Skeleton, Wire};
 
@@ -66,9 +66,6 @@ pub const MAX_T: usize = 2;
 /// Why an exploration could not start.
 #[derive(Debug)]
 pub enum ExploreError {
-    /// Exploration requires a deterministic clock; the real-time
-    /// backend was requested.
-    RealClock,
     /// Instance size outside the supported exhaustive range.
     Bounds {
         /// Requested process count.
@@ -84,10 +81,6 @@ pub enum ExploreError {
 impl fmt::Display for ExploreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExploreError::RealClock => write!(
-                f,
-                "exploration needs a deterministic clock: use the virtual backend, not real"
-            ),
             ExploreError::Bounds { n, t } => write!(
                 f,
                 "instance out of exhaustive range (need 2 ≤ n ≤ {MAX_N}, t ≤ {MAX_T}, t < n; \
@@ -123,7 +116,7 @@ pub struct ExploreReport {
     /// Crash budget.
     pub t: usize,
     /// Round model explored.
-    pub model: PlanModel,
+    pub model: RoundModel,
     /// The algorithm's round horizon for this instance.
     pub horizon: u32,
     /// Crash skeletons enumerated.
@@ -182,12 +175,12 @@ impl fmt::Display for ExploreReport {
 /// use ssp_algos::FloodSet;
 /// use ssp_explore::Explorer;
 /// use ssp_model::InitialConfig;
-/// use ssp_runtime::PlanModel;
+/// use ssp_rounds::RoundModel;
 ///
 /// let config = InitialConfig::new(vec![0u64, 1, 2]);
 /// let report = Explorer::new(&FloodSet, &config)
 ///     .t(1)
-///     .model(PlanModel::Rs)
+///     .model(RoundModel::Rs)
 ///     .run()
 ///     .unwrap();
 /// assert_eq!(report.violations, 0);
@@ -198,8 +191,7 @@ pub struct Explorer<'a, V, A> {
     algo: &'a A,
     config: &'a InitialConfig<V>,
     t: usize,
-    model: PlanModel,
-    backend: Backend,
+    model: RoundModel,
     limit: Option<u64>,
 }
 
@@ -223,15 +215,16 @@ where
     <A::Process as RoundProcess>::Msg: Send + 'static,
 {
     /// Starts an explorer with the defaults `t = 1`,
-    /// [`PlanModel::Rws`], [`Backend::Virtual`], no class limit.
+    /// [`RoundModel::Rws`], no class limit. Runs always use
+    /// [`Backend::Virtual`]: wall-clock jitter would make enumeration
+    /// meaningless.
     #[must_use]
     pub fn new(algo: &'a A, config: &'a InitialConfig<V>) -> Self {
         Explorer {
             algo,
             config,
             t: 1,
-            model: PlanModel::Rws,
-            backend: Backend::Virtual,
+            model: RoundModel::Rws,
             limit: None,
         }
     }
@@ -245,17 +238,8 @@ where
 
     /// Sets the round model whose adversary space is explored.
     #[must_use]
-    pub fn model(mut self, model: PlanModel) -> Self {
+    pub fn model(mut self, model: RoundModel) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Sets the clock backend ([`Backend::Real`] is rejected at
-    /// [`Explorer::run`] — wall-clock jitter would make enumeration
-    /// meaningless).
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -272,8 +256,8 @@ where
     ///
     /// # Errors
     ///
-    /// [`ExploreError`] on unsupported bounds, the real backend, or a
-    /// runtime-rejected plan.
+    /// [`ExploreError`] on unsupported bounds or a runtime-rejected
+    /// plan.
     pub fn run(&self) -> Result<ExploreReport, ExploreError> {
         self.explore(false, &[])
     }
@@ -295,9 +279,6 @@ where
     }
 
     fn explore(&self, sym: bool, group: &[Vec<usize>]) -> Result<ExploreReport, ExploreError> {
-        if self.backend == Backend::Real {
-            return Err(ExploreError::RealClock);
-        }
         let n = self.config.n();
         if !(2..=MAX_N).contains(&n) || self.t > MAX_T || self.t >= n {
             return Err(ExploreError::Bounds { n, t: self.t });
@@ -466,7 +447,7 @@ where
         let result = RuntimeBuilder::new(self.algo, self.config)
             .t(self.t)
             .model(self.model)
-            .backend(self.backend)
+            .backend(Backend::Virtual)
             .plan(plan)
             .run()
             .map_err(ExploreError::Driver)?;

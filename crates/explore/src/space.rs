@@ -23,8 +23,7 @@
 
 use ssp_model::process::all_processes;
 use ssp_model::{ProcessId, ProcessSet, Round};
-use ssp_rounds::{CrashSchedule, PendingChoice, RoundCrash};
-use ssp_runtime::PlanModel;
+use ssp_rounds::{CrashSchedule, PendingChoice, RoundCrash, RoundModel};
 
 /// The adversary's decision for one choice wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +99,9 @@ pub fn skeletons(n: usize, t: usize, horizon: u32) -> Vec<Skeleton> {
 /// itself is delivered by construction and invisible to the
 /// adversary).
 #[must_use]
-pub fn choice_wires(skeleton: &Skeleton, horizon: u32, model: PlanModel) -> Vec<Wire> {
+pub fn choice_wires(skeleton: &Skeleton, horizon: u32, model: RoundModel) -> Vec<Wire> {
     let n = skeleton.len();
-    let rws = model == PlanModel::Rws;
+    let rws = model == RoundModel::Rws;
     let crash_round = |q: ProcessId| skeleton[q.index()].unwrap_or(u32::MAX);
     let mut full_sends = CrashSchedule::none(n);
     for (v, &slot) in skeleton.iter().enumerate() {
@@ -271,8 +270,8 @@ mod tests {
     #[test]
     fn benign_skeleton_has_no_choice() {
         let s: Skeleton = vec![None; 3];
-        assert!(choice_wires(&s, 2, PlanModel::Rws).is_empty());
-        assert!(choice_wires(&s, 2, PlanModel::Rs).is_empty());
+        assert!(choice_wires(&s, 2, RoundModel::Rws).is_empty());
+        assert!(choice_wires(&s, 2, RoundModel::Rs).is_empty());
     }
 
     #[test]
@@ -280,13 +279,13 @@ mod tests {
         // p0 crashes in round 2 of a 2-round horizon: RS offers only
         // its two round-2 wires, omission-only.
         let s: Skeleton = vec![Some(2), None, None];
-        let rs = choice_wires(&s, 2, PlanModel::Rs);
+        let rs = choice_wires(&s, 2, RoundModel::Rs);
         assert_eq!(rs.len(), 2);
         assert!(rs
             .iter()
             .all(|w| w.round == 2 && w.can_omit && !w.can_withhold));
         // RWS adds withholding on those plus the round-1 wires.
-        let rws = choice_wires(&s, 2, PlanModel::Rws);
+        let rws = choice_wires(&s, 2, RoundModel::Rws);
         assert_eq!(rws.len(), 4);
         assert!(rws
             .iter()
@@ -297,8 +296,8 @@ mod tests {
     #[test]
     fn post_horizon_crash_offers_final_round_withholds_under_rws() {
         let s: Skeleton = vec![None, Some(3), None];
-        assert!(choice_wires(&s, 2, PlanModel::Rs).is_empty());
-        let rws = choice_wires(&s, 2, PlanModel::Rws);
+        assert!(choice_wires(&s, 2, RoundModel::Rs).is_empty());
+        let rws = choice_wires(&s, 2, RoundModel::Rws);
         assert_eq!(rws.len(), 2);
         assert!(rws
             .iter()
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn realize_builds_the_section_5_3_adversary() {
         let s: Skeleton = vec![Some(2), None, None];
-        let wires = choice_wires(&s, 2, PlanModel::Rws);
+        let wires = choice_wires(&s, 2, RoundModel::Rws);
         // Wires sorted by (round, src, dst): r1 p0→p1, r1 p0→p2,
         // r2 p0→p1, r2 p0→p2. Withhold both round-1 wires, omit both
         // round-2 wires.

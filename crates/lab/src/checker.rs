@@ -134,9 +134,10 @@ impl<V: Value> Verification<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verifier::{RoundModel, Verifier};
+    use crate::verifier::Verifier;
     use ssp_algos::{FloodSet, FloodSetWs, A1};
     use ssp_model::spec::ConsensusViolation;
+    use ssp_rounds::RoundModel;
 
     #[test]
     fn floodset_verified_in_rs() {

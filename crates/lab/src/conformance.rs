@@ -31,12 +31,12 @@ use core::fmt;
 use std::ops::Range;
 
 use ssp_model::{InitialConfig, ProcessId, Round, RunEvent, RunLogObserver, Value};
-use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundProcess};
-use ssp_runtime::{FaultPlan, PlanModel, RunTraceError, RuntimeBuilder, ThreadedOutcome};
+use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundModel, RoundProcess};
+use ssp_runtime::{FaultPlan, RunTraceError, RuntimeBuilder, ThreadedOutcome};
 use ssp_sim::{validate_basic, validate_perfect_fd, Trace, TraceViolation};
 
 use crate::checker::ValidityMode;
-use crate::verifier::{RoundModel, Verifier};
+use crate::verifier::Verifier;
 
 /// A disagreement between a threaded run and the round models — the
 /// conformance layer's finding of interest. Real divergences mean a
@@ -237,7 +237,7 @@ where
         pending: pending.len(),
         verdict: match trace.degraded_at {
             Some(at) => RunVerdict::DegradedRws { at },
-            None if trace.rs => RunVerdict::Rs,
+            None if trace.model == RoundModel::Rs => RunVerdict::Rs,
             None => RunVerdict::Rws,
         },
     })
@@ -356,7 +356,7 @@ fn verdict_of<M>(
     } else {
         match trace.degraded_at {
             Some(at) => RunVerdict::DegradedRws { at },
-            None if trace.rs => RunVerdict::Rs,
+            None if trace.model == RoundModel::Rs => RunVerdict::Rs,
             None => RunVerdict::Rws,
         }
     }
@@ -518,10 +518,7 @@ where
             .t(t)
             .domain(&domain)
             .mode(mode)
-            .model(match builder.plan_model() {
-                PlanModel::Rs => RoundModel::Rs,
-                PlanModel::Rws => RoundModel::Rws,
-            })
+            .model(builder.plan_model())
             .run();
         report.checker_agrees = !verdict.is_ok();
         if !report.checker_agrees {
@@ -556,7 +553,7 @@ mod tests {
     fn fuzz_a1_rws_finds_the_violation_and_no_divergence() {
         let config = InitialConfig::new(vec![10u64, 11, 12]);
         let report = fuzz_runtime(
-            &RuntimeBuilder::new(&A1, &config).model(PlanModel::Rws),
+            &RuntimeBuilder::new(&A1, &config).model(RoundModel::Rws),
             SECTION_5_3_SEED..SECTION_5_3_SEED + 1,
             ValidityMode::Uniform,
         );
@@ -568,7 +565,7 @@ mod tests {
     fn fuzz_floodset_rs_is_clean() {
         let config = InitialConfig::new(vec![4u64, 6, 2]);
         let report = fuzz_runtime(
-            &RuntimeBuilder::new(&FloodSet, &config).model(PlanModel::Rs),
+            &RuntimeBuilder::new(&FloodSet, &config).model(RoundModel::Rs),
             0..6,
             ValidityMode::Strong,
         );
@@ -580,7 +577,7 @@ mod tests {
     fn fuzz_floodset_ws_rws_is_clean() {
         let config = InitialConfig::new(vec![10u64, 11, 12]);
         let report = fuzz_runtime(
-            &RuntimeBuilder::new(&FloodSetWs, &config).model(PlanModel::Rws),
+            &RuntimeBuilder::new(&FloodSetWs, &config).model(RoundModel::Rws),
             0..6,
             ValidityMode::Uniform,
         );
@@ -668,7 +665,7 @@ mod tests {
         };
         let rs = fuzz_runtime(
             &RuntimeBuilder::new(&FloodSet, &config)
-                .model(PlanModel::Rs)
+                .model(RoundModel::Rs)
                 .chaos(Some(chaos)),
             0..4,
             ValidityMode::Strong,
@@ -681,7 +678,7 @@ mod tests {
         );
         let rws = fuzz_runtime(
             &RuntimeBuilder::new(&FloodSetWs, &config)
-                .model(PlanModel::Rws)
+                .model(RoundModel::Rws)
                 .chaos(Some(chaos)),
             0..4,
             ValidityMode::Uniform,

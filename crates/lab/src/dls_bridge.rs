@@ -4,8 +4,9 @@
 //! of the eight Chandra–Toueg classes, and the natural counterpart to
 //! §3's timeouts-implement-`P`-in-`SS`.
 //!
-//! [`AdaptiveHeartbeatProcess`] runs in the `DLS` executor
-//! ([`ModelKind::Dls`]): it starts with an optimistic silence bound,
+//! [`HeartbeatProcess`](crate::fd_bridge::HeartbeatProcess) runs in
+//! the `DLS` executor ([`ModelKind::Dls`]) started with an optimistic
+//! silence bound: it
 //! suspects peers that exceed it, and — crucially — *retracts and
 //! doubles its bound* when a suspected peer turns out to be alive.
 //! Before the global stabilization time the adversary can starve
@@ -15,106 +16,16 @@
 //! *eventual* strong accuracy = `◇P`. The same construction in plain
 //! `SS` (gst = 0) yields `P` from the start.
 
-use ssp_fd::FdHistory;
-use ssp_model::{FailurePattern, ProcessId, ProcessSet, Time};
-use ssp_sim::{
-    run, BoxedAutomaton, ChainAdversary, DeliveryChoice, Event, FairAdversary, ModelKind,
-    ScriptedAdversary, StepAutomaton, StepContext, TraceEvent,
-};
+use ssp_model::ProcessId;
+use ssp_sim::{ChainAdversary, DeliveryChoice, Event, FairAdversary, ModelKind, ScriptedAdversary};
 
-/// A heartbeat process with an adaptive (doubling) silence bound.
-#[derive(Debug)]
-pub struct AdaptiveHeartbeatProcess {
-    me: ProcessId,
-    n: usize,
-    /// Current per-peer silence bound, in own-steps.
-    bound: Vec<u64>,
-    last_heard: Vec<u64>,
-    suspects: ProcessSet,
-    /// Cumulative count of retractions (false suspicions corrected).
-    retractions: u64,
-}
+use crate::fd_bridge::{run_heartbeats, HeartbeatExperiment};
 
-impl AdaptiveHeartbeatProcess {
-    /// Creates the process with the given initial bound (own-steps of
-    /// silence tolerated before suspecting).
-    #[must_use]
-    pub fn new(me: ProcessId, n: usize, initial_bound: u64) -> Self {
-        AdaptiveHeartbeatProcess {
-            me,
-            n,
-            bound: vec![initial_bound.max(1); n],
-            last_heard: vec![0; n],
-            suspects: ProcessSet::empty(),
-            retractions: 0,
-        }
-    }
-
-    /// The current suspicion set.
-    #[must_use]
-    pub fn suspects(&self) -> ProcessSet {
-        self.suspects
-    }
-
-    /// How many times a suspicion was retracted (evidence of pre-`gst`
-    /// chaos).
-    #[must_use]
-    pub fn retractions(&self) -> u64 {
-        self.retractions
-    }
-}
-
-impl StepAutomaton for AdaptiveHeartbeatProcess {
-    type Msg = ();
-    type Output = ();
-
-    fn step(&mut self, ctx: StepContext<'_, ()>) -> Option<(ProcessId, ())> {
-        for env in ctx.received {
-            let src = env.src;
-            self.last_heard[src.index()] = ctx.own_step;
-            if self.suspects.remove(src) {
-                // False suspicion: adapt.
-                self.retractions += 1;
-                self.bound[src.index()] = self.bound[src.index()].saturating_mul(2);
-            }
-        }
-        for i in 0..self.n {
-            let q = ProcessId::new(i);
-            if q != self.me && ctx.own_step.saturating_sub(self.last_heard[i]) > self.bound[i] {
-                self.suspects.insert(q);
-            }
-        }
-        if self.n <= 1 {
-            return None;
-        }
-        let slot = (ctx.own_step % (self.n as u64 - 1)) as usize;
-        let peer = (self.me.index() + 1 + slot) % self.n;
-        Some((ProcessId::new(peer), ()))
-    }
-
-    fn output(&self) -> Option<()> {
-        None
-    }
-}
-
-/// Result of a `DLS` adaptive-timeout experiment.
-#[derive(Debug)]
-pub struct DlsExperiment {
-    /// The reconstructed suspicion history (global clock).
-    pub history: FdHistory,
-    /// The realized failure pattern.
-    pub pattern: FailurePattern,
-    /// Horizon of the run.
-    pub horizon: Time,
-    /// Total suspicion retractions across observers — nonzero iff the
-    /// pre-`gst` chaos fooled someone.
-    pub retractions: u64,
-}
-
-/// Runs `n` adaptive heartbeat processes under `DLS(phi, delta, gst)`:
-/// a scripted pre-`gst` prefix starves process `starved` (forcing
-/// false suspicions), then a fair tail runs for `tail_events`,
-/// optionally crashing `crash` after its quota of steps.
+/// Runs `n` heartbeat processes with initial silence bound
+/// `initial_bound` under `DLS(phi, delta, gst)`: a scripted pre-`gst`
+/// prefix starves process `starved` (forcing false suspicions), then a
+/// fair tail runs for `tail_events`, optionally crashing `crash` after
+/// its quota of steps.
 ///
 /// # Panics
 ///
@@ -131,24 +42,14 @@ pub fn run_adaptive_experiment(
     initial_bound: u64,
     crash: Option<(ProcessId, u64)>,
     tail_events: u64,
-) -> DlsExperiment {
-    let automata: Vec<BoxedAutomaton<(), ()>> = (0..n)
-        .map(|i| {
-            Box::new(AdaptiveHeartbeatProcess::new(
-                ProcessId::new(i),
-                n,
-                initial_bound,
-            )) as _
-        })
-        .collect();
+) -> HeartbeatExperiment {
     // Pre-gst chaos: everyone except `starved` steps round-robin with
     // all deliveries withheld.
     let mut prefix_events = Vec::new();
-    let mut others: Vec<ProcessId> = (0..n)
+    let others: Vec<ProcessId> = (0..n)
         .map(ProcessId::new)
         .filter(|p| *p != starved)
         .collect();
-    others.rotate_left(0);
     let mut i = 0;
     while (prefix_events.len() as u64) < gst {
         prefix_events.push(Event::Step(others[i % others.len()]));
@@ -162,44 +63,13 @@ pub fn run_adaptive_experiment(
     }
     let mut adversary: ChainAdversary<()> =
         ChainAdversary::new(vec![Box::new(prefix), Box::new(tail)]);
-    let result = run(
+    run_heartbeats(
         ModelKind::dls(phi, delta, gst),
-        automata,
+        n,
+        initial_bound,
         &mut adversary,
         gst + tail_events + 10,
     )
-    .expect("pre-gst chaos and fair tails are legal in DLS");
-
-    // Shadow-replay to reconstruct suspicion histories.
-    let mut shadows: Vec<AdaptiveHeartbeatProcess> = (0..n)
-        .map(|i| AdaptiveHeartbeatProcess::new(ProcessId::new(i), n, initial_bound))
-        .collect();
-    let mut history = FdHistory::new(n);
-    let mut horizon = Time::ZERO;
-    for ev in result.trace.events() {
-        if let TraceEvent::Step(s) = ev {
-            let shadow = &mut shadows[s.process.index()];
-            let before = shadow.suspects();
-            let _ = shadow.step(StepContext {
-                received: &s.received,
-                suspects: ProcessSet::empty(),
-                own_step: s.own_step,
-            });
-            if shadow.suspects() != before {
-                history.set(s.process, s.time, shadow.suspects());
-            }
-            horizon = horizon.max(s.time);
-        }
-    }
-    DlsExperiment {
-        history,
-        pattern: result.pattern,
-        horizon,
-        retractions: shadows
-            .iter()
-            .map(AdaptiveHeartbeatProcess::retractions)
-            .sum(),
-    }
 }
 
 #[cfg(test)]

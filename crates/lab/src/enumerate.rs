@@ -9,8 +9,8 @@
 //!   crash" shape) and every partial-send subset;
 //! * [`pending_choices`] — every pending-message choice valid under
 //!   weak round synchrony for a given crash plan;
-//! * [`explore_rs`] / [`explore_rws`] — run an algorithm over the
-//!   whole cross product and fold each outcome into a caller-provided
+//! * [`explore_runs`] — run an algorithm over the whole cross product
+//!   of either model and fold each outcome into a caller-provided
 //!   visitor.
 //!
 //! The visitor style keeps memory flat: `n = 4, t = 2` RWS spaces run
@@ -19,7 +19,9 @@
 use ssp_model::{
     config::enumerate_configs, ConsensusOutcome, InitialConfig, ProcessId, ProcessSet, Round, Value,
 };
-use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash};
+use ssp_rounds::{
+    run_rs, run_rws, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash, RoundModel,
+};
 
 /// All crash schedules over `n` processes with at most `max_faults`
 /// crashes, crash rounds in `1..=max_round`, and arbitrary final-round
@@ -115,90 +117,44 @@ pub struct EnumeratedRun<'a, V> {
     pub outcome: ConsensusOutcome<V>,
 }
 
-/// Runs `algo` in `RS` over every configuration (over `domain`) and
-/// every crash schedule, invoking `visit` per run. Returns the number
-/// of runs explored.
-pub fn explore_rs<V, A, F>(algo: &A, n: usize, t: usize, domain: &[V], mut visit: F) -> u64
+/// Runs `algo` in `model` over every configuration (over `domain`),
+/// every crash schedule and — in `RWS` — every valid pending choice,
+/// invoking `visit` per run. Returns the number of runs explored.
+pub fn explore_runs<V, A, F>(
+    algo: &A,
+    model: RoundModel,
+    n: usize,
+    t: usize,
+    domain: &[V],
+    mut visit: F,
+) -> u64
 where
     V: Value,
     A: RoundAlgorithm<V>,
     F: FnMut(&EnumeratedRun<'_, V>),
-{
-    explore_rs_until(algo, n, t, domain, |run| {
-        visit(run);
-        false
-    })
-}
-
-/// Like [`explore_rs`], but `visit` returning `true` stops the
-/// exploration early (e.g. at the first counterexample).
-pub fn explore_rs_until<V, A, F>(algo: &A, n: usize, t: usize, domain: &[V], mut visit: F) -> u64
-where
-    V: Value,
-    A: RoundAlgorithm<V>,
-    F: FnMut(&EnumeratedRun<'_, V>) -> bool,
-{
-    let horizon = algo.round_horizon(n, t);
-    let schedules = crash_schedules(n, t, horizon + 1);
-    let empty = PendingChoice::none();
-    let mut count = 0;
-    for config in enumerate_configs(n, domain) {
-        for schedule in &schedules {
-            let outcome = run_rs(algo, &config, t, schedule);
-            count += 1;
-            if visit(&EnumeratedRun {
-                config: &config,
-                schedule,
-                pending: &empty,
-                outcome,
-            }) {
-                return count;
-            }
-        }
-    }
-    count
-}
-
-/// Runs `algo` in `RWS` over every configuration, crash schedule *and*
-/// valid pending choice, invoking `visit` per run. Returns the number
-/// of runs explored.
-pub fn explore_rws<V, A, F>(algo: &A, n: usize, t: usize, domain: &[V], mut visit: F) -> u64
-where
-    V: Value,
-    A: RoundAlgorithm<V>,
-    F: FnMut(&EnumeratedRun<'_, V>),
-{
-    explore_rws_until(algo, n, t, domain, |run| {
-        visit(run);
-        false
-    })
-}
-
-/// Like [`explore_rws`], but `visit` returning `true` stops the
-/// exploration early.
-pub fn explore_rws_until<V, A, F>(algo: &A, n: usize, t: usize, domain: &[V], mut visit: F) -> u64
-where
-    V: Value,
-    A: RoundAlgorithm<V>,
-    F: FnMut(&EnumeratedRun<'_, V>) -> bool,
 {
     let horizon = algo.round_horizon(n, t);
     let schedules = crash_schedules(n, t, horizon + 1);
     let mut count = 0;
     for config in enumerate_configs(n, domain) {
         for schedule in &schedules {
-            for pending in pending_choices(schedule, horizon) {
-                let outcome = run_rws(algo, &config, t, schedule, &pending)
-                    .expect("enumerated pending choices are valid");
+            let pendings = match model {
+                RoundModel::Rs => vec![PendingChoice::none()],
+                RoundModel::Rws => pending_choices(schedule, horizon),
+            };
+            for pending in &pendings {
+                let outcome = match model {
+                    RoundModel::Rs => run_rs(algo, &config, t, schedule),
+                    RoundModel::Rws => run_rws(algo, &config, t, schedule, pending)
+                        .expect("enumerated pending choices are valid"),
+                };
                 count += 1;
-                if visit(&EnumeratedRun {
+                visit(&EnumeratedRun {
                     config: &config,
                     schedule,
-                    pending: &pending,
+                    pending,
                     outcome,
-                }) {
-                    return count;
-                }
+                });
             }
         }
     }
@@ -236,9 +192,9 @@ mod tests {
     }
 
     #[test]
-    fn explore_rs_visits_every_combination() {
+    fn rs_sweep_visits_every_combination() {
         let mut runs = 0u64;
-        let visited = explore_rs(&FloodSet, 2, 1, &[0u64, 1], |_| runs += 1);
+        let visited = explore_runs(&FloodSet, RoundModel::Rs, 2, 1, &[0u64, 1], |_| runs += 1);
         // 4 configs × schedules(n=2, t=1, rounds ≤ 3).
         let schedules = crash_schedules(2, 1, 3).len() as u64;
         assert_eq!(visited, 4 * schedules);
@@ -246,9 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn explore_rws_includes_pending_dimension() {
-        let rs = explore_rs(&FloodSet, 2, 1, &[0u64, 1], |_| {});
-        let rws = explore_rws(&FloodSet, 2, 1, &[0u64, 1], |_| {});
+    fn rws_sweep_includes_pending_dimension() {
+        let rs = explore_runs(&FloodSet, RoundModel::Rs, 2, 1, &[0u64, 1], |_| {});
+        let rws = explore_runs(&FloodSet, RoundModel::Rws, 2, 1, &[0u64, 1], |_| {});
         assert!(rws > rs, "pending choices must add runs ({rws} vs {rs})");
     }
 }

@@ -8,7 +8,11 @@
 //! silent for more than `(Φ+1)·(n−1) + Δ` of the observer's own steps —
 //! sound because an alive peer addresses every other peer once per
 //! `n−1` of its steps, takes at least one step per `Φ+1` of the
-//! observer's, and its message is force-delivered within `Δ`.
+//! observer's, and its message is force-delivered within `Δ`. A
+//! message from a suspected peer retracts the suspicion and doubles
+//! that peer's bound; under the sound `SS` bound this never happens.
+//! The same process, started with an optimistic bound, is the `◇P`
+//! construction of [`crate::dls_bridge`].
 //!
 //! [`run_heartbeat_experiment`] executes a crash scenario, collects
 //! each observer's suspicion history on the global clock, and returns
@@ -16,9 +20,10 @@
 //! checkers of `ssp-fd` can certify the result as `P`.
 
 use ssp_fd::FdHistory;
-use ssp_model::{FailurePattern, ProcessId, ProcessSet};
+use ssp_model::{FailurePattern, ProcessId, ProcessSet, Time};
 use ssp_sim::{
-    run, BoxedAutomaton, FairAdversary, ModelKind, StepAutomaton, StepContext, TraceEvent,
+    run, Adversary, BoxedAutomaton, FairAdversary, ModelKind, RandomAdversary, StepAutomaton,
+    StepContext, TraceEvent,
 };
 
 /// The silence bound, in observer own-steps: `(Φ+1)·(n−1) + Δ`.
@@ -27,28 +32,34 @@ pub fn heartbeat_silence_bound(phi: u64, delta: u64, n: usize) -> u64 {
     (phi + 1) * (n as u64 - 1) + delta
 }
 
-/// A heartbeat-and-timeout process implementing `P` inside `SS`.
+/// A heartbeat-and-timeout process with a per-peer silence bound that
+/// doubles whenever a suspicion turns out false.
 #[derive(Debug)]
 pub struct HeartbeatProcess {
     me: ProcessId,
     n: usize,
-    bound: u64,
+    /// Current per-peer silence bound, in own-steps.
+    bound: Vec<u64>,
     /// Own-step at which we last heard from each peer (start counts as 0).
     last_heard: Vec<u64>,
     suspects: ProcessSet,
+    /// Cumulative count of retractions (false suspicions corrected).
+    retractions: u64,
 }
 
 impl HeartbeatProcess {
     /// Creates the heartbeat process for observer `me` among `n`
-    /// processes in an `SS` system with bounds `(phi, delta)`.
+    /// processes, tolerating `bound` own-steps of silence per peer —
+    /// [`heartbeat_silence_bound`] for `P` in `SS`.
     #[must_use]
-    pub fn new(me: ProcessId, n: usize, phi: u64, delta: u64) -> Self {
+    pub fn new(me: ProcessId, n: usize, bound: u64) -> Self {
         HeartbeatProcess {
             me,
             n,
-            bound: heartbeat_silence_bound(phi, delta, n),
+            bound: vec![bound.max(1); n],
             last_heard: vec![0; n],
             suspects: ProcessSet::empty(),
+            retractions: 0,
         }
     }
 
@@ -56,6 +67,13 @@ impl HeartbeatProcess {
     #[must_use]
     pub fn suspects(&self) -> ProcessSet {
         self.suspects
+    }
+
+    /// How many times a suspicion was retracted (evidence that the
+    /// bound was unsound for the schedule).
+    #[must_use]
+    pub fn retractions(&self) -> u64 {
+        self.retractions
     }
 }
 
@@ -66,11 +84,17 @@ impl StepAutomaton for HeartbeatProcess {
 
     fn step(&mut self, ctx: StepContext<'_, ()>) -> Option<(ProcessId, ())> {
         for env in ctx.received {
-            self.last_heard[env.src.index()] = ctx.own_step;
+            let src = env.src.index();
+            self.last_heard[src] = ctx.own_step;
+            if self.suspects.remove(env.src) {
+                // False suspicion: adapt.
+                self.retractions += 1;
+                self.bound[src] = self.bound[src].saturating_mul(2);
+            }
         }
         for i in 0..self.n {
             let q = ProcessId::new(i);
-            if q != self.me && ctx.own_step.saturating_sub(self.last_heard[i]) > self.bound {
+            if q != self.me && ctx.own_step.saturating_sub(self.last_heard[i]) > self.bound[i] {
                 self.suspects.insert(q);
             }
         }
@@ -98,7 +122,56 @@ pub struct HeartbeatExperiment {
     /// The realized failure pattern.
     pub pattern: FailurePattern,
     /// Global clock horizon of the run.
-    pub horizon: ssp_model::Time,
+    pub horizon: Time,
+    /// Total suspicion retractions across observers — nonzero iff some
+    /// observer's bound was fooled.
+    pub retractions: u64,
+}
+
+/// Runs `n` heartbeat processes with initial silence bound `bound`
+/// under `model` and `adversary`, then rebuilds each observer's
+/// suspicion history on the global clock by replaying the heartbeat
+/// logic over the recorded deliveries.
+///
+/// # Panics
+///
+/// Panics if the executor rejects a schedule `adversary` chose.
+pub(crate) fn run_heartbeats(
+    model: ModelKind,
+    n: usize,
+    bound: u64,
+    adversary: &mut dyn Adversary<()>,
+    event_cap: u64,
+) -> HeartbeatExperiment {
+    let spawn = || (0..n).map(|i| HeartbeatProcess::new(ProcessId::new(i), n, bound));
+    let automata: Vec<BoxedAutomaton<(), ()>> = spawn().map(|p| Box::new(p) as _).collect();
+    let result = run(model, automata, adversary, event_cap)
+        .expect("heartbeat schedules are legal in their model");
+
+    let mut shadows: Vec<HeartbeatProcess> = spawn().collect();
+    let mut history = FdHistory::new(n);
+    let mut horizon = Time::ZERO;
+    for ev in result.trace.events() {
+        if let TraceEvent::Step(s) = ev {
+            let shadow = &mut shadows[s.process.index()];
+            let before = shadow.suspects();
+            let _ = shadow.step(StepContext {
+                received: &s.received,
+                suspects: ProcessSet::empty(),
+                own_step: s.own_step,
+            });
+            if shadow.suspects() != before {
+                history.set(s.process, s.time, shadow.suspects());
+            }
+            horizon = horizon.max(s.time);
+        }
+    }
+    HeartbeatExperiment {
+        history,
+        pattern: result.pattern,
+        horizon,
+        retractions: shadows.iter().map(HeartbeatProcess::retractions).sum(),
+    }
 }
 
 /// Runs `n` heartbeat processes under `SS(phi, delta)` for `events`
@@ -131,59 +204,25 @@ pub fn run_heartbeat_experiment_seeded(
     events: u64,
     seed: Option<u64>,
 ) -> HeartbeatExperiment {
-    let automata: Vec<BoxedAutomaton<(), ()>> = (0..n)
-        .map(|i| Box::new(HeartbeatProcess::new(ProcessId::new(i), n, phi, delta)) as _)
-        .collect();
-    let result = match seed {
+    let crashes = crash_after_steps
+        .iter()
+        .enumerate()
+        .filter_map(|(i, quota)| quota.map(|q| (ProcessId::new(i), q)));
+    let model = ModelKind::ss(phi, delta);
+    let bound = heartbeat_silence_bound(phi, delta, n);
+    match seed {
         None => {
-            let mut adv = FairAdversary::new(n, events);
-            for (i, quota) in crash_after_steps.iter().enumerate() {
-                if let Some(q) = quota {
-                    adv = adv.with_crash(ProcessId::new(i), *q);
-                }
-            }
-            run(ModelKind::ss(phi, delta), automata, &mut adv, events + 10)
+            let mut adv = crashes.fold(FairAdversary::new(n, events), |a, (p, q)| {
+                a.with_crash(p, q)
+            });
+            run_heartbeats(model, n, bound, &mut adv, events + 10)
         }
         Some(seed) => {
-            let mut adv = ssp_sim::RandomAdversary::new(n, events, seed);
-            for (i, quota) in crash_after_steps.iter().enumerate() {
-                if let Some(q) = quota {
-                    adv = adv.with_crash(ProcessId::new(i), *q);
-                }
-            }
-            run(ModelKind::ss(phi, delta), automata, &mut adv, events + 10)
-        }
-    }
-    .expect("schedulable choices only: legal in SS");
-
-    // Rebuild each observer's suspicion history on the global clock
-    // from the per-step snapshots implied by the trace: replay the
-    // heartbeat logic over the recorded deliveries.
-    let mut shadows: Vec<HeartbeatProcess> = (0..n)
-        .map(|i| HeartbeatProcess::new(ProcessId::new(i), n, phi, delta))
-        .collect();
-    let mut history = FdHistory::new(n);
-    let mut horizon = ssp_model::Time::ZERO;
-    for ev in result.trace.events() {
-        if let TraceEvent::Step(s) = ev {
-            let shadow = &mut shadows[s.process.index()];
-            let before = shadow.suspects();
-            let _ = shadow.step(StepContext {
-                received: &s.received,
-                suspects: ProcessSet::empty(),
-                own_step: s.own_step,
+            let mut adv = crashes.fold(RandomAdversary::new(n, events, seed), |a, (p, q)| {
+                a.with_crash(p, q)
             });
-            let after = shadow.suspects();
-            if after != before {
-                history.set(s.process, s.time, after);
-            }
-            horizon = horizon.max(s.time);
+            run_heartbeats(model, n, bound, &mut adv, events + 10)
         }
-    }
-    HeartbeatExperiment {
-        history,
-        pattern: result.pattern,
-        horizon,
     }
 }
 
@@ -195,6 +234,7 @@ mod tests {
     #[test]
     fn failure_free_run_never_suspects() {
         let exp = run_heartbeat_experiment(3, 1, 1, &[None, None, None], 600);
+        assert_eq!(exp.retractions, 0);
         let props = classify(&exp.pattern, &exp.history, exp.horizon);
         assert!(props.is_perfect());
         for i in 0..3 {
@@ -205,6 +245,7 @@ mod tests {
     #[test]
     fn crashed_process_is_eventually_suspected_by_all() {
         let exp = run_heartbeat_experiment(3, 1, 1, &[None, Some(5), None], 800);
+        assert_eq!(exp.retractions, 0);
         let props = classify(&exp.pattern, &exp.history, exp.horizon);
         assert!(props.strong_completeness, "crash must be detected: {props}");
         assert!(props.strong_accuracy, "no false suspicion: {props}");
@@ -214,6 +255,7 @@ mod tests {
     #[test]
     fn initially_dead_process_detected_too() {
         let exp = run_heartbeat_experiment(4, 2, 3, &[Some(0), None, None, None], 3_000);
+        assert_eq!(exp.retractions, 0);
         let props = classify(&exp.pattern, &exp.history, exp.horizon);
         assert!(props.is_perfect(), "{props}");
     }
@@ -231,6 +273,7 @@ mod tests {
         for seed in 0..12u64 {
             let crash = [None, Some(seed % 7), None];
             let exp = run_heartbeat_experiment_seeded(3, 2, 2, &crash, 2_500, Some(seed));
+            assert_eq!(exp.retractions, 0, "seed {seed}");
             let props = classify(&exp.pattern, &exp.history, exp.horizon);
             assert!(props.strong_accuracy, "seed {seed}: {props}");
             assert!(props.strong_completeness, "seed {seed}: {props}");

@@ -2,7 +2,8 @@
 //! claims rather than merely running its algorithms.
 //!
 //! * [`enumerate`] — bounded model checking: every configuration,
-//!   crash schedule and pending choice of a small `RS`/`RWS` space;
+//!   crash schedule and pending choice of a small `RS`/`RWS` space,
+//!   swept by [`explore_runs`] for either [`RoundModel`];
 //! * [`metrics`] — the latency-degree functionals `lat`, `Lat`, `Λ`
 //!   of §5.2, folded over enumerated spaces;
 //! * [`checker`] — whole-algorithm verification with counterexample
@@ -11,15 +12,18 @@
 //!   defeats every SDD candidate in `SP`;
 //! * [`lower_bound`] — the §5.3 / \[7\] demonstration that `Λ(A) ≥ 2`
 //!   for uniform consensus in `RWS` (`n ≥ 3`, `t = 1`);
-//! * [`fd_bridge`] — heartbeats + timeouts implement `P` inside `SS`,
-//!   certified by the Chandra–Toueg property checkers;
-//! * [`dls_bridge`] — adaptive timeouts implement `◇P` (not `P`) in
-//!   the partially synchronous model, the §1 side-claim;
+//! * [`fd_bridge`] — the one heartbeat detector ([`HeartbeatProcess`]):
+//!   with the sound `SS` bound it implements `P`, certified by the
+//!   Chandra–Toueg property checkers;
+//! * [`dls_bridge`] — the same detector from an optimistic bound
+//!   implements `◇P` (not `P`) in the partially synchronous model,
+//!   the §1 side-claim;
 //! * [`verifier`] — the unified [`Verifier`] builder: exhaustive or
 //!   sampled sweeps, symmetry reduction, work-stealing parallelism;
 //! * [`symmetry`] — the orbit machinery behind the reduction;
 //! * [`sample`] — statistical verification for spaces too large to
-//!   enumerate;
+//!   enumerate, and the schedule and pending samplers `ssp-commit`'s
+//!   workloads draw from;
 //! * [`step_explore`] — a step-level model checker over raw §2
 //!   adversaries;
 //! * [`time_free`] — §2.7's time-freeness as an executable property:
@@ -53,11 +57,8 @@ pub use conformance::{
     audit_instance, check_threaded_run, fuzz_runtime, shrink_plan, Divergence, FuzzReport,
     InstanceAudit, RunReport, RunVerdict,
 };
-pub use dls_bridge::{run_adaptive_experiment, AdaptiveHeartbeatProcess, DlsExperiment};
-pub use enumerate::{
-    crash_schedules, explore_rs, explore_rs_until, explore_rws, explore_rws_until, pending_choices,
-    EnumeratedRun,
-};
+pub use dls_bridge::run_adaptive_experiment;
+pub use enumerate::{crash_schedules, explore_runs, pending_choices, EnumeratedRun};
 pub use fd_bridge::{
     run_heartbeat_experiment, run_heartbeat_experiment_seeded, HeartbeatExperiment,
     HeartbeatProcess,
@@ -70,6 +71,7 @@ pub use lower_bound::{
 pub use metrics::{message_complexity_rs, worst_case_rs, LatencyAggregator};
 pub use report::Table;
 pub use sample::{SampleSpace, SampleVerification};
+pub use ssp_rounds::RoundModel;
 pub use step_explore::{explore_step_runs, StepSpace};
 pub use time_free::reorder_preserving_views;
-pub use verifier::{RoundModel, Symmetry, Verifier};
+pub use verifier::{Symmetry, Verifier};

@@ -22,10 +22,10 @@
 use core::fmt;
 
 use ssp_model::{Decision, ProcessId, Round, Value};
-use ssp_rounds::{RoundAlgorithm, RoundProcess};
+use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 
 use crate::checker::{Counterexample, ValidityMode};
-use crate::verifier::{RoundModel, Verifier};
+use crate::verifier::Verifier;
 
 /// When a [`Round1Candidate`] decides at round 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

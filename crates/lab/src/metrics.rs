@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use ssp_model::{CountingObserver, EventCounts, InitialConfig, Value};
+use ssp_rounds::RoundModel;
 
 use crate::enumerate::EnumeratedRun;
 
@@ -136,7 +137,7 @@ impl<V: Value> LatencyAggregator<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{explore_rs, explore_rws};
+    use crate::enumerate::explore_runs;
     use ssp_algos::{COptFloodSet, FOptFloodSet, FloodSet, A1};
     use ssp_model::InitialConfig;
 
@@ -146,7 +147,7 @@ mod tests {
         t: usize,
     ) -> LatencyAggregator<u64> {
         let mut agg = LatencyAggregator::new();
-        explore_rs(algo, n, t, &[0u64, 1], |run| agg.add(run));
+        explore_runs(algo, RoundModel::Rs, n, t, &[0u64, 1], |run| agg.add(run));
         agg
     }
 
@@ -201,7 +202,14 @@ mod tests {
     #[test]
     fn rws_aggregation_works_too() {
         let mut agg = LatencyAggregator::new();
-        explore_rws(&ssp_algos::FloodSetWs, 3, 1, &[0u64, 1], |run| agg.add(run));
+        explore_runs(
+            &ssp_algos::FloodSetWs,
+            RoundModel::Rws,
+            3,
+            1,
+            &[0u64, 1],
+            |run| agg.add(run),
+        );
         assert_eq!(agg.nontermination, 0);
         assert_eq!(agg.capital_lambda(), Some(2));
     }
@@ -225,7 +233,7 @@ where
     A: ssp_rounds::RoundAlgorithm<V>,
 {
     let mut worst: Option<(u32, ssp_rounds::CrashSchedule, InitialConfig<V>)> = None;
-    crate::enumerate::explore_rs(algo, n, t, domain, |run| {
+    crate::enumerate::explore_runs(algo, RoundModel::Rs, n, t, domain, |run| {
         if let Some(l) = run.outcome.latency_degree() {
             if worst.as_ref().is_none_or(|(best, _, _)| l > *best) {
                 worst = Some((l, run.schedule.clone(), run.config.clone()));

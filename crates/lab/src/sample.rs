@@ -12,7 +12,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ssp_model::{InitialConfig, ProcessId, ProcessSet, Round, Value};
-use ssp_rounds::{run_rs, run_rws, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash};
+use ssp_rounds::{
+    run_rs, run_rws, CrashSchedule, PendingChoice, RoundAlgorithm, RoundCrash, RoundModel,
+};
 
 use crate::checker::{Counterexample, ValidityMode};
 use crate::metrics::LatencyAggregator;
@@ -113,7 +115,7 @@ pub(crate) fn sample_verify<V, A>(
     trials: u64,
     seed: u64,
     mode: ValidityMode,
-    with_pending: bool,
+    model: RoundModel,
 ) -> SampleVerification<V>
 where
     V: Value,
@@ -122,28 +124,28 @@ where
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = algo.round_horizon(space.n, space.t);
     let mut latency = LatencyAggregator::new();
-    let empty = PendingChoice::none();
     for trial in 0..trials {
         let inputs: Vec<V> = (0..space.n)
             .map(|_| domain[rng.gen_range(0..domain.len())].clone())
             .collect();
         let config = InitialConfig::new(inputs);
         let schedule = sample_schedule(space, horizon + 1, &mut rng);
-        let pending = if with_pending {
-            sample_pending(space, &schedule, horizon, &mut rng)
-        } else {
-            PendingChoice::none()
-        };
-        let outcome = if with_pending {
-            run_rws(algo, &config, space.t, &schedule, &pending)
-                .expect("sampled pending choices are valid")
-        } else {
-            run_rs(algo, &config, space.t, &schedule)
+        let (pending, outcome) = match model {
+            RoundModel::Rs => (
+                PendingChoice::none(),
+                run_rs(algo, &config, space.t, &schedule),
+            ),
+            RoundModel::Rws => {
+                let pending = sample_pending(space, &schedule, horizon, &mut rng);
+                let outcome = run_rws(algo, &config, space.t, &schedule, &pending)
+                    .expect("sampled pending choices are valid");
+                (pending, outcome)
+            }
         };
         let run = crate::enumerate::EnumeratedRun {
             config: &config,
             schedule: &schedule,
-            pending: if with_pending { &pending } else { &empty },
+            pending: &pending,
             outcome,
         };
         latency.add(&run);
@@ -183,7 +185,7 @@ mod tests {
             2_000,
             7,
             ValidityMode::Strong,
-            true,
+            RoundModel::Rws,
         );
         assert_eq!(v.expect_ok(), 2_000);
         assert_eq!(v.latency.capital_lambda(), Some(3), "Λ = t+1 at n=5");
@@ -204,7 +206,7 @@ mod tests {
             20_000,
             11,
             ValidityMode::Uniform,
-            true,
+            RoundModel::Rws,
         );
         assert!(
             v.counterexample.is_some(),
@@ -222,7 +224,7 @@ mod tests {
             3_000,
             13,
             ValidityMode::Strong,
-            false,
+            RoundModel::Rs,
         );
         v.expect_ok();
         assert_eq!(v.latency.capital_lambda(), Some(2), "failure-free f+2");
@@ -238,7 +240,7 @@ mod tests {
             3_000,
             17,
             ValidityMode::Strong,
-            true,
+            RoundModel::Rws,
         );
         v.expect_ok();
         assert_eq!(v.latency.capital_lambda(), Some(3), "failure-free f+3");
@@ -254,7 +256,7 @@ mod tests {
             200,
             3,
             ValidityMode::Strong,
-            true,
+            RoundModel::Rws,
         );
         let b = sample_verify(
             &FloodSetWs,
@@ -263,7 +265,7 @@ mod tests {
             200,
             3,
             ValidityMode::Strong,
-            true,
+            RoundModel::Rws,
         );
         assert_eq!(a.trials, b.trials);
         assert_eq!(a.latency.runs, b.latency.runs);

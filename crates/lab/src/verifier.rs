@@ -51,7 +51,7 @@ use ssp_model::{
     EventCounts, InitialConfig, Value,
 };
 use ssp_rounds::{
-    run_rs, run_rs_observed, run_rws, run_rws_observed, PendingChoice, RoundAlgorithm,
+    run_rs, run_rs_observed, run_rws, run_rws_observed, PendingChoice, RoundAlgorithm, RoundModel,
     SymmetricAlgorithm, ValueSymmetric,
 };
 
@@ -60,15 +60,6 @@ use crate::enumerate::{crash_schedules, pending_choices};
 use crate::metrics::LatencyAggregator;
 use crate::sample::SampleSpace;
 use crate::symmetry::{identity_only, pending_orbit, schedule_orbit, stabilizer};
-
-/// Which round model to sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundModel {
-    /// Round synchrony (§4.1): crash schedules only.
-    Rs,
-    /// Weak round synchrony (§4.2): crash schedules × pending choices.
-    Rws,
-}
 
 /// How aggressively to quotient the run space by symmetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,20 +74,6 @@ pub enum Symmetry {
     /// process permutations fixing the configuration. Sound for
     /// [`SymmetricAlgorithm`](ssp_rounds::SymmetricAlgorithm)s.
     Full,
-}
-
-impl Symmetry {
-    /// The recommended setting for a fully symmetric algorithm:
-    /// [`Symmetry::Full`] for spaces small enough to canonicalize
-    /// (`n ≤ 8`), [`Symmetry::Off`] beyond.
-    #[must_use]
-    pub fn auto(n: usize) -> Self {
-        if n <= 8 {
-            Symmetry::Full
-        } else {
-            Symmetry::Off
-        }
-    }
 }
 
 /// One configuration class of the sweep: the canonical representative,
@@ -131,7 +108,6 @@ pub struct Verifier<'a, V, A> {
     collect_latency: bool,
     count_events: bool,
     sample: Option<SamplePlan>,
-    sample_space: Option<SampleSpace>,
 }
 
 impl<'a, V, A> Verifier<'a, V, A>
@@ -154,7 +130,6 @@ where
             collect_latency: false,
             count_events: false,
             sample: None,
-            sample_space: None,
         }
     }
 
@@ -253,20 +228,13 @@ where
     }
 
     /// Switches from exhaustive enumeration to checking `trials`
-    /// random runs (deterministic per `seed`), as the historical
+    /// random runs drawn from [`SampleSpace::adversarial`]
+    /// (deterministic per `seed`), as the historical
     /// `sample_verify_*` functions did. Symmetry settings are ignored;
     /// latency statistics are always collected.
     #[must_use]
     pub fn sample(mut self, trials: u64, seed: u64) -> Self {
         self.sample = Some(SamplePlan { trials, seed });
-        self
-    }
-
-    /// Overrides the sampling distribution (default
-    /// [`SampleSpace::adversarial`] for the configured `n`, `t`).
-    #[must_use]
-    pub fn sample_space(mut self, space: SampleSpace) -> Self {
-        self.sample_space = Some(space);
         self
     }
 
@@ -291,17 +259,14 @@ where
     }
 
     fn run_sampled(&self, domain: &[V], plan: SamplePlan) -> Verification<V> {
-        let space = self
-            .sample_space
-            .unwrap_or_else(|| SampleSpace::adversarial(self.n, self.t));
         let sampled = crate::sample::sample_verify(
             self.algo,
-            &space,
+            &SampleSpace::adversarial(self.n, self.t),
             domain,
             plan.trials,
             plan.seed,
             self.mode,
-            self.model == RoundModel::Rws,
+            self.model,
         );
         Verification {
             runs: sampled.trials,
@@ -779,11 +744,5 @@ mod tests {
         v.expect_ok();
         assert_eq!(v.runs, 500);
         assert!(v.latency.is_some());
-    }
-
-    #[test]
-    fn auto_symmetry_picks_full_for_small_n() {
-        assert_eq!(Symmetry::auto(4), Symmetry::Full);
-        assert_eq!(Symmetry::auto(9), Symmetry::Off);
     }
 }

@@ -26,6 +26,38 @@ use ssp_model::{
 use crate::algorithm::{RoundAlgorithm, RoundProcess};
 use crate::schedule::{validate_pending, CrashSchedule, PendingChoice, PendingError};
 
+/// Which round model a run, sweep or plan is in. Displays as `RS` /
+/// `RWS`; parses from `rs` / `rws`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoundModel {
+    /// Round synchrony (§4.1): crash schedules only — [`run_rs`].
+    Rs,
+    /// Weak round synchrony (§4.2): crash schedules × pending choices —
+    /// [`run_rws`].
+    Rws,
+}
+
+impl fmt::Display for RoundModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            RoundModel::Rs => "RS",
+            RoundModel::Rws => "RWS",
+        })
+    }
+}
+
+impl core::str::FromStr for RoundModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "rs" => Ok(RoundModel::Rs),
+            "rws" => Ok(RoundModel::Rws),
+            other => Err(format!("unknown model {other:?} (rs or rws)")),
+        }
+    }
+}
+
 /// Why a [`CrashSchedule`] cannot drive a run of a given algorithm —
 /// the typed form of the panics documented on [`run_rs`], returned by
 /// [`try_run_rs`].
@@ -411,6 +443,26 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    #[test]
+    fn round_model_parses_what_it_displays() {
+        for (model, arg, shown) in [
+            (RoundModel::Rs, "rs", "RS"),
+            (RoundModel::Rws, "rws", "RWS"),
+        ] {
+            assert_eq!(arg.parse::<RoundModel>(), Ok(model));
+            assert_eq!(model.to_string(), shown);
+            assert_eq!(shown.to_lowercase().parse::<RoundModel>(), Ok(model));
+        }
+        assert_eq!(
+            "ws".parse::<RoundModel>(),
+            Err("unknown model \"ws\" (rs or rws)".to_string())
+        );
+        assert!(
+            "RS".parse::<RoundModel>().is_err(),
+            "arguments are lower-case"
+        );
     }
 
     /// A 2-round echo algorithm for testing the executors: round 1

@@ -28,7 +28,9 @@ pub mod schedule;
 
 pub use algorithm::{RoundAlgorithm, RoundMsgs, RoundProcess, SymmetricAlgorithm, ValueSymmetric};
 pub use emulation::{cumulative_round_budget, round_of_step, EmuMsg, RsOnSs, RwsOnSp};
-pub use exec::{run_rs, run_rs_observed, run_rws, run_rws_observed, try_run_rs, ScheduleError};
+pub use exec::{
+    run_rs, run_rs_observed, run_rws, run_rws_observed, try_run_rs, RoundModel, ScheduleError,
+};
 pub use schedule::{
     from_record, to_record, validate_pending, CrashSchedule, PendingChoice, PendingError,
     RoundCrash,

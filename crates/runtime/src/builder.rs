@@ -17,26 +17,27 @@
 //! microseconds of wall time.
 
 use ssp_model::{InitialConfig, Value};
-use ssp_rounds::{RoundAlgorithm, RoundProcess};
+use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 
 use crate::clock::Backend;
 use crate::driver::{run_on_backend, ConfigError, RuntimeConfig, ThreadedOutcome};
 use crate::fd::DegradeMode;
 use crate::net::ChaosConfig;
-use crate::plan::{FaultPlan, PlanModel};
+use crate::plan::FaultPlan;
 
 /// Builder for threaded runtime executions — the single entry point
 /// that replaced the `run_threaded*` free functions.
 ///
 /// ```
-/// use ssp_runtime::{Backend, PlanModel, RuntimeBuilder};
+/// use ssp_rounds::RoundModel;
+/// use ssp_runtime::{Backend, RuntimeBuilder};
 /// use ssp_algos::A1;
 /// use ssp_model::InitialConfig;
 ///
 /// let config = InitialConfig::new(vec![4u64, 9, 2]);
 /// let outcome = RuntimeBuilder::new(&A1, &config)
 ///     .t(1)
-///     .model(PlanModel::Rs)
+///     .model(RoundModel::Rs)
 ///     .seed(42)
 ///     .backend(Backend::Virtual)
 ///     .run()
@@ -48,12 +49,11 @@ pub struct RuntimeBuilder<'a, V, A> {
     algo: &'a A,
     config: &'a InitialConfig<V>,
     t: usize,
-    model: PlanModel,
+    model: RoundModel,
     seed: u64,
     chaos: Option<ChaosConfig>,
     degrade: DegradeMode,
     backend: Backend,
-    early_close: bool,
     plan: Option<FaultPlan>,
     runtime: Option<RuntimeConfig>,
 }
@@ -71,7 +71,6 @@ impl<V, A> Clone for RuntimeBuilder<'_, V, A> {
             chaos: self.chaos,
             degrade: self.degrade,
             backend: self.backend,
-            early_close: self.early_close,
             plan: self.plan.clone(),
             runtime: self.runtime.clone(),
         }
@@ -86,20 +85,19 @@ where
     <A::Process as RoundProcess>::Msg: Send + 'static,
 {
     /// Starts a builder for `algo` over `config` with the defaults:
-    /// `t = 1`, [`PlanModel::Rs`], seed 0, no chaos,
-    /// [`DegradeMode::Off`], [`Backend::Virtual`], early close off.
+    /// `t = 1`, [`RoundModel::Rs`], seed 0, no chaos,
+    /// [`DegradeMode::Off`], [`Backend::Virtual`].
     #[must_use]
     pub fn new(algo: &'a A, config: &'a InitialConfig<V>) -> Self {
         RuntimeBuilder {
             algo,
             config,
             t: 1,
-            model: PlanModel::Rs,
+            model: RoundModel::Rs,
             seed: 0,
             chaos: None,
             degrade: DegradeMode::Off,
             backend: Backend::Virtual,
-            early_close: false,
             plan: None,
             runtime: None,
         }
@@ -114,7 +112,7 @@ where
 
     /// Sets the round model seeded plans are derived for.
     #[must_use]
-    pub fn model(mut self, model: PlanModel) -> Self {
+    pub fn model(mut self, model: RoundModel) -> Self {
         self.model = model;
         self
     }
@@ -148,14 +146,6 @@ where
         self
     }
 
-    /// Enables the early-close fast path on the plan and seed paths
-    /// (no-op for algorithms that do not retire after deciding).
-    #[must_use]
-    pub fn early_close(mut self, on: bool) -> Self {
-        self.early_close = on;
-        self
-    }
-
     /// Runs this exact fault plan instead of deriving one from the
     /// seed.
     #[must_use]
@@ -165,8 +155,9 @@ where
     }
 
     /// Runs this exact runtime configuration, verbatim — the highest-
-    /// precedence source; seed, model, chaos, degrade, and early-close
-    /// knobs are ignored.
+    /// precedence source; seed, model, chaos and degrade are ignored.
+    /// (Early close, off on the plan and seed paths, is set here with
+    /// [`RuntimeConfig::with_early_close`].)
     #[must_use]
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
         self.runtime = Some(runtime);
@@ -193,14 +184,8 @@ where
 
     /// The configured round model.
     #[must_use]
-    pub fn plan_model(&self) -> PlanModel {
+    pub fn plan_model(&self) -> RoundModel {
         self.model
-    }
-
-    /// The configured clock backend.
-    #[must_use]
-    pub fn backend_choice(&self) -> Backend {
-        self.backend
     }
 
     /// The fault plan this builder would execute: the explicit plan if
@@ -233,10 +218,7 @@ where
     pub fn run(self) -> Result<ThreadedOutcome<V, <A::Process as RoundProcess>::Msg>, ConfigError> {
         let runtime = match self.runtime {
             Some(rt) => rt,
-            None => self
-                .effective_plan()
-                .runtime_config()
-                .with_early_close(self.early_close),
+            None => self.effective_plan().runtime_config(),
         };
         run_on_backend(self.algo, self.config, self.t, runtime, self.backend)
     }
@@ -275,11 +257,11 @@ mod tests {
         let config = InitialConfig::new(vec![1u64, 2, 3]);
         let horizon = RoundAlgorithm::<u64>::round_horizon(&A1, 3, 1);
         let b = RuntimeBuilder::new(&A1, &config)
-            .model(PlanModel::Rws)
+            .model(RoundModel::Rws)
             .seed(98);
         assert_eq!(
             b.effective_plan().to_string(),
-            FaultPlan::from_seed(98, 3, 1, horizon, PlanModel::Rws).to_string()
+            FaultPlan::from_seed(98, 3, 1, horizon, RoundModel::Rws).to_string()
         );
     }
 

@@ -35,7 +35,7 @@ use ssp_model::{
     process::all_processes, ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, ProcessSet,
     Round, Value,
 };
-use ssp_rounds::{RoundAlgorithm, RoundProcess};
+use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 
 use crate::clock::{Backend, Clock, Tick};
 use crate::fd::{
@@ -596,8 +596,11 @@ where
     let clock = Clock::for_backend(backend);
     let horizon = algo.round_horizon(n, t);
     let retire = runtime.early_close && algo.retires_after_decision();
-    let rs = matches!(runtime.policy, SyncPolicy::Rs { .. });
-    let monitor = if rs {
+    let model = match runtime.policy {
+        SyncPolicy::Rs { .. } => RoundModel::Rs,
+        SyncPolicy::Rws => RoundModel::Rws,
+    };
+    let monitor = if model == RoundModel::Rs {
         SynchronyMonitor::armed(runtime.effective_delta(), runtime.watchdog.degrade)
     } else {
         SynchronyMonitor::disarmed()
@@ -718,13 +721,12 @@ where
         trace: RunTrace {
             n,
             horizon,
-            rs,
+            model,
             logs,
             crashes: crash_rounds,
             retired: retired_rounds,
             degraded_at: synchrony.degraded_at,
             aborted: synchrony.aborted,
-            net: net_stats,
         },
         synchrony,
         net: net_stats,

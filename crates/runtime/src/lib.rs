@@ -77,12 +77,16 @@ pub use net::{
     spawn_network, spawn_network_watched, splitmix, ChaosConfig, LinkScript, NetConfig,
     NetEnvelope, NetHandle, NetReceiver, NetSender, NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
-pub use plan::{FaultPlan, PlanModel, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
+pub use plan::{FaultPlan, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
 pub use seqset::SeqSet;
 pub use socket::{
     FrameReader, GatewayListener, GatewaySubmission, SocketConfig, SocketMsg, SocketNet,
     FLUSH_STALE_CUT, FLUSH_TIMEOUT,
 };
+/// The round model under its old runtime-local name, kept only because
+/// the benchmark package (`perfbench/`, frozen between benchmark
+/// changes) imports it; everything else names [`ssp_rounds::RoundModel`].
+pub use ssp_rounds::RoundModel as PlanModel;
 pub use trace::{RoundObs, RunTrace, RunTraceError};
 pub use transport::{
     backoff_delay, Frame, GatewayStats, TransportError, TransportStats, BACKOFF_BASE, BACKOFF_CAP,

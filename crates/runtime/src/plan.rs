@@ -34,7 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ssp_model::ProcessId;
-use ssp_rounds::{CrashSchedule, PendingChoice};
+use ssp_rounds::{CrashSchedule, PendingChoice, RoundModel};
 
 use crate::driver::{FdFlavor, RuntimeConfig, Stall, SyncPolicy, ThreadCrash, WatchdogConfig};
 use crate::fd::DegradeMode;
@@ -70,7 +70,7 @@ pub const CHAOS_NOTIFY_SCALE: u32 = 4;
 /// The fixed seed whose [`FaultPlan`] reproduces the §5.3 anomaly:
 /// `A1` violates uniform agreement in `RWS` at `n = 3, t = 1`.
 ///
-/// `FaultPlan::from_seed(SECTION_5_3_SEED, 3, 1, 2, PlanModel::Rws)`
+/// `FaultPlan::from_seed(SECTION_5_3_SEED, 3, 1, 2, RoundModel::Rws)`
 /// crashes `p1` in round 2 before any send, with both of its round-1
 /// broadcast links slowed into pending-ness — so `p1` decides its own
 /// value and dies while the survivors, never seeing it, fall back to
@@ -80,25 +80,6 @@ pub const SECTION_5_3_SEED: u64 = 519;
 /// Seed of [`FaultPlan::delta_violation`], the canonical Δ-violation
 /// scenario: an `RS` run whose network breaks its own delay bound.
 pub const DELTA_VIOLATION_SEED: u64 = 0xde17a;
-
-/// Which round model a plan targets (the runtime-local twin of the
-/// checker's model switch; `ssp-lab` bridges the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanModel {
-    /// Round synchrony: crashes only, no slow links, timeout detector.
-    Rs,
-    /// Weak round synchrony: crashes + slow links + scripted oracle.
-    Rws,
-}
-
-impl fmt::Display for PlanModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanModel::Rs => write!(f, "RS"),
-            PlanModel::Rws => write!(f, "RWS"),
-        }
-    }
-}
 
 /// A deterministic, seed-derived fault-injection script for one
 /// threaded run.
@@ -113,7 +94,7 @@ pub struct FaultPlan {
     /// Round horizon of the algorithm under test.
     pub horizon: u32,
     /// Target round model.
-    pub model: PlanModel,
+    pub model: RoundModel,
     /// Per-process crash script (`crashes[i]` for process `i`).
     pub crashes: Vec<Option<ThreadCrash>>,
     /// Slowed links as `(src, dst, round)` triples: the round-`round`
@@ -152,7 +133,7 @@ impl FaultPlan {
     ///
     /// Panics if `t ≥ n` or `n` is 0.
     #[must_use]
-    pub fn from_seed(seed: u64, n: usize, t: usize, horizon: u32, model: PlanModel) -> Self {
+    pub fn from_seed(seed: u64, n: usize, t: usize, horizon: u32, model: RoundModel) -> Self {
         assert!(n > 0 && t < n, "need 0 < n and t < n");
         let mut rng = StdRng::seed_from_u64(seed);
         let victim_count = rng.gen_range(0..=t);
@@ -179,7 +160,7 @@ impl FaultPlan {
 
         let mut slow = Vec::new();
         let mut notify = Vec::new();
-        if model == PlanModel::Rws {
+        if model == RoundModel::Rws {
             for &v in &victims {
                 let crash = crashes[v].expect("victim has a crash");
                 let lo = crash.round.saturating_sub(1).max(1);
@@ -248,7 +229,7 @@ impl FaultPlan {
         pending: &PendingChoice,
         t: usize,
         horizon: u32,
-        model: PlanModel,
+        model: RoundModel,
     ) -> Self {
         let n = schedule.n();
         assert!(n > 0 && t < n, "need 0 < n and t < n");
@@ -277,8 +258,8 @@ impl FaultPlan {
             .map(|&(r, src, dst)| (src, dst, r.get()))
             .collect();
         let notify = match model {
-            PlanModel::Rs => Vec::new(),
-            PlanModel::Rws => vec![vec![NOTIFY_BASE; n]; n],
+            RoundModel::Rs => Vec::new(),
+            RoundModel::Rws => vec![vec![NOTIFY_BASE; n]; n],
         };
         FaultPlan {
             seed: 0,
@@ -352,7 +333,7 @@ impl FaultPlan {
             n,
             t: 1,
             horizon: 2,
-            model: PlanModel::Rs,
+            model: RoundModel::Rs,
             crashes,
             slow: vec![
                 (ProcessId::new(0), ProcessId::new(1), 1),
@@ -370,7 +351,7 @@ impl FaultPlan {
     /// with `A1`'s horizon of 2 rounds, in `RWS`.
     #[must_use]
     pub fn section_5_3() -> Self {
-        FaultPlan::from_seed(SECTION_5_3_SEED, 3, 1, 2, PlanModel::Rws)
+        FaultPlan::from_seed(SECTION_5_3_SEED, 3, 1, 2, RoundModel::Rws)
     }
 
     /// The per-link delivery script realizing [`Self::slow`]: the
@@ -404,7 +385,7 @@ impl FaultPlan {
             1
         };
         match self.model {
-            PlanModel::Rs => RuntimeConfig {
+            RoundModel::Rs => RuntimeConfig {
                 net,
                 policy: SyncPolicy::Rs {
                     drain: Duration::from_millis(200),
@@ -419,7 +400,7 @@ impl FaultPlan {
                 notify_script: None,
                 early_close: false,
             },
-            PlanModel::Rws => RuntimeConfig {
+            RoundModel::Rws => RuntimeConfig {
                 net,
                 policy: SyncPolicy::Rws,
                 fd: FdFlavor::Oracle {
@@ -501,8 +482,8 @@ mod tests {
     #[test]
     fn same_seed_same_plan() {
         for seed in 0..32 {
-            let a = FaultPlan::from_seed(seed, 4, 2, 3, PlanModel::Rws);
-            let b = FaultPlan::from_seed(seed, 4, 2, 3, PlanModel::Rws);
+            let a = FaultPlan::from_seed(seed, 4, 2, 3, RoundModel::Rws);
+            let b = FaultPlan::from_seed(seed, 4, 2, 3, RoundModel::Rws);
             assert_eq!(a, b);
         }
     }
@@ -510,7 +491,7 @@ mod tests {
     #[test]
     fn plans_respect_bounds() {
         for seed in 0..64 {
-            for model in [PlanModel::Rs, PlanModel::Rws] {
+            for model in [RoundModel::Rs, RoundModel::Rws] {
                 let plan = FaultPlan::from_seed(seed, 4, 2, 3, model);
                 assert!(plan.fault_count() <= 2);
                 for c in plan.crashes.iter().flatten() {
@@ -523,7 +504,7 @@ mod tests {
                     assert!(r + 1 >= c.round && r <= c.round, "Lemma 4.1 window");
                     assert!(r >= 1 && r <= plan.horizon);
                 }
-                if model == PlanModel::Rs {
+                if model == RoundModel::Rs {
                     assert!(plan.slow.is_empty(), "RS forbids pending messages");
                     assert!(plan.notify.is_empty());
                 }
@@ -593,7 +574,7 @@ mod tests {
         let mut pending = PendingChoice::none();
         pending.withhold(Round::FIRST, ProcessId::new(0), ProcessId::new(1));
         pending.withhold(Round::FIRST, ProcessId::new(0), ProcessId::new(2));
-        let plan = FaultPlan::from_adversary(&schedule, &pending, 1, 2, PlanModel::Rws);
+        let plan = FaultPlan::from_adversary(&schedule, &pending, 1, 2, RoundModel::Rws);
         assert_eq!(
             plan.crashes[0],
             Some(ThreadCrash::sending_to(2, ProcessSet::empty()))
@@ -624,7 +605,7 @@ mod tests {
                 sends_to: ProcessSet::full(3),
             },
         );
-        let plan = FaultPlan::from_adversary(&late, &PendingChoice::none(), 1, 2, PlanModel::Rs);
+        let plan = FaultPlan::from_adversary(&late, &PendingChoice::none(), 1, 2, RoundModel::Rs);
         assert_eq!(plan.crashes[2], Some(ThreadCrash::prefix(3, 0)));
         assert!(plan.slow.is_empty(), "RS forbids pending messages");
         assert!(plan.notify.is_empty());
@@ -657,7 +638,7 @@ mod tests {
     #[test]
     fn delta_violation_plan_violates_its_own_bound() {
         let plan = FaultPlan::delta_violation();
-        assert_eq!(plan.model, PlanModel::Rs);
+        assert_eq!(plan.model, RoundModel::Rs);
         let config = plan.runtime_config();
         config.validate(plan.n).unwrap();
         // The scripted slow links exceed the watchdog's auto Δ — that
@@ -675,7 +656,7 @@ mod tests {
             duration: Duration::from_millis(150),
         };
         let plan =
-            FaultPlan::from_seed(0, 3, 1, 2, PlanModel::Rs).with_stall(ProcessId::new(1), stall);
+            FaultPlan::from_seed(0, 3, 1, 2, RoundModel::Rs).with_stall(ProcessId::new(1), stall);
         let config = plan.runtime_config();
         assert_eq!(config.stalls[1], Some(stall));
         assert!(plan.to_string().contains("stall(p2@r1+150ms)"), "{plan}");

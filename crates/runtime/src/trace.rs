@@ -32,10 +32,11 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use crate::net::NetStats;
 use ssp_model::events::{DeliveryMatrix, StepStamp};
 use ssp_model::{ProcessId, ProcessSet, Round, RunEvent, RunLog, StepIndex, Time};
-use ssp_rounds::{validate_pending, CrashSchedule, PendingChoice, PendingError, RoundCrash};
+use ssp_rounds::{
+    validate_pending, CrashSchedule, PendingChoice, PendingError, RoundCrash, RoundModel,
+};
 
 /// One process's observation of one round.
 ///
@@ -181,8 +182,9 @@ pub struct RunTrace<M> {
     pub n: usize,
     /// The algorithm's round horizon.
     pub horizon: u32,
-    /// Whether the run executed under [`crate::SyncPolicy::Rs`].
-    pub rs: bool,
+    /// The model the run executed under: [`RoundModel::Rs`] for
+    /// [`crate::SyncPolicy::Rs`], [`RoundModel::Rws`] otherwise.
+    pub model: RoundModel,
     /// `logs[p]` — process `p`'s per-round observations, round order.
     pub logs: Vec<Vec<RoundObs<M>>>,
     /// Crash rounds, clamped to `horizon + 1` (the round-model limit
@@ -198,14 +200,11 @@ pub struct RunTrace<M> {
     pub retired: Vec<Option<Round>>,
     /// The round in which the synchrony watchdog downgraded the run to
     /// `RWS` semantics, if it did. A degraded run validates under the
-    /// `RWS` discipline regardless of [`Self::rs`].
+    /// `RWS` discipline regardless of [`Self::model`].
     pub degraded_at: Option<Round>,
     /// Whether the watchdog aborted the run (logs deliberately cut
     /// short; nothing to certify).
     pub aborted: bool,
-    /// Transport counters of the run (chaos drops/dups, retransmits,
-    /// late and stranded wires).
-    pub net: NetStats,
 }
 
 impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
@@ -372,7 +371,7 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
     /// and never degraded.
     #[must_use]
     pub fn effective_rs(&self) -> bool {
-        self.rs && self.degraded_at.is_none()
+        self.model == RoundModel::Rs && self.degraded_at.is_none()
     }
 
     /// # Errors
@@ -693,7 +692,7 @@ impl<M: Clone + fmt::Debug + PartialEq> fmt::Display for RunTrace<M> {
             "run trace (n={} horizon={} model={}{}{}{})",
             self.n,
             self.horizon,
-            if self.rs { "RS" } else { "RWS" },
+            self.model,
             match self.degraded_at {
                 Some(r) => format!(" degraded@{r}"),
                 None => String::new(),
@@ -740,7 +739,7 @@ mod tests {
         RunTrace {
             n: 2,
             horizon: 1,
-            rs: true,
+            model: RoundModel::Rs,
             logs: vec![
                 vec![obs(
                     vec![Some(Some(7)), Some(Some(7))],
@@ -755,7 +754,6 @@ mod tests {
             retired: vec![None, None],
             degraded_at: None,
             aborted: false,
-            net: NetStats::default(),
         }
     }
 
@@ -765,7 +763,7 @@ mod tests {
         RunTrace {
             n: 2,
             horizon: 1,
-            rs: false,
+            model: RoundModel::Rws,
             logs: vec![
                 vec![obs(
                     vec![Some(Some(7)), Some(Some(7))],
@@ -780,7 +778,6 @@ mod tests {
             retired: vec![None, None],
             degraded_at: None,
             aborted: false,
-            net: NetStats::default(),
         }
     }
 
@@ -828,7 +825,7 @@ mod tests {
     #[test]
     fn rs_rejects_pending() {
         let mut t = pending_trace();
-        t.rs = true;
+        t.model = RoundModel::Rs;
         assert!(matches!(
             t.validate(),
             Err(RunTraceError::PendingInRs { .. })
@@ -840,7 +837,7 @@ mod tests {
         // The same pending message that damns an RS trace is fine once
         // the watchdog downgraded the run (and Lemma 4.1 holds).
         let mut t = pending_trace();
-        t.rs = true;
+        t.model = RoundModel::Rs;
         t.degraded_at = Some(Round::FIRST);
         assert!(!t.effective_rs());
         t.validate().unwrap();

@@ -14,9 +14,9 @@ use ssp::fd::classify;
 use ssp::lab::impossibility::candidates::{PatientWait, WaitOrSuspect};
 use ssp::lab::report::Table;
 use ssp::lab::{
-    all_round1_candidates, explore_rs, explore_rws, refute, refute_round1_candidate,
-    run_adaptive_experiment, run_heartbeat_experiment, LatencyAggregator, RoundModel,
-    SddRefutation, Symmetry, ValidityMode, Verification, Verifier,
+    all_round1_candidates, explore_runs, refute, refute_round1_candidate, run_adaptive_experiment,
+    run_heartbeat_experiment, LatencyAggregator, RoundModel, SddRefutation, Symmetry, ValidityMode,
+    Verification, Verifier,
 };
 use ssp::model::ProcessId;
 use ssp::rounds::{cumulative_round_budget, RoundAlgorithm};
@@ -147,7 +147,7 @@ fn main() {
     macro_rules! lat_row {
         ($algo:expr, rs) => {{
             let mut agg = LatencyAggregator::new();
-            explore_rs(&$algo, 3, 1, &[0u64, 1], |run| agg.add(run));
+            explore_runs(&$algo, RoundModel::Rs, 3, 1, &[0u64, 1], |run| agg.add(run));
             table.row(vec![
                 RoundAlgorithm::<u64>::name(&$algo).into(),
                 "RS".into(),
@@ -158,7 +158,9 @@ fn main() {
         }};
         ($algo:expr, rws) => {{
             let mut agg = LatencyAggregator::new();
-            explore_rws(&$algo, 3, 1, &[0u64, 1], |run| agg.add(run));
+            explore_runs(&$algo, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+                agg.add(run)
+            });
             table.row(vec![
                 RoundAlgorithm::<u64>::name(&$algo).into(),
                 "RWS".into(),

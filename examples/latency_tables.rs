@@ -11,7 +11,7 @@ use ssp::algos::{
     FloodSetWs, A1,
 };
 use ssp::lab::report::Table;
-use ssp::lab::{explore_rs, explore_rws, LatencyAggregator};
+use ssp::lab::{explore_runs, LatencyAggregator, RoundModel};
 use ssp::rounds::RoundAlgorithm;
 
 fn fmt(v: Option<u32>) -> String {
@@ -20,13 +20,13 @@ fn fmt(v: Option<u32>) -> String {
 
 fn measure_rs<A: RoundAlgorithm<u64>>(algo: &A, n: usize, t: usize) -> Vec<String> {
     let mut agg = LatencyAggregator::new();
-    explore_rs(algo, n, t, &[0u64, 1], |run| agg.add(run));
+    explore_runs(algo, RoundModel::Rs, n, t, &[0u64, 1], |run| agg.add(run));
     row(algo.name(), "RS", n, t, &agg)
 }
 
 fn measure_rws<A: RoundAlgorithm<u64>>(algo: &A, n: usize, t: usize) -> Vec<String> {
     let mut agg = LatencyAggregator::new();
-    explore_rws(algo, n, t, &[0u64, 1], |run| agg.add(run));
+    explore_runs(algo, RoundModel::Rws, n, t, &[0u64, 1], |run| agg.add(run));
     row(algo.name(), "RWS", n, t, &agg)
 }
 

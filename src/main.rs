@@ -40,13 +40,13 @@ use ssp::lab::impossibility::candidates::{PatientWait, WaitOrSuspect};
 use ssp::lab::report::Table;
 use ssp::lab::{
     check_threaded_run, fuzz_runtime, refute, run_heartbeat_experiment, LatencyAggregator,
-    RoundModel, RunVerdict, SampleSpace, Symmetry, ValidityMode, Verification, Verifier,
+    RoundModel, RunVerdict, Symmetry, ValidityMode, Verification, Verifier,
 };
 use ssp::model::{InitialConfig, RunLog};
 use ssp::rounds::{cumulative_round_budget, RoundAlgorithm};
 use ssp::runtime::{
-    Backend, ChaosConfig, ChaosProxyConfig, ConfigError, DegradeMode, FaultPlan, PlanModel,
-    RuntimeBuilder, ThreadCrash, SECTION_5_3_SEED,
+    Backend, ChaosConfig, ChaosProxyConfig, ConfigError, DegradeMode, FaultPlan, RuntimeBuilder,
+    ThreadCrash, SECTION_5_3_SEED,
 };
 
 /// Flags that take no value: their presence means `true`.
@@ -247,8 +247,11 @@ fn cmd_latency(flags: &Flags) -> Result<(), String> {
     // Symmetric algorithms sweep only canonical orbit representatives;
     // the orbit-weighted aggregator makes the table exact regardless.
     macro_rules! row {
-        ($algo:expr, $model:expr, $verifier:expr) => {{
-            let v: Verification<u64> = $verifier.collect_latency().run();
+        ($algo:expr, $model:expr, $reduce:ident $(, $arg:expr)?) => {{
+            let v: Verification<u64> = base_verifier(&$algo, $model, n, t, 1)
+                .$reduce($($arg)?)
+                .collect_latency()
+                .run();
             let agg = v.latency.expect("collect_latency was requested");
             table.row(vec![
                 RoundAlgorithm::<u64>::name(&$algo).to_string(),
@@ -260,40 +263,23 @@ fn cmd_latency(flags: &Flags) -> Result<(), String> {
             ]);
         }};
     }
-    macro_rules! rs_row {
-        ($algo:expr) => {
-            row!(
-                $algo,
-                "RS",
-                base_verifier(&$algo, RoundModel::Rs, n, t, 1).symmetry(Symmetry::Full)
-            )
+    macro_rules! sym_row {
+        ($algo:expr, $model:expr) => {
+            row!($algo, $model, symmetry, Symmetry::Full)
         };
     }
-    macro_rules! rws_row {
-        ($algo:expr) => {
-            row!(
-                $algo,
-                "RWS",
-                base_verifier(&$algo, RoundModel::Rws, n, t, 1).symmetry(Symmetry::Full)
-            )
-        };
-    }
-    rs_row!(FloodSet);
-    rws_row!(FloodSetWs);
-    rs_row!(COptFloodSet);
-    rws_row!(COptFloodSetWs);
-    rs_row!(FOptFloodSet);
-    rws_row!(FOptFloodSetWs);
+    sym_row!(FloodSet, RoundModel::Rs);
+    sym_row!(FloodSetWs, RoundModel::Rws);
+    sym_row!(COptFloodSet, RoundModel::Rs);
+    sym_row!(COptFloodSetWs, RoundModel::Rws);
+    sym_row!(FOptFloodSet, RoundModel::Rs);
+    sym_row!(FOptFloodSetWs, RoundModel::Rws);
     if t == 1 {
         // A1 is value- but not process-symmetric: values-only reduction.
-        row!(
-            A1,
-            "RS",
-            base_verifier(&A1, RoundModel::Rs, n, t, 1).symmetry_values()
-        );
+        row!(A1, RoundModel::Rs, symmetry_values);
     }
-    rs_row!(EarlyDeciding);
-    rws_row!(EarlyDecidingWs);
+    sym_row!(EarlyDeciding, RoundModel::Rs);
+    sym_row!(EarlyDecidingWs, RoundModel::Rws);
     println!("{table}");
     Ok(())
 }
@@ -334,11 +320,7 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
         "usage: ssp verify <algo> <rs|rws> [-n N] [-t T] [--threads K] [--sym off|values|full]";
     let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
     let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
-    let model = match model_name {
-        "rs" => RoundModel::Rs,
-        "rws" => RoundModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
+    let model: RoundModel = model_name.parse()?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
     check_a1_bounds(algo_name, n, t)?;
@@ -389,41 +371,28 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_sample(flags: &Flags) -> Result<(), String> {
-    let algo_name = flags
-        .positional
-        .get(1)
-        .ok_or("usage: ssp sample <algo> <rs|rws> [-n N] [-t T] [--trials K] [--seed S]")?
-        .as_str();
-    let model = flags
-        .positional
-        .get(2)
-        .ok_or("usage: ssp sample <algo> <rs|rws> [-n N] [-t T] [--trials K] [--seed S]")?
-        .as_str();
+    const USAGE: &str = "usage: ssp sample <algo> <rs|rws> [-n N] [-t T] [--trials K] [--seed S]";
+    let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
+    let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
     let n = flags.usize_or("n", 5)?;
     let t = flags.usize_or("t", 2)?;
     check_a1_bounds(algo_name, n, t)?;
     let trials = flags.u64_or("trials", 5_000)?;
     let seed = flags.u64_or("seed", 42)?;
-    let model_enum = match model {
-        "rs" => RoundModel::Rs,
-        "rws" => RoundModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
-    let space = SampleSpace::adversarial(n, t);
+    let model: RoundModel = model_name.parse()?;
     let v: Verification<u64> = with_algo!(algo_name, algo => {
         Verifier::new(&algo)
             .n(n)
             .t(t)
             .domain(&[0u64, 1, 2])
             .mode(ValidityMode::Strong)
-            .model(model_enum)
+            .model(model)
             .sample(trials, seed)
-            .sample_space(space)
             .run()
     })?;
     match &v.counterexample {
         None => println!(
-            "{algo_name} in {model}: OK over {} sampled runs (n={n}, t={t}, seed {seed}); Λ over samples = {}",
+            "{algo_name} in {model_name}: OK over {} sampled runs (n={n}, t={t}, seed {seed}); Λ over samples = {}",
             v.runs,
             v.latency
                 .as_ref()
@@ -431,7 +400,7 @@ fn cmd_sample(flags: &Flags) -> Result<(), String> {
                 .map_or_else(|| "-".to_string(), |x| x.to_string())
         ),
         Some(cex) => println!(
-            "{algo_name} in {model}: VIOLATION at sampled run #{}\n\n{cex}",
+            "{algo_name} in {model_name}: VIOLATION at sampled run #{}\n\n{cex}",
             v.runs
         ),
     }
@@ -537,6 +506,11 @@ fn parse_backend(flags: &Flags) -> Result<Backend, String> {
     }
 }
 
+/// The optional `<rs|rws>` positional argument, `default` when absent.
+fn model_arg(flags: &Flags, default: RoundModel) -> Result<RoundModel, String> {
+    flags.positional.get(2).map_or(Ok(default), |m| m.parse())
+}
+
 /// Parses `--degrade=rws|abort|off` (default off).
 fn parse_degrade(flags: &Flags) -> Result<DegradeMode, String> {
     match flags.get("degrade").unwrap_or("off") {
@@ -616,12 +590,7 @@ fn cmd_runtime_fuzz(flags: &Flags) -> Result<(), String> {
         return cmd_delta_violation(degrade, backend);
     }
     let algo_name = flags.positional.get(1).map_or("a1", String::as_str);
-    let model_name = flags.positional.get(2).map_or("rws", String::as_str);
-    let model = match model_name {
-        "rs" => PlanModel::Rs,
-        "rws" => PlanModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
+    let model = model_arg(flags, RoundModel::Rws)?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
     if n == 0 || t >= n {
@@ -686,7 +655,7 @@ fn cmd_runtime_fuzz(flags: &Flags) -> Result<(), String> {
             report.checker_agrees
         );
     }
-    if model == PlanModel::Rws && algo_name == "a1" && !seeds.contains(&SECTION_5_3_SEED) {
+    if model == RoundModel::Rws && algo_name == "a1" && !seeds.contains(&SECTION_5_3_SEED) {
         println!("  hint: seed {SECTION_5_3_SEED} scripts the §5.3 two-pending-broadcast anomaly");
     }
     if report.divergences.is_empty() {
@@ -719,11 +688,7 @@ fn cmd_trace_dump(flags: &Flags) -> Result<(), String> {
     }
     let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
     let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
-    let model = match model_name {
-        "rs" => PlanModel::Rs,
-        "rws" => PlanModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
+    let model: RoundModel = model_name.parse()?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
     if n == 0 || t >= n {
@@ -791,11 +756,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         return cmd_serve_node(flags);
     }
     let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
-    let model = match flags.positional.get(2).map_or("rs", String::as_str) {
-        "rs" => PlanModel::Rs,
-        "rws" => PlanModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
+    let model = model_arg(flags, RoundModel::Rs)?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
     if n == 0 || t >= n {
@@ -1208,11 +1169,7 @@ fn cmd_load(flags: &Flags) -> Result<(), String> {
 /// round histograms are byte-identical per seed.
 fn cmd_load_inproc(flags: &Flags) -> Result<(), String> {
     let algo_name = flags.positional.get(1).map_or("a1", String::as_str);
-    let model = match flags.positional.get(2).map_or("rs", String::as_str) {
-        "rs" => PlanModel::Rs,
-        "rws" => PlanModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)")),
-    };
+    let model = model_arg(flags, RoundModel::Rs)?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
     if n == 0 || t >= n {
@@ -1267,15 +1224,11 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
         "flood-ws" => "floodset-ws",
         other => other,
     };
-    let model = match flags
+    let model = flags
         .get("model")
         .or_else(|| flags.positional.get(2).map(String::as_str))
-        .unwrap_or("rws")
-    {
-        "rs" => PlanModel::Rs,
-        "rws" => PlanModel::Rws,
-        other => return Err(format!("unknown model {other:?} (rs or rws)\n{USAGE}")),
-    };
+        .map_or(Ok(RoundModel::Rws), str::parse)
+        .map_err(|e| format!("{e}\n{USAGE}"))?;
     let t = flags.usize_or("t", 1)?;
     let backend = parse_backend(flags)?;
     let limit = match flags.get("limit") {
@@ -1308,14 +1261,21 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
         }
     };
     check_a1_bounds(algo_name, config.n(), t)?;
-    // Bounds (2 ≤ n ≤ 5, t ≤ 2, t < n) and the real-clock refusal are
-    // the explorer's own typed errors — surfaced, not re-derived here.
+    // Enumeration needs a deterministic clock: wall-clock jitter would
+    // make class counts meaningless.
+    if backend == Backend::Real {
+        return Err(
+            "exploration needs a deterministic clock: use the virtual backend, not real"
+                .to_string(),
+        );
+    }
+    // Bounds (2 ≤ n ≤ 5, t ≤ 2, t < n) are the explorer's own typed
+    // error — surfaced, not re-derived here.
     let report = match flags.get("sym").unwrap_or("off") {
         "off" => with_algo!(algo_name, algo => {
             Explorer::new(&algo, &config)
                 .t(t)
                 .model(model)
-                .backend(backend)
                 .limit(limit)
                 .run()
         })?,
@@ -1323,7 +1283,6 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
             Explorer::new(&algo, &config)
                 .t(t)
                 .model(model)
-                .backend(backend)
                 .limit(limit)
                 .run_quotient()
         })?,
@@ -1535,6 +1494,26 @@ mod tests {
     }
 
     #[test]
+    fn unknown_model_names_its_choices_everywhere() {
+        let expected = "unknown model \"ws\" (rs or rws)";
+        for cmd in [
+            "verify floodset ws",
+            "sample floodset ws",
+            "runtime-fuzz floodset ws",
+            "trace-dump floodset ws",
+            "serve floodset ws",
+            "load --inproc floodset ws",
+        ] {
+            assert_eq!(dispatch(&argv(cmd)).unwrap_err(), expected, "{cmd}");
+        }
+        let err = dispatch(&argv("explore floodset ws")).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{expected}\nusage: ssp explore")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn verify_a1_with_full_symmetry_is_rejected() {
         // a1 is value- but not process-symmetric; the CLI mirrors the
         // compile-time gate.
@@ -1733,8 +1712,8 @@ mod tests {
         // Unknown backend names fail at flag parsing…
         let err = dispatch(&argv("explore floodset rs --backend hourglass")).unwrap_err();
         assert!(err.contains("expected virtual|real"), "{err}");
-        // …while the real clock parses fine and is refused by the
-        // explorer itself, with the reason.
+        // …while the real clock parses fine and is refused, with the
+        // reason.
         let err = dispatch(&argv("explore floodset rs --backend real")).unwrap_err();
         assert!(err.contains("deterministic clock"), "{err}");
         // Out-of-range instances are the explorer's typed bounds error.

@@ -18,10 +18,11 @@ use proptest::prelude::*;
 
 use ssp::algos::{FloodSet, FloodSetWs, A1};
 use ssp::model::{check_uniform_consensus, InitialConfig};
-use ssp::runtime::{Backend, DegradeMode, FaultPlan, PlanModel, RuntimeBuilder, SECTION_5_3_SEED};
+use ssp::runtime::{Backend, DegradeMode, FaultPlan, RuntimeBuilder, SECTION_5_3_SEED};
 
 mod common;
 use common::{section_5_3_config, CHAOS};
+use ssp::rounds::RoundModel;
 
 /// Runs the §5.3 configuration for `algo` under `builder` tweaks on
 /// one backend and returns the canonical run log as JSONL.
@@ -43,7 +44,7 @@ fn rs_seed_sweep_logs_agree_across_backends() {
     let config = InitialConfig::new(vec![7u64, 3, 5]);
     for seed in 0..6 {
         let b = RuntimeBuilder::new(&FloodSet, &config)
-            .model(PlanModel::Rs)
+            .model(RoundModel::Rs)
             .seed(seed);
         assert_eq!(
             log_on!(b, Backend::Virtual),
@@ -58,7 +59,7 @@ fn rws_seed_sweep_logs_agree_across_backends() {
     let config = InitialConfig::new(vec![7u64, 3, 5]);
     for seed in 0..6 {
         let b = RuntimeBuilder::new(&FloodSetWs, &config)
-            .model(PlanModel::Rws)
+            .model(RoundModel::Rws)
             .seed(seed);
         assert_eq!(
             log_on!(b, Backend::Virtual),
@@ -73,7 +74,7 @@ fn chaos_sweep_logs_agree_across_backends() {
     let config = InitialConfig::new(vec![4u64, 6, 2]);
     for seed in 0..3 {
         let b = RuntimeBuilder::new(&FloodSet, &config)
-            .model(PlanModel::Rs)
+            .model(RoundModel::Rs)
             .chaos(Some(CHAOS))
             .seed(seed);
         assert_eq!(
@@ -88,7 +89,7 @@ fn chaos_sweep_logs_agree_across_backends() {
 fn section_5_3_seed_agrees_across_backends_and_keeps_the_anomaly() {
     let config = section_5_3_config();
     let b = RuntimeBuilder::new(&A1, &config)
-        .model(PlanModel::Rws)
+        .model(RoundModel::Rws)
         .seed(SECTION_5_3_SEED);
     let virt = b.clone().backend(Backend::Virtual).run().unwrap();
     let real = b.clone().backend(Backend::Real).run().unwrap();
@@ -142,7 +143,7 @@ proptest! {
         rws in (0u8..2).prop_map(|b| b == 1),
     ) {
         let config = section_5_3_config();
-        let model = if rws { PlanModel::Rws } else { PlanModel::Rs };
+        let model = if rws { RoundModel::Rws } else { RoundModel::Rs };
         let jsonl = || {
             if rws {
                 let b = RuntimeBuilder::new(&FloodSetWs, &config).model(model).seed(seed);

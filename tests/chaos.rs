@@ -18,17 +18,18 @@ use std::time::Duration;
 use ssp::algos::{FloodSet, FloodSetWs, A1};
 use ssp::lab::{check_threaded_run, fuzz_runtime, RunVerdict, ValidityMode};
 use ssp::model::{InitialConfig, ProcessId, Round};
-use ssp::runtime::{DegradeMode, FaultPlan, PlanModel, RuntimeBuilder, Stall, SynchronyEvent};
+use ssp::runtime::{DegradeMode, FaultPlan, RuntimeBuilder, Stall, SynchronyEvent};
 
 mod common;
 use common::{section_5_3_config, CHAOS};
+use ssp::rounds::RoundModel;
 
 #[test]
 fn chaos_sweeps_conform_in_both_models() {
     let config = InitialConfig::new(vec![4u64, 6, 2]);
     let rs = fuzz_runtime(
         &RuntimeBuilder::new(&FloodSet, &config)
-            .model(PlanModel::Rs)
+            .model(RoundModel::Rs)
             .chaos(Some(CHAOS))
             .degrade(DegradeMode::Off),
         0..16,
@@ -45,7 +46,7 @@ fn chaos_sweeps_conform_in_both_models() {
 
     let rws = fuzz_runtime(
         &RuntimeBuilder::new(&FloodSetWs, &config)
-            .model(PlanModel::Rws)
+            .model(RoundModel::Rws)
             .chaos(Some(CHAOS)),
         0..16,
         ValidityMode::Uniform,
@@ -190,7 +191,7 @@ fn stalled_process_is_a_detector_mistake_not_a_crash() {
     // so the run completes correctly — but the watchdog must record
     // that the "perfect" detector suspected a live process.
     let config = InitialConfig::new(vec![4u64, 6, 2]);
-    let plan = FaultPlan::from_seed(0, 3, 1, 2, PlanModel::Rs).with_stall(
+    let plan = FaultPlan::from_seed(0, 3, 1, 2, RoundModel::Rs).with_stall(
         ProcessId::new(1),
         Stall {
             round: 1,

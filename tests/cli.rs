@@ -647,3 +647,36 @@ fn load_inproc_reports_the_client_observed_round_gap() {
     let rws_out = sharded("ct", "rws");
     assert!(rws_out.contains("\"p50_rounds\":2"), "{rws_out}");
 }
+
+/// Exhaustive exploration through the CLI: FloodSet at n=3, t=1 in
+/// both models visits every class once with no runtime divergence, the
+/// explorer rediscovers the §5.3 violation of `A1` with its
+/// two-withhold witness from first principles, and the same
+/// exploration twice is byte-identical.
+#[test]
+fn explore_sweeps_both_models_rediscovers_section_5_3_and_reruns_identically() {
+    let flood = |model| {
+        [
+            "explore", "--algo", "flood", "--model", model, "--n", "3", "--t", "1",
+        ]
+    };
+    let mut rws_out = String::new();
+    for model in ["rs", "rws"] {
+        let (ok, stdout, stderr) = ssp(&flood(model));
+        assert!(ok, "{model}: {stderr}");
+        assert!(stdout.contains("0 duplicates"), "{model}: {stdout}");
+        assert!(stdout.contains("0 divergences"), "{model}: {stdout}");
+        rws_out = stdout;
+    }
+    assert_eq!(ssp(&flood("rws")).1, rws_out, "rerun diverged");
+
+    let a1 = ["explore", "a1", "rws", "--inputs", "10,11,12"];
+    let (ok, stdout, stderr) = ssp(&a1);
+    assert!(ok, "a violation is a finding, not a CLI failure: {stderr}");
+    assert!(stdout.contains("uniform agreement violated"), "{stdout}");
+    assert!(
+        stdout.contains("withhold(p1→p2@r1) withhold(p1→p3@r1)"),
+        "{stdout}"
+    );
+    assert_eq!(ssp(&a1).1, stdout, "rerun diverged");
+}

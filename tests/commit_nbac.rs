@@ -10,7 +10,7 @@ use ssp::commit::{
     check_nbac, commit_rate_experiment, votes_all_survive, CommitWorkload, NonTriviality,
     VoteFlood, VoteFloodWs,
 };
-use ssp::lab::{explore_rs, explore_rws};
+use ssp::lab::{explore_runs, RoundModel};
 use ssp::model::InitialConfig;
 use ssp::rounds::{run_rs, PendingChoice, RoundAlgorithm};
 
@@ -21,7 +21,7 @@ fn vote_flood_rs_exhaustive() {
     for t in [1usize, 2] {
         let horizon = RoundAlgorithm::<bool>::round_horizon(&VoteFlood, 3, t);
         let mut runs = 0u64;
-        explore_rs(&VoteFlood, 3, t, &[false, true], |run| {
+        explore_runs(&VoteFlood, RoundModel::Rs, 3, t, &[false, true], |run| {
             runs += 1;
             let survived = votes_all_survive(3, horizon, run.schedule, &PendingChoice::none());
             check_nbac(&run.outcome, NonTriviality::SddBoosted, survived).unwrap_or_else(|e| {
@@ -38,7 +38,7 @@ fn vote_flood_rs_exhaustive() {
 fn vote_flood_ws_rws_exhaustive() {
     for t in [1usize, 2] {
         let mut runs = 0u64;
-        explore_rws(&VoteFloodWs, 3, t, &[false, true], |run| {
+        explore_runs(&VoteFloodWs, RoundModel::Rws, 3, t, &[false, true], |run| {
             runs += 1;
             check_nbac(&run.outcome, NonTriviality::Classic, false).unwrap_or_else(|e| {
                 panic!("t={t}: {e}\nschedule {}\n{}", run.schedule, run.outcome)
@@ -54,7 +54,7 @@ fn vote_flood_ws_rws_exhaustive() {
 #[test]
 fn vote_flood_without_halt_breaks_in_rws() {
     let mut violation = None;
-    explore_rws(&VoteFlood, 3, 2, &[false, true], |run| {
+    explore_runs(&VoteFlood, RoundModel::Rws, 3, 2, &[false, true], |run| {
         if violation.is_none() {
             if let Err(e) = check_nbac(&run.outcome, NonTriviality::Classic, false) {
                 violation = Some(e);

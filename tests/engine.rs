@@ -5,9 +5,10 @@
 
 use ssp::algos::{CtRounds, A1};
 use ssp::engine::{serve, EngineConfig, FaultMode, Proposer, Workload, WorkloadConfig};
-use ssp::runtime::{Backend, ChaosConfig, ConfigError, PlanModel};
+use ssp::rounds::RoundModel;
+use ssp::runtime::{Backend, ChaosConfig, ConfigError};
 
-fn chaos_cfg(model: PlanModel, seed: u64, instances: u64) -> EngineConfig {
+fn chaos_cfg(model: RoundModel, seed: u64, instances: u64) -> EngineConfig {
     let mut cfg = EngineConfig::new(3, 1, model);
     cfg.instances = instances;
     cfg.seed = seed;
@@ -26,7 +27,7 @@ fn workload_for(cfg: &EngineConfig, clients: usize) -> Workload {
 #[test]
 fn seeded_chaos_run_is_bit_deterministic() {
     let run = || {
-        let cfg = chaos_cfg(PlanModel::Rs, 42, 6);
+        let cfg = chaos_cfg(RoundModel::Rs, 42, 6);
         let mut workload = workload_for(&cfg, 8);
         serve(&A1, &cfg, &mut workload).expect("valid config")
     };
@@ -49,7 +50,7 @@ fn engine_deterministic_core_is_backend_invariant() {
     // clock), so the virtual and real backends must produce the same
     // bytes — and the same store, and the same per-instance run logs.
     let run = |backend| {
-        let mut cfg = chaos_cfg(PlanModel::Rs, 42, 4);
+        let mut cfg = chaos_cfg(RoundModel::Rs, 42, 4);
         cfg.backend = backend;
         let mut workload = workload_for(&cfg, 8);
         serve(&A1, &cfg, &mut workload).expect("valid config")
@@ -66,7 +67,7 @@ fn engine_deterministic_core_is_backend_invariant() {
 
 #[test]
 fn a1_rs_under_seeded_crashes_and_chaos_audits_clean() {
-    let cfg = chaos_cfg(PlanModel::Rs, 7, 8);
+    let cfg = chaos_cfg(RoundModel::Rs, 7, 8);
     let mut workload = workload_for(&cfg, 8);
     let report = serve(&A1, &cfg, &mut workload).unwrap();
     assert_eq!(report.stats.audit_checked, 8);
@@ -84,7 +85,7 @@ fn a1_rs_under_seeded_crashes_and_chaos_audits_clean() {
 
 #[test]
 fn ct_rws_decides_at_the_horizon_and_audits_clean() {
-    let cfg = chaos_cfg(PlanModel::Rws, 13, 6);
+    let cfg = chaos_cfg(RoundModel::Rws, 13, 6);
     let mut workload = workload_for(&cfg, 8);
     let report = serve(&CtRounds, &cfg, &mut workload).unwrap();
     assert_eq!(report.stats.audit_violations, 0);
@@ -108,7 +109,7 @@ fn a1_rs_retires_and_beats_the_rws_round_bill() {
         cfg.faults = FaultMode::FailureFree;
         cfg
     };
-    let cfg = failure_free(PlanModel::Rs);
+    let cfg = failure_free(RoundModel::Rs);
     let mut workload = workload_for(&cfg, 6);
     let report = serve(&A1, &cfg, &mut workload).unwrap();
     assert_eq!(
@@ -118,7 +119,7 @@ fn a1_rs_retires_and_beats_the_rws_round_bill() {
     assert_eq!(report.stats.decide_rounds_p50(), 1, "Λ(A1) = 1 in RS");
     assert!(report.audits.iter().all(|a| a.retired));
 
-    let cfg = failure_free(PlanModel::Rws);
+    let cfg = failure_free(RoundModel::Rws);
     let mut workload = workload_for(&cfg, 6);
     let rws = serve(&CtRounds, &cfg, &mut workload).unwrap();
     for (stats, rounds) in [(&report.stats, 1), (&rws.stats, 2)] {
@@ -130,7 +131,7 @@ fn a1_rs_retires_and_beats_the_rws_round_bill() {
 
 #[test]
 fn invalid_drain_is_rejected_with_a_typed_error() {
-    let mut cfg = EngineConfig::new(3, 1, PlanModel::Rs);
+    let mut cfg = EngineConfig::new(3, 1, RoundModel::Rs);
     cfg.instances = 4;
     cfg.drain = Some(std::time::Duration::from_micros(10));
     let mut workload = workload_for(&cfg, 4);

@@ -14,8 +14,8 @@ use ssp::algos::{CtRounds, A1};
 use ssp::engine::{
     serve, Batch, EngineConfig, EngineCrash, EngineReport, FaultMode, Workload, WorkloadConfig,
 };
-use ssp::rounds::{RoundAlgorithm, RoundProcess};
-use ssp::runtime::{PlanModel, ThreadCrash};
+use ssp::rounds::{RoundAlgorithm, RoundModel, RoundProcess};
+use ssp::runtime::ThreadCrash;
 
 /// Clients × commands-per-client of the budgeted workload.
 const CLIENTS: usize = 3;
@@ -23,7 +23,7 @@ const BUDGET: u32 = 2;
 
 fn run_engine<A>(
     algo: &A,
-    model: PlanModel,
+    model: RoundModel,
     seed: u64,
     crash: EngineCrash,
 ) -> EngineReport<<A::Process as RoundProcess>::Msg>
@@ -78,10 +78,10 @@ proptest! {
             crash: ThreadCrash { round, after_sends, sends_to: None },
         };
         // RS service on A1 (the paper's 1-round algorithm)…
-        let rs = run_engine(&A1, PlanModel::Rs, seed, crash);
+        let rs = run_engine(&A1, RoundModel::Rs, seed, crash);
         assert_drained(&rs);
         // …and the RWS service on the rotating-coordinator baseline.
-        let rws = run_engine(&CtRounds, PlanModel::Rws, seed, crash);
+        let rws = run_engine(&CtRounds, RoundModel::Rws, seed, crash);
         assert_drained(&rws);
         // Same workload either way: the models disagree on rounds paid,
         // never on what was decided.

@@ -20,7 +20,8 @@ use ssp::engine::{
     serve, serve_sharded, EngineConfig, EngineStats, FaultMode, ShardedConfig, Workload,
     WorkloadConfig,
 };
-use ssp::runtime::{ChaosConfig, PlanModel};
+use ssp::rounds::RoundModel;
+use ssp::runtime::ChaosConfig;
 
 /// The chaos profile the pre-refactor goldens were captured under.
 const GOLDEN_CHAOS: ChaosConfig = ChaosConfig {
@@ -31,7 +32,7 @@ const GOLDEN_CHAOS: ChaosConfig = ChaosConfig {
 
 /// The pinned single-group configuration of the golden captures:
 /// seeded faults plus chaos, 10 instances, 8 clients, batch 8.
-fn pinned(model: PlanModel, seed: u64) -> (EngineConfig, Workload) {
+fn pinned(model: RoundModel, seed: u64) -> (EngineConfig, Workload) {
     let mut cfg = EngineConfig::new(3, 1, model);
     cfg.instances = 10;
     cfg.seed = seed;
@@ -42,7 +43,7 @@ fn pinned(model: PlanModel, seed: u64) -> (EngineConfig, Workload) {
 }
 
 /// The sweep configuration: 6 instances over 6 clients, same chaos.
-fn sweep(model: PlanModel, seed: u64) -> (EngineConfig, Workload) {
+fn sweep(model: RoundModel, seed: u64) -> (EngineConfig, Workload) {
     let mut cfg = EngineConfig::new(3, 1, model);
     cfg.instances = 6;
     cfg.seed = seed;
@@ -62,12 +63,12 @@ fn logs_jsonl<M: std::fmt::Debug>(logs: &[ssp::model::TaggedRunLog<M>]) -> Strin
 
 #[test]
 fn refactored_serve_matches_the_pre_refactor_goldens() {
-    let (cfg, mut workload) = pinned(PlanModel::Rs, 1106);
+    let (cfg, mut workload) = pinned(RoundModel::Rs, 1106);
     let report = serve(&A1, &cfg, &mut workload).unwrap();
     golden_check("engine_pre_refactor_a1_rs.json", &report.stats.to_json());
     golden_check("engine_pre_refactor_a1_rs.jsonl", &logs_jsonl(&report.logs));
 
-    let (cfg, mut workload) = pinned(PlanModel::Rws, 1307);
+    let (cfg, mut workload) = pinned(RoundModel::Rws, 1307);
     let report = serve(&CtRounds, &cfg, &mut workload).unwrap();
     golden_check("engine_pre_refactor_ct_rws.json", &report.stats.to_json());
     golden_check(
@@ -78,7 +79,7 @@ fn refactored_serve_matches_the_pre_refactor_goldens() {
 
 #[test]
 fn one_group_sharded_run_matches_the_same_goldens() {
-    let (cfg, mut workload) = pinned(PlanModel::Rs, 1106);
+    let (cfg, mut workload) = pinned(RoundModel::Rs, 1106);
     let report = serve_sharded(&A1, &ShardedConfig::new(cfg, 1), &mut workload).unwrap();
     golden_check(
         "engine_pre_refactor_a1_rs.json",
@@ -97,7 +98,7 @@ fn one_group_sharded_run_matches_the_same_goldens() {
     assert_eq!(report.stats.cross.submitted, 0);
     assert!(report.cross_violation.is_none());
 
-    let (cfg, mut workload) = pinned(PlanModel::Rws, 1307);
+    let (cfg, mut workload) = pinned(RoundModel::Rws, 1307);
     let report = serve_sharded(&CtRounds, &ShardedConfig::new(cfg, 1), &mut workload).unwrap();
     golden_check(
         "engine_pre_refactor_ct_rws.json",
@@ -113,11 +114,11 @@ fn one_group_sharded_run_matches_the_same_goldens() {
 fn twenty_seed_sweep_matches_the_pre_refactor_engine_for_both_models() {
     let mut lines = String::new();
     for seed in 100..120 {
-        let (cfg, mut workload) = sweep(PlanModel::Rs, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rs, seed);
         lines.push_str(&serve(&A1, &cfg, &mut workload).unwrap().stats.to_json());
     }
     for seed in 100..120 {
-        let (cfg, mut workload) = sweep(PlanModel::Rws, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rws, seed);
         lines.push_str(
             &serve(&CtRounds, &cfg, &mut workload)
                 .unwrap()
@@ -132,12 +133,12 @@ fn twenty_seed_sweep_matches_the_pre_refactor_engine_for_both_models() {
 fn one_group_sharded_sweep_is_byte_identical_to_serve() {
     let mut lines = String::new();
     for seed in 100..120 {
-        let (cfg, mut workload) = sweep(PlanModel::Rs, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rs, seed);
         let sharded = serve_sharded(&A1, &ShardedConfig::new(cfg, 1), &mut workload).unwrap();
         lines.push_str(&sharded.groups[0].stats.to_json());
     }
     for seed in 100..120 {
-        let (cfg, mut workload) = sweep(PlanModel::Rws, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rws, seed);
         let sharded = serve_sharded(&CtRounds, &ShardedConfig::new(cfg, 1), &mut workload).unwrap();
         lines.push_str(&sharded.groups[0].stats.to_json());
     }
@@ -147,9 +148,9 @@ fn one_group_sharded_sweep_is_byte_identical_to_serve() {
 #[test]
 fn one_group_sharded_logs_equal_serve_logs_under_chaos() {
     for seed in [9001u64, 9002] {
-        let (cfg, mut workload) = sweep(PlanModel::Rs, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rs, seed);
         let direct = serve(&A1, &cfg, &mut workload).unwrap();
-        let (cfg, mut workload) = sweep(PlanModel::Rs, seed);
+        let (cfg, mut workload) = sweep(RoundModel::Rs, seed);
         let sharded = serve_sharded(&A1, &ShardedConfig::new(cfg, 1), &mut workload).unwrap();
         assert_eq!(
             logs_jsonl(&direct.logs),
@@ -162,7 +163,7 @@ fn one_group_sharded_logs_equal_serve_logs_under_chaos() {
 
 /// A cross-shard configuration: G groups, the given transaction rate,
 /// seeded faults plus chaos — the adversarial regime the CI smoke runs.
-fn cross(model: PlanModel, seed: u64, shards: usize, rate: f64) -> (ShardedConfig, Workload) {
+fn cross(model: RoundModel, seed: u64, shards: usize, rate: f64) -> (ShardedConfig, Workload) {
     let mut engine = EngineConfig::new(3, 1, model);
     engine.instances = 12;
     engine.seed = seed;
@@ -178,16 +179,16 @@ fn cross(model: PlanModel, seed: u64, shards: usize, rate: f64) -> (ShardedConfi
 
 #[test]
 fn cross_shard_chaos_runs_are_deterministic_and_audit_clean() {
-    for (model, seed) in [(PlanModel::Rs, 501u64), (PlanModel::Rws, 502)] {
+    for (model, seed) in [(RoundModel::Rs, 501u64), (RoundModel::Rws, 502)] {
         // The report's message type depends on the algorithm, so map
         // to the shared (stats, violation-free, submitted) shape
         // inside each arm.
         let run = |(cfg, mut workload): (ShardedConfig, Workload)| match model {
-            PlanModel::Rs => {
+            RoundModel::Rs => {
                 let r = serve_sharded(&A1, &cfg, &mut workload).unwrap();
                 (r.stats, r.cross_violation.is_none(), workload.submitted())
             }
-            PlanModel::Rws => {
+            RoundModel::Rws => {
                 let r = serve_sharded(&CtRounds, &cfg, &mut workload).unwrap();
                 (r.stats, r.cross_violation.is_none(), workload.submitted())
             }
@@ -226,7 +227,7 @@ fn cross_shard_chaos_runs_are_deterministic_and_audit_clean() {
 /// the commands resolved grow with the group count, in both models.
 #[test]
 fn resolved_commands_grow_with_the_group_count() {
-    for model in [PlanModel::Rs, PlanModel::Rws] {
+    for model in [RoundModel::Rs, RoundModel::Rws] {
         let resolved: Vec<u64> = [1usize, 2, 4, 8]
             .into_iter()
             .map(|shards| {
@@ -239,8 +240,8 @@ fn resolved_commands_grow_with_the_group_count() {
                 wcfg.shards = shards;
                 let mut workload = Workload::new(7, wcfg);
                 match model {
-                    PlanModel::Rs => serve_sharded(&A1, &cfg, &mut workload).unwrap().stats,
-                    PlanModel::Rws => serve_sharded(&CtRounds, &cfg, &mut workload).unwrap().stats,
+                    RoundModel::Rs => serve_sharded(&A1, &cfg, &mut workload).unwrap().stats,
+                    RoundModel::Rws => serve_sharded(&CtRounds, &cfg, &mut workload).unwrap().stats,
                 }
                 .commands_resolved()
             })
@@ -254,7 +255,7 @@ fn resolved_commands_grow_with_the_group_count() {
 
 #[test]
 fn aggregate_of_a_real_run_is_group_order_invariant() {
-    let (cfg, mut workload) = cross(PlanModel::Rs, 77, 4, 0.25);
+    let (cfg, mut workload) = cross(RoundModel::Rs, 77, 4, 0.25);
     let report = serve_sharded(&A1, &cfg, &mut workload).unwrap();
     let forward = EngineStats::aggregate(&report.stats.groups);
     let mut reversed_groups = report.stats.groups.clone();
@@ -283,7 +284,7 @@ proptest! {
         clients in 2usize..=6,
     ) {
         let rate = f64::from(rate_pm) / 1000.0;
-        let mut engine = EngineConfig::new(3, 1, PlanModel::Rs);
+        let mut engine = EngineConfig::new(3, 1, RoundModel::Rs);
         engine.instances = 60;
         engine.seed = seed;
         engine.faults = FaultMode::FailureFree;

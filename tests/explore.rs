@@ -9,8 +9,8 @@
 //!   brute-force schedule space, one execution per class;
 //! * the symmetry quotient preserves weighted class counts while
 //!   executing fewer representatives;
-//! * out-of-range instances and the real-clock backend are typed
-//!   errors.
+//! * out-of-range instances are typed errors (the real-clock refusal
+//!   lives in the CLI, `src/main.rs`'s `explore_rejects_bad_input`).
 
 use std::collections::BTreeSet;
 
@@ -20,8 +20,8 @@ use ssp::algos::{FloodSet, FloodSetWs, A1};
 use ssp::explore::{ExploreError, Explorer};
 use ssp::lab::{crash_schedules, pending_choices};
 use ssp::model::{InitialConfig, Round};
-use ssp::rounds::{PendingChoice, RoundAlgorithm, RoundProcess};
-use ssp::runtime::{Backend, FaultPlan, PlanModel, RuntimeBuilder};
+use ssp::rounds::{PendingChoice, RoundAlgorithm, RoundModel, RoundProcess};
+use ssp::runtime::{FaultPlan, RuntimeBuilder};
 
 mod common;
 use common::{golden_check, p, section_5_3_config};
@@ -33,7 +33,7 @@ fn brute_force_logs<A>(
     algo: &A,
     config: &InitialConfig<u64>,
     t: usize,
-    model: PlanModel,
+    model: RoundModel,
 ) -> (BTreeSet<String>, u64)
 where
     A: RoundAlgorithm<u64>,
@@ -46,8 +46,8 @@ where
     let mut runs = 0;
     for schedule in crash_schedules(n, t, horizon + 1) {
         let pendings = match model {
-            PlanModel::Rs => vec![PendingChoice::none()],
-            PlanModel::Rws => pending_choices(&schedule, horizon),
+            RoundModel::Rs => vec![PendingChoice::none()],
+            RoundModel::Rws => pending_choices(&schedule, horizon),
         };
         for pending in pendings {
             let plan = FaultPlan::from_adversary(&schedule, &pending, t, horizon, model);
@@ -70,7 +70,7 @@ fn explorer_rediscovers_the_section_5_3_violation_without_the_seed() {
     let explore = || {
         Explorer::new(&A1, &config)
             .t(1)
-            .model(PlanModel::Rws)
+            .model(RoundModel::Rws)
             .run()
             .unwrap()
     };
@@ -121,7 +121,7 @@ fn exploration_counts_match_brute_force_on_the_reference_instance() {
     // t = 1. The explorer's class count must equal the number of
     // distinct logs of the full brute-force space, in both models.
     let config = InitialConfig::new(vec![0u64, 1, 2]);
-    for model in [PlanModel::Rs, PlanModel::Rws] {
+    for model in [RoundModel::Rs, RoundModel::Rws] {
         let report = Explorer::new(&FloodSet, &config)
             .t(1)
             .model(model)
@@ -157,7 +157,7 @@ proptest! {
     #[test]
     fn dpor_exploration_is_complete(inputs in proptest::collection::vec(0u64..3, 3)) {
         let config = InitialConfig::new(inputs);
-        for (model, algo) in [(PlanModel::Rs, &FloodSet as &FloodSet), (PlanModel::Rws, &FloodSet)] {
+        for (model, algo) in [(RoundModel::Rs, &FloodSet as &FloodSet), (RoundModel::Rws, &FloodSet)] {
             let report = Explorer::new(algo, &config).t(1).model(model).run().unwrap();
             let (brute, _) = brute_force_logs(algo, &config, 1, model);
             prop_assert_eq!(&report.logs, &brute);
@@ -175,12 +175,12 @@ fn symmetry_quotient_preserves_weighted_counts() {
     let config = InitialConfig::new(vec![5u64, 5, 7]);
     let full = Explorer::new(&FloodSetWs, &config)
         .t(1)
-        .model(PlanModel::Rws)
+        .model(RoundModel::Rws)
         .run()
         .unwrap();
     let quotient = Explorer::new(&FloodSetWs, &config)
         .t(1)
-        .model(PlanModel::Rws)
+        .model(RoundModel::Rws)
         .run_quotient()
         .unwrap();
     assert_eq!(quotient.classes, full.classes, "{quotient} vs {full}");
@@ -199,12 +199,12 @@ fn symmetry_quotient_preserves_weighted_counts() {
     let distinct = InitialConfig::new(vec![5u64, 6, 7]);
     let a = Explorer::new(&FloodSetWs, &distinct)
         .t(1)
-        .model(PlanModel::Rws)
+        .model(RoundModel::Rws)
         .run()
         .unwrap();
     let b = Explorer::new(&FloodSetWs, &distinct)
         .t(1)
-        .model(PlanModel::Rws)
+        .model(RoundModel::Rws)
         .run_quotient()
         .unwrap();
     assert_eq!(a.executed, b.executed);
@@ -212,7 +212,7 @@ fn symmetry_quotient_preserves_weighted_counts() {
 }
 
 #[test]
-fn out_of_range_instances_and_real_clock_are_typed_errors() {
+fn out_of_range_instances_are_typed_errors() {
     let big = InitialConfig::new(vec![0u64; 6]);
     let err = Explorer::new(&FloodSet, &big).t(1).run().unwrap_err();
     assert!(matches!(err, ExploreError::Bounds { n: 6, t: 1 }), "{err}");
@@ -221,14 +221,6 @@ fn out_of_range_instances_and_real_clock_are_typed_errors() {
     let err = Explorer::new(&FloodSet, &config).t(3).run().unwrap_err();
     assert!(matches!(err, ExploreError::Bounds { n: 3, t: 3 }), "{err}");
     assert!(err.to_string().contains("t < n"), "{err}");
-
-    let err = Explorer::new(&FloodSet, &config)
-        .t(1)
-        .backend(Backend::Real)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, ExploreError::RealClock), "{err}");
-    assert!(err.to_string().contains("virtual"), "{err}");
 }
 
 #[test]
@@ -236,12 +228,12 @@ fn class_limit_truncates_deterministically() {
     let config = InitialConfig::new(vec![0u64, 1, 2]);
     let full = Explorer::new(&FloodSet, &config)
         .t(1)
-        .model(PlanModel::Rs)
+        .model(RoundModel::Rs)
         .run()
         .unwrap();
     let capped = Explorer::new(&FloodSet, &config)
         .t(1)
-        .model(PlanModel::Rs)
+        .model(RoundModel::Rs)
         .limit(Some(5))
         .run()
         .unwrap();

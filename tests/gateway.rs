@@ -21,7 +21,7 @@ use std::time::Duration;
 use ssp::algos::{CtRounds, A1};
 use ssp::engine::{EngineConfig, ShardedConfig};
 use ssp::gateway::{run_inproc_load, run_load, InprocLoadConfig, LoadConfig, LoadMode};
-use ssp::runtime::PlanModel;
+use ssp::rounds::RoundModel;
 
 /// Finds a span of `n` consecutive free loopback ports starting the
 /// scan at `from` (tests scan disjoint ranges so concurrent tests
@@ -113,7 +113,7 @@ fn inproc_load_is_exactly_once_and_shows_the_theorem_5_2_gap() {
     load.requests_per_client = 6;
     load.cross_rate = 0.25;
 
-    let mut rs = EngineConfig::new(3, 1, PlanModel::Rs);
+    let mut rs = EngineConfig::new(3, 1, RoundModel::Rs);
     rs.instances = 64;
     rs.seed = 7;
     let rs_report = run_inproc_load(&A1, &ShardedConfig::new(rs, 2), &load).expect("rs run");
@@ -124,7 +124,7 @@ fn inproc_load_is_exactly_once_and_shows_the_theorem_5_2_gap() {
         "A1/RS acks at round 1"
     );
 
-    let mut rws = EngineConfig::new(3, 1, PlanModel::Rws);
+    let mut rws = EngineConfig::new(3, 1, RoundModel::Rws);
     rws.instances = 64;
     rws.seed = 7;
     let rws_report =
@@ -142,7 +142,7 @@ fn inproc_load_is_exactly_once_and_shows_the_theorem_5_2_gap() {
 /// core, under both models.
 #[test]
 fn inproc_load_double_run_is_byte_identical() {
-    for (model, name) in [(PlanModel::Rs, "rs"), (PlanModel::Rws, "rws")] {
+    for (model, name) in [(RoundModel::Rs, "rs"), (RoundModel::Rws, "rws")] {
         let mut load = InprocLoadConfig::new(13);
         load.clients = 2;
         load.requests_per_client = 5;
@@ -153,8 +153,8 @@ fn inproc_load_double_run_is_byte_identical() {
             engine.seed = 13;
             let cfg = ShardedConfig::new(engine, 2);
             match model {
-                PlanModel::Rs => run_inproc_load(&A1, &cfg, &load).expect("run"),
-                PlanModel::Rws => run_inproc_load(&CtRounds, &cfg, &load).expect("run"),
+                RoundModel::Rs => run_inproc_load(&A1, &cfg, &load).expect("run"),
+                RoundModel::Rws => run_inproc_load(&CtRounds, &cfg, &load).expect("run"),
             }
         };
         let (a, b) = (run(), run());

@@ -15,14 +15,14 @@
 
 use ssp::algos::{CtMsg, CtProcess, EarlyDeciding, FOptFloodSet, FloodSet, A1};
 use ssp::fd::FdHistory;
-use ssp::lab::{explore_rs, LatencyAggregator};
+use ssp::lab::{explore_runs, LatencyAggregator, RoundModel};
 use ssp::model::{ProcessId, Time};
 use ssp::rounds::RoundAlgorithm;
 use ssp::sim::{run, BoxedAutomaton, FairAdversary, ModelKind};
 
 fn aggregate<A: RoundAlgorithm<u64>>(algo: &A, n: usize, t: usize) -> LatencyAggregator<u64> {
     let mut agg = LatencyAggregator::new();
-    explore_rs(algo, n, t, &[0u64, 1], |run| agg.add(run));
+    explore_runs(algo, RoundModel::Rs, n, t, &[0u64, 1], |run| agg.add(run));
     agg
 }
 

@@ -7,7 +7,7 @@ use ssp::algos::{
 };
 use ssp::lab::impossibility::candidates::{PatientWait, WaitOrSuspect};
 use ssp::lab::{
-    all_round1_candidates, decides_round1_when_failure_free, explore_rs, explore_rws, refute,
+    all_round1_candidates, decides_round1_when_failure_free, explore_runs, refute,
     refute_round1_candidate, LatencyAggregator, RoundModel, SddRefutation, ValidityMode,
     Verification, Verifier,
 };
@@ -155,7 +155,9 @@ fn e5_floodset_ws_uniform_consensus_in_rws() {
 #[test]
 fn e6_c_opt_latency_degrees() {
     let mut rs = LatencyAggregator::new();
-    explore_rs(&COptFloodSet, 3, 1, &[0u64, 1], |run| rs.add(run));
+    explore_runs(&COptFloodSet, RoundModel::Rs, 3, 1, &[0u64, 1], |run| {
+        rs.add(run)
+    });
     assert_eq!(rs.lat(), Some(1));
     for v in [0u64, 1] {
         assert_eq!(rs.lat_for(&InitialConfig::uniform(3, v)), Some(1));
@@ -164,7 +166,9 @@ fn e6_c_opt_latency_degrees() {
     assert_eq!(rs.lat_max_over_configs(), Some(2));
 
     let mut rws = LatencyAggregator::new();
-    explore_rws(&COptFloodSetWs, 3, 1, &[0u64, 1], |run| rws.add(run));
+    explore_runs(&COptFloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+        rws.add(run)
+    });
     assert_eq!(rws.lat(), Some(1));
     assert_eq!(rws.lat_max_over_configs(), Some(2));
 
@@ -179,7 +183,9 @@ fn e6_c_opt_latency_degrees() {
 #[test]
 fn e7_f_opt_latency_degrees() {
     let mut rs = LatencyAggregator::new();
-    explore_rs(&FOptFloodSet, 3, 1, &[0u64, 1], |run| rs.add(run));
+    explore_runs(&FOptFloodSet, RoundModel::Rs, 3, 1, &[0u64, 1], |run| {
+        rs.add(run)
+    });
     assert_eq!(rs.lat_max_over_configs(), Some(1), "Lat(F_OptFloodSet) = 1");
     assert_eq!(
         rs.capital_lambda(),
@@ -188,7 +194,9 @@ fn e7_f_opt_latency_degrees() {
     );
 
     let mut rws = LatencyAggregator::new();
-    explore_rws(&FOptFloodSetWs, 3, 1, &[0u64, 1], |run| rws.add(run));
+    explore_runs(&FOptFloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+        rws.add(run)
+    });
     assert_eq!(
         rws.lat_max_over_configs(),
         Some(1),
@@ -206,7 +214,7 @@ fn e8_a1_correct_with_lambda_1() {
     for n in [2usize, 3, 4] {
         verify_rs(&A1, n, 1, &[0u64, 1], ValidityMode::Strong).expect_ok();
         let mut agg = LatencyAggregator::new();
-        explore_rs(&A1, n, 1, &[0u64, 1], |run| agg.add(run));
+        explore_runs(&A1, RoundModel::Rs, n, 1, &[0u64, 1], |run| agg.add(run));
         assert_eq!(agg.capital_lambda(), Some(1), "Λ(A1) = 1 at n={n}");
     }
 }
@@ -227,13 +235,19 @@ fn e9_rws_lower_bound() {
     }
     // Contrapositive: correct-in-RWS algorithms pay the extra round.
     let mut ws = LatencyAggregator::new();
-    explore_rws(&FloodSetWs, 3, 1, &[0u64, 1], |run| ws.add(run));
+    explore_runs(&FloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+        ws.add(run)
+    });
     assert!(ws.capital_lambda().unwrap() >= 2);
     let mut c = LatencyAggregator::new();
-    explore_rws(&COptFloodSetWs, 3, 1, &[0u64, 1], |run| c.add(run));
+    explore_runs(&COptFloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+        c.add(run)
+    });
     assert!(c.capital_lambda().unwrap() >= 2);
     let mut f = LatencyAggregator::new();
-    explore_rws(&FOptFloodSetWs, 3, 1, &[0u64, 1], |run| f.add(run));
+    explore_runs(&FOptFloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
+        f.add(run)
+    });
     assert!(f.capital_lambda().unwrap() >= 2);
 }
 
@@ -248,7 +262,7 @@ fn a1_in_rws_anatomy() {
     let mut failure_free_latencies_ok = true;
     let mut correct_split_witnessed = false;
     let mut violation_without_p1_crash = false;
-    explore_rws(&A1, 3, 1, &[0u64, 1], |run| {
+    explore_runs(&A1, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
         if run.schedule.fault_count() == 0 {
             failure_free_latencies_ok &= run.outcome.latency_degree() == Some(1);
         }

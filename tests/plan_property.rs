@@ -9,15 +9,16 @@ use proptest::prelude::*;
 
 use ssp::algos::{FloodSetWs, A1};
 use ssp::model::InitialConfig;
+use ssp::rounds::RoundModel;
 use ssp::runtime::plan::{FAST_MAX, NOTIFY_BASE, NOTIFY_JITTER, SLOW};
-use ssp::runtime::{FaultPlan, PlanModel, RuntimeBuilder};
+use ssp::runtime::{FaultPlan, RuntimeBuilder};
 
-fn model() -> impl Strategy<Value = PlanModel> {
+fn model() -> impl Strategy<Value = RoundModel> {
     (0u8..2).prop_map(|b| {
         if b == 0 {
-            PlanModel::Rs
+            RoundModel::Rs
         } else {
-            PlanModel::Rws
+            RoundModel::Rws
         }
     })
 }
@@ -54,8 +55,8 @@ proptest! {
         // entry within the oracle's declared window; RS plans use the
         // timeout detector and script none.
         match m {
-            PlanModel::Rs => prop_assert!(plan.notify.is_empty()),
-            PlanModel::Rws => {
+            RoundModel::Rs => prop_assert!(plan.notify.is_empty()),
+            RoundModel::Rws => {
                 prop_assert_eq!(plan.notify.len(), n);
                 for row in &plan.notify {
                     prop_assert_eq!(row.len(), n);
@@ -86,7 +87,7 @@ proptest! {
     #[test]
     fn same_seed_same_run_trace_rws(seed in 0u64..500) {
         let config = InitialConfig::new(vec![10u64, 11, 12]);
-        let plan = FaultPlan::from_seed(seed, 3, 1, 2, PlanModel::Rws);
+        let plan = FaultPlan::from_seed(seed, 3, 1, 2, RoundModel::Rws);
         let run = || {
             RuntimeBuilder::new(&FloodSetWs, &config)
                 .plan(plan.clone())
@@ -103,7 +104,7 @@ proptest! {
     #[test]
     fn same_seed_same_run_trace_rs(seed in 0u64..500) {
         let config = InitialConfig::new(vec![10u64, 11, 12]);
-        let plan = FaultPlan::from_seed(seed, 3, 1, 2, PlanModel::Rs);
+        let plan = FaultPlan::from_seed(seed, 3, 1, 2, RoundModel::Rs);
         let run = || {
             RuntimeBuilder::new(&A1, &config)
                 .plan(plan.clone())

@@ -11,7 +11,7 @@ use core::fmt;
 use proptest::prelude::*;
 
 use ssp::algos::{FloodSet, FloodSetWs, SddSender, SsSddReceiver, A1};
-use ssp::lab::{explore_rs, explore_rws, RoundModel, Verifier};
+use ssp::lab::{explore_runs, RoundModel, Verifier};
 use ssp::model::{
     CountingObserver, InitialConfig, Observer, ProcessId, ProcessSet, Round, RunEvent, RunLog,
     RunLogObserver,
@@ -19,7 +19,7 @@ use ssp::model::{
 use ssp::rounds::{
     run_rs, run_rs_observed, run_rws_observed, CrashSchedule, PendingChoice, RoundCrash,
 };
-use ssp::runtime::{PlanModel, RuntimeBuilder, SECTION_5_3_SEED};
+use ssp::runtime::{RuntimeBuilder, SECTION_5_3_SEED};
 use ssp::sim::{run_observed, BoxedAutomaton, ModelKind, RandomAdversary};
 
 mod common;
@@ -51,7 +51,7 @@ fn section_5_3_seed_runtime_log_snapshot_is_byte_stable() {
     let config = section_5_3_config();
     let run_once = || {
         RuntimeBuilder::new(&A1, &config)
-            .model(PlanModel::Rws)
+            .model(RoundModel::Rws)
             .seed(SECTION_5_3_SEED)
             .run()
             .unwrap()
@@ -91,11 +91,11 @@ impl<M> Observer<M> for RecordCounter {
 fn record_calls(active: bool) -> [u64; 3] {
     let mut sink = RecordCounter { active, calls: 0 };
     let mut calls = [0; 3];
-    explore_rs(&FloodSetWs, 3, 1, &[0u64, 1], |run| {
+    explore_runs(&FloodSetWs, RoundModel::Rs, 3, 1, &[0u64, 1], |run| {
         run_rs_observed(&FloodSetWs, run.config, 1, run.schedule, &mut sink).unwrap();
     });
     calls[0] = std::mem::take(&mut sink.calls);
-    explore_rws(&FloodSetWs, 3, 1, &[0u64, 1], |run| {
+    explore_runs(&FloodSetWs, RoundModel::Rws, 3, 1, &[0u64, 1], |run| {
         run_rws_observed(
             &FloodSetWs,
             run.config,

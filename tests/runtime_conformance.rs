@@ -6,7 +6,8 @@
 use ssp::algos::{FloodSet, FloodSetWs, A1};
 use ssp::lab::{check_threaded_run, fuzz_runtime, shrink_plan, ValidityMode};
 use ssp::model::InitialConfig;
-use ssp::runtime::{FaultPlan, PlanModel, RuntimeBuilder, SECTION_5_3_SEED};
+use ssp::rounds::RoundModel;
+use ssp::runtime::{FaultPlan, RuntimeBuilder, SECTION_5_3_SEED};
 use ssp::sim::{validate_basic, validate_perfect_fd, Trace};
 
 #[test]
@@ -15,7 +16,7 @@ fn a1_rws_seed_sweep_conforms_and_finds_the_paper_violation() {
     // A window around the documented seed: mostly benign plans plus
     // the §5.3 anomaly itself.
     let report = fuzz_runtime(
-        &RuntimeBuilder::new(&A1, &config).model(PlanModel::Rws),
+        &RuntimeBuilder::new(&A1, &config).model(RoundModel::Rws),
         SECTION_5_3_SEED - 8..SECTION_5_3_SEED + 8,
         ValidityMode::Uniform,
     );
@@ -39,7 +40,7 @@ fn a1_rws_seed_sweep_conforms_and_finds_the_paper_violation() {
 fn floodset_rs_seed_sweep_is_conformant_and_safe() {
     let config = InitialConfig::new(vec![7u64, 3, 5]);
     let report = fuzz_runtime(
-        &RuntimeBuilder::new(&FloodSet, &config).model(PlanModel::Rs),
+        &RuntimeBuilder::new(&FloodSet, &config).model(RoundModel::Rs),
         0..12,
         ValidityMode::Strong,
     );
@@ -56,7 +57,7 @@ fn floodset_rs_seed_sweep_is_conformant_and_safe() {
 fn floodset_ws_rws_seed_sweep_is_conformant_and_safe() {
     let config = InitialConfig::new(vec![7u64, 3, 5]);
     let report = fuzz_runtime(
-        &RuntimeBuilder::new(&FloodSetWs, &config).model(PlanModel::Rws),
+        &RuntimeBuilder::new(&FloodSetWs, &config).model(RoundModel::Rws),
         0..12,
         ValidityMode::Uniform,
     );

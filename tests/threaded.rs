@@ -3,10 +3,11 @@
 
 use ssp::algos::{EarlyDeciding, FOptFloodSet, FloodSet, FloodSetWs, A1};
 use ssp::model::{check_uniform_consensus, check_uniform_consensus_strong, InitialConfig, Round};
-use ssp::runtime::{FaultPlan, PlanModel, RuntimeBuilder, RuntimeConfig, ThreadCrash};
+use ssp::runtime::{FaultPlan, RuntimeBuilder, RuntimeConfig, ThreadCrash};
 
 mod common;
 use common::p;
+use ssp::rounds::RoundModel;
 
 #[test]
 fn floodset_n5_with_two_crashes() {
@@ -217,7 +218,7 @@ fn pending_votes_abort_on_threads() {
     // all-Yes votes. Seed 98 derives exactly that plan:
     // crash(p1@r1+2) slow(p1→p2@r1).
     let config = InitialConfig::new(vec![true, true, true]);
-    let plan = FaultPlan::from_seed(98, 3, 1, 2, PlanModel::Rws);
+    let plan = FaultPlan::from_seed(98, 3, 1, 2, RoundModel::Rws);
     assert_eq!(
         plan.to_string(),
         "plan[seed=98 n=3 t=1 horizon=2 model=RWS crash(p1@r1+2) slow(p1→p2@r1)]"
