@@ -314,8 +314,10 @@ pub fn serve_node(cfg: &NodeConfig, out: &mut dyn Write) -> io::Result<()> {
 /// `X` report line so the parent merge can reconstruct the proposal —
 /// and acks each decided command back to the client's latest session.
 ///
-/// While this node is not the accepting node, drained submissions are
-/// answered with `Redirect` toward the accepting node's index.
+/// Submissions wait in the listener's queue until the next instance
+/// boundary, where each is re-acked (already decided), redirected
+/// toward another accepting node, or admitted: a node stuck on a
+/// crashed peer holds them instead of bouncing clients to the dead node.
 ///
 /// # Errors
 ///
@@ -364,9 +366,10 @@ pub fn serve_node_with(
             proposer.submit(cmd);
         }
 
-        // Gateway admission for this instance. The accepting node is
-        // the lowest index the local PFD does not suspect — exactly
-        // A1's effective proposer, so admitted commands decide in the
+        // Gateway admission for this instance, the only place a held
+        // submission is answered. The accepting node is the lowest
+        // index the local PFD does not suspect — exactly A1's
+        // effective proposer, so admitted commands decide in the
         // failure-free single round. Everyone else redirects.
         let mut gw_tail = Batch::default();
         if let (Some(listener), Some(gw)) = (&listener, gateway) {
@@ -374,7 +377,6 @@ pub fn serve_node_with(
             let accepting_node = (0..n)
                 .find(|&q| q == cfg.me || !suspects.contains(ProcessId::new(q)))
                 .unwrap_or(cfg.me);
-            listener.set_accepting(accepting_node == cfg.me, accepting_node as u32);
             for sub in listener.drain(gw.queue_cap) {
                 if sub.client >= u64::from(EXTERNAL_BIT) || u32::try_from(sub.req).is_err() {
                     continue; // identity outside the wire bounds

@@ -39,8 +39,9 @@ const BACKOFF_CAP: Duration = Duration::from_millis(200);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl ClientConfig {
-    /// Defaults: 10 s deadline. Every attempt waits 250 ms for its ack;
-    /// retries back off up to 200 ms.
+    /// Defaults: 10 s deadline. Every attempt waits 250 ms for its ack
+    /// and resubmits at once when that wait expires; failed dials,
+    /// `Busy` and `Redirect` back off up to 200 ms.
     #[must_use]
     pub fn new(client_id: u64, targets: Vec<String>) -> Self {
         ClientConfig {
@@ -244,6 +245,8 @@ impl GatewayClient {
         let start = Instant::now();
         let give_up = start + self.cfg.deadline;
         let mut attempt = 0u32;
+        // A full ack wait on a live session already paced the retry.
+        let mut paced = false;
         self.stats.submitted += 1;
         loop {
             if Instant::now() >= give_up {
@@ -255,9 +258,12 @@ impl GatewayClient {
             }
             if attempt > 0 {
                 self.stats.resubmissions += 1;
-                std::thread::sleep(self.backoff(attempt));
+                if !paced {
+                    std::thread::sleep(self.backoff(attempt));
+                }
             }
             attempt += 1;
+            paced = false;
             let frame = Frame::Submit {
                 client: self.cfg.client_id,
                 req,
@@ -274,15 +280,8 @@ impl GatewayClient {
             // One response cycle: wait out Busy/foreign frames until
             // the ack, a redirect, a timeout, or connection death.
             let cycle_end = Instant::now() + ACK_WAIT;
-            loop {
-                let left = cycle_end.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break; // resubmit
-                }
-                let Some(conn) = self.conn.as_mut() else {
-                    break;
-                };
-                match conn.poll(left) {
+            while let Some(conn) = self.conn.as_mut() {
+                match conn.poll(cycle_end.saturating_duration_since(Instant::now())) {
                     Ok(Some(Frame::ClientAck { req: r, seq, round })) if r == req => {
                         self.stats.acked += 1;
                         return Ok(Ack {
@@ -311,8 +310,12 @@ impl GatewayClient {
                         }
                         break; // resubmit at the new target
                     }
-                    Ok(Some(_)) => {}  // stale frame for an older req
-                    Ok(None) => break, // ack lost or node stalled: resubmit
+                    Ok(Some(_)) => {} // stale frame for an older req
+                    Ok(None) => {
+                        // Ack lost, or still held by the node: resubmit.
+                        paced = true;
+                        break;
+                    }
                     Err(_) => {
                         self.drop_conn();
                         self.rotate_target();
@@ -321,5 +324,56 @@ impl GatewayClient {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    /// A node that holds a submission answers it only at its next
+    /// instance boundary, which may come after the client's ack wait:
+    /// the client resubmits once, at once, and takes the late ack.
+    #[test]
+    fn a_held_submission_is_resubmitted_once_and_its_late_ack_read() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let gateway = std::thread::spawn(move || {
+            let (mut session, _) = listener.accept().unwrap();
+            session
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // Hold the first copy past the client's ack wait; answer
+            // when the resubmission shows that wait has expired.
+            let first = Frame::read_from(&mut session).unwrap();
+            let again = Frame::read_from(&mut session).unwrap();
+            assert_eq!(first, again, "a resubmission repeats the request");
+            let Frame::Submit { req, .. } = again else {
+                panic!("not a submission: {again:?}");
+            };
+            Frame::ClientAck {
+                req,
+                seq: 4,
+                round: 2,
+            }
+            .write_to(&mut session)
+            .unwrap();
+        });
+        let mut client = GatewayClient::new(ClientConfig::new(3, vec![addr]));
+        let ack = client.submit(&[Op::Put { key: 1, value: 2 }]).unwrap();
+        gateway.join().unwrap();
+        assert_eq!((ack.req, ack.instance, ack.round), (0, 4, 2));
+        assert!(ack.elapsed >= ACK_WAIT, "{:?}", ack.elapsed);
+        assert_eq!(
+            client.stats,
+            ClientStats {
+                submitted: 1,
+                acked: 1,
+                resubmissions: 1,
+                ..ClientStats::default()
+            }
+        );
     }
 }

@@ -12,7 +12,9 @@
 //! - [`GatewayClient`]: one client session — submit, follow
 //!   `Redirect`, absorb `Busy`, reconnect with capped backoff, and
 //!   resubmit idempotently until the cluster acks with the deciding
-//!   `(instance, round)`.
+//!   `(instance, round)`. A node holds a submission until its next
+//!   instance boundary, where it admits, redirects or re-acks it; an
+//!   ack wait that expires on a live session resubmits at once.
 //! - [`run_load`]: open-loop (`--rate`) or closed-loop
 //!   (`--concurrency`) load against a live cluster, with per-class
 //!   client-observed latency histograms.

@@ -951,9 +951,17 @@ mod tests {
             frozen <= STALL_SLACK,
             "clock frozen past the last tick: {frozen:?}"
         );
+        // The tick excludes all but `STALL_SLACK` of the stall; only
+        // the time from this tick to the read may add to it, which the
+        // board counts in whole microseconds (up to 1 µs more).
+        let before_tick = std::time::Instant::now();
         board.tick();
         let resumed = board.staleness(p(1));
-        assert!(resumed <= STALL_SLACK, "the stall is excluded: {resumed:?}");
+        let tick_to_read = before_tick.elapsed() + Duration::from_micros(1);
+        assert!(
+            resumed <= STALL_SLACK + tick_to_read,
+            "the stall is excluded: {resumed:?} (tick to read {tick_to_read:?})"
+        );
         // Running again: ticked time counts in full.
         for _ in 0..20 {
             std::thread::sleep(Duration::from_millis(10));

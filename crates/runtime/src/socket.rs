@@ -844,12 +844,6 @@ pub struct GatewaySubmission {
 /// threads, and the serving layer.
 struct GatewayShared {
     shutdown: AtomicBool,
-    /// Whether this node currently admits submissions; flipped by the
-    /// serving layer as its failure detector moves the accepting role.
-    accepting: AtomicBool,
-    /// Where refused clients are pointed (node index) while not
-    /// accepting.
-    redirect_to: AtomicU64,
     /// Backpressure hint carried in `Busy` rejections.
     retry_after_ms: u32,
     busy_rejected: AtomicU64,
@@ -877,9 +871,13 @@ impl GatewayShared {
 /// The per-node client-facing acceptor: listens for client
 /// connections, parses [`Frame::Submit`]s with the same length-prefix
 /// discipline as the peer transport, applies bounded-queue
-/// backpressure (typed [`Frame::Busy`] rejection, never silent drops)
-/// and leadership redirects ([`Frame::Redirect`]), and routes
-/// [`Frame::ClientAck`]s back to each client's latest connection.
+/// backpressure (typed [`Frame::Busy`] rejection, never silent drops),
+/// and routes [`Frame::ClientAck`]s and [`Frame::Redirect`]s back to
+/// each client's latest connection.
+///
+/// Every submission that fits the queue is held there until the
+/// serving layer drains it at an instance boundary and admits, re-acks
+/// or redirects it; a session itself answers only with `Busy`.
 ///
 /// Admission-level dedup lives with the serving layer (it owns the
 /// proposer's decided-id ledger); this type owns everything socket.
@@ -894,7 +892,7 @@ pub struct GatewayListener {
 impl std::fmt::Debug for GatewayShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GatewayShared")
-            .field("accepting", &self.accepting.load(Ordering::SeqCst))
+            .field("redirects", &self.redirects.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -915,8 +913,6 @@ impl GatewayListener {
         #[allow(clippy::cast_possible_truncation)]
         let shared = Arc::new(GatewayShared {
             shutdown: AtomicBool::new(false),
-            accepting: AtomicBool::new(true),
-            redirect_to: AtomicU64::new(0),
             retry_after_ms: retry_after.as_millis().min(u128::from(u32::MAX)) as u32,
             busy_rejected: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
@@ -954,16 +950,6 @@ impl GatewayListener {
         out
     }
 
-    /// Updates the leadership hint: while not accepting, sessions
-    /// answer every submission with `Redirect { group: redirect_to }`
-    /// instead of queueing it.
-    pub fn set_accepting(&self, accepting: bool, redirect_to: u32) {
-        self.shared
-            .redirect_to
-            .store(u64::from(redirect_to), Ordering::SeqCst);
-        self.shared.accepting.store(accepting, Ordering::SeqCst);
-    }
-
     /// Acks `(client, req)` as decided by consensus instance `seq` in
     /// `round`, over the client's latest session.
     pub fn ack(&self, client: u64, req: u64, seq: u64, round: u32) {
@@ -971,8 +957,8 @@ impl GatewayListener {
             .reply(client, &Frame::ClientAck { req, seq, round });
     }
 
-    /// Redirects a drained-but-refused submission (the accepting role
-    /// moved between enqueue and drain).
+    /// Redirects a drained submission toward node `group`, the node
+    /// that accepts now.
     pub fn redirect(&self, client: u64, req: u64, group: u32) {
         self.shared.redirects.fetch_add(1, Ordering::Relaxed);
         self.shared.reply(client, &Frame::Redirect { req, group });
@@ -1052,15 +1038,6 @@ fn gateway_session(shared: &Arc<GatewayShared>, stream: TcpStream) {
                 // client: a resubmission after reconnect must be
                 // answered on the new socket, not the dead one.
                 shared.sessions.lock().insert(client, Arc::clone(&writer));
-                if !shared.accepting.load(Ordering::SeqCst) {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let group = shared.redirect_to.load(Ordering::SeqCst) as u32;
-                    shared.redirects.fetch_add(1, Ordering::Relaxed);
-                    if write_frame(&mut writer.lock(), &Frame::Redirect { req, group }).is_err() {
-                        return;
-                    }
-                    continue;
-                }
                 match shared.queue_tx.try_send(GatewaySubmission {
                     client,
                     req,
@@ -1123,6 +1100,65 @@ mod tests {
         let stats = a.shutdown();
         assert!(stats.delivered >= 1);
         drop(b);
+    }
+
+    /// Waits until the listener's queue yields at least one submission.
+    fn drain_some(gw: &GatewayListener) -> Vec<GatewaySubmission> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let got = gw.drain(8);
+            if !got.is_empty() {
+                return got;
+            }
+            assert!(Instant::now() < deadline, "submission never queued");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn gateway_holds_a_submission_until_the_node_answers_it() {
+        let gw = GatewayListener::spawn("127.0.0.1:0", 4, Duration::from_millis(25)).unwrap();
+        let submit = Frame::Submit {
+            client: 7,
+            req: 1,
+            payload: vec![1],
+        };
+        let mut first = TcpStream::connect(gw.local_addr()).unwrap();
+        submit.write_to(&mut first).unwrap();
+        let held = drain_some(&gw);
+        assert_eq!(
+            held,
+            vec![GatewaySubmission {
+                client: 7,
+                req: 1,
+                payload: vec![1],
+            }]
+        );
+        // Queued, so the session itself sent nothing back.
+        first
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        let quiet = first.read(&mut byte).unwrap_err().kind();
+        assert!(
+            matches!(quiet, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+            "{quiet:?}"
+        );
+
+        // The node's answer goes to the client's latest session.
+        let mut second = TcpStream::connect(gw.local_addr()).unwrap();
+        submit.write_to(&mut second).unwrap();
+        assert_eq!(drain_some(&gw), held, "a resubmission is held too");
+        gw.redirect(7, 1, 2);
+        second
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            Frame::read_from(&mut second).unwrap(),
+            Frame::Redirect { req: 1, group: 2 }
+        );
+        assert_eq!(gw.stats().redirects, 1);
+        gw.shutdown();
     }
 
     #[test]

@@ -178,8 +178,8 @@ pub enum Frame {
         /// Round within that instance where the decision fell.
         round: u32,
     },
-    /// Gateway → client: this node is not the current proposer (or does
-    /// not own the command's shard group); retry against `group`.
+    /// Gateway → client: at its instance boundary this node found
+    /// another node accepting; retry against `group`.
     Redirect {
         /// The refused [`Frame::Submit`] request number.
         req: u64,
@@ -501,8 +501,8 @@ pub struct GatewayStats {
     pub deduped: u64,
     /// Submissions refused with [`Frame::Busy`] (queue full).
     pub busy_rejected: u64,
-    /// Submissions refused with [`Frame::Redirect`] (wrong node or
-    /// shard group).
+    /// Submissions refused with [`Frame::Redirect`] (another node
+    /// accepts).
     pub redirects: u64,
 }
 

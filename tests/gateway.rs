@@ -14,9 +14,9 @@
 //! `t + 1`.
 
 use std::io::Read;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ssp::algos::{CtRounds, A1};
 use ssp::engine::{EngineConfig, ShardedConfig};
@@ -35,6 +35,15 @@ fn free_port_span(from: u16, n: u16) -> u16 {
         base += 7;
     }
     panic!("no free port span of {n} above {from}");
+}
+
+/// Blocks until something accepts TCP connections on `addr`.
+fn wait_for_listener(addr: &str) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while TcpStream::connect(addr).is_err() {
+        assert!(Instant::now() < deadline, "nothing listens on {addr}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn gateway_targets(base: u16, n: u16) -> Vec<String> {
@@ -167,13 +176,13 @@ fn inproc_load_double_run_is_byte_identical() {
     }
 }
 
-/// Failure-free network end-to-end: a closed-loop client population
-/// against a live gateway-fronted loopback cluster acks every request,
-/// the cluster audits clean, and — because load keys/values are pure
-/// functions of `(seed, client, req)` and command totals are
-/// arrival-order independent — two runs of the same seeds produce
-/// byte-identical deterministic stats cores even though admission
-/// timing differs.
+/// Failure-free network end-to-end: a closed-loop `ssp load` client
+/// population against a live gateway-fronted loopback cluster acks
+/// every request, the cluster audits clean, and — because load
+/// keys/values are pure functions of `(seed, client, req)` and command
+/// totals are arrival-order independent — two runs of the same seeds
+/// produce byte-identical deterministic stats cores even though
+/// admission timing differs.
 #[test]
 fn network_load_double_run_has_byte_identical_cores() {
     let dir = std::env::temp_dir().join(format!("ssp-gw-dr-{}", std::process::id()));
@@ -203,13 +212,26 @@ fn network_load_double_run_has_byte_identical_cores() {
             "--stats-out",
             stats.to_str().unwrap(),
         ]);
-        let mut cfg = LoadConfig::new(gateway_targets(base, 3), 9);
-        cfg.requests = 8;
-        cfg.mode = LoadMode::Closed { concurrency: 2 };
-        cfg.deadline = Duration::from_secs(20);
-        let report = run_load(&cfg).expect("load run");
-        assert_eq!(report.acked, 8, "all requests acked: {}", report.to_json());
-        assert_eq!(report.gave_up, 0);
+        // Through the CLI, which exits non-zero unless every request
+        // is acked before its deadline.
+        let load = Command::new(env!("CARGO_BIN_EXE_ssp"))
+            .args(["load", "--targets", &gateway_targets(base, 3).join(",")])
+            .args(["--concurrency", "2", "--requests", "8", "--seed", "9"])
+            .args(["--deadline-ms", "30000"])
+            .output()
+            .expect("run ssp load");
+        let report = String::from_utf8_lossy(&load.stdout);
+        assert!(
+            load.status.success(),
+            "ssp load failed: {report}\n{}",
+            String::from_utf8_lossy(&load.stderr)
+        );
+        assert_eq!(
+            json_u64(&report, "acked"),
+            8,
+            "all requests acked: {report}"
+        );
+        assert_eq!(json_u64(&report, "gave_up"), 0);
         let stdout = finish_cluster(child);
         let (admitted, _) = gateway_counters(&stdout);
         assert_eq!(admitted, 8, "each request admitted exactly once\n{stdout}");
@@ -228,6 +250,9 @@ fn network_load_double_run_has_byte_identical_cores() {
 /// exactly once — checked at store level by comparing decided-command
 /// counts against a load-free baseline of the identical seeded
 /// cluster: the loaded run decides exactly `requests` more commands.
+/// The outage costs only the detector: a survivor holds a client's
+/// submission until it suspects the dead node instead of pointing the
+/// client back at it, so no client is redirected more than once.
 #[test]
 fn kill9_of_the_gateway_node_applies_each_request_exactly_once() {
     let dir = std::env::temp_dir().join(format!("ssp-gw-kill-{}", std::process::id()));
@@ -251,7 +276,7 @@ fn kill9_of_the_gateway_node_applies_each_request_exactly_once() {
             "--kill9".into(),
             "0".into(),
             "--kill-at".into(),
-            "6".into(),
+            "2".into(),
             "--gateway-base-port".into(),
             base_s.into(),
             "--stats-out".into(),
@@ -271,14 +296,22 @@ fn kill9_of_the_gateway_node_applies_each_request_exactly_once() {
     );
 
     // Loaded run: clients start on node 0 (the accepting node), which
-    // is kill -9'd mid-load, forcing reconnect + resubmission.
+    // is kill -9'd mid-load, forcing reconnect + resubmission. Node 0
+    // dies after instance 2, and a client acks at most one request per
+    // instance, so most of the 12 requests straddle the kill. The load
+    // starts once node 0's gateway listens, so no client is bounced
+    // before the kill.
     let base1 = free_port_span(22_400, 3);
     let stats1 = dir.join("loaded.json");
     let args1 = cluster_args(&base1.to_string(), stats1.to_str().unwrap());
     let child = spawn_cluster(&args1.iter().map(String::as_str).collect::<Vec<_>>());
+    wait_for_listener(&gateway_targets(base1, 1)[0]);
+    let clients = 2;
     let mut cfg = LoadConfig::new(gateway_targets(base1, 3), 9);
     cfg.requests = 12;
-    cfg.mode = LoadMode::Closed { concurrency: 2 };
+    cfg.mode = LoadMode::Closed {
+        concurrency: clients,
+    };
     cfg.deadline = Duration::from_secs(30);
     let report = run_load(&cfg).expect("load run");
     assert_eq!(
@@ -288,7 +321,20 @@ fn kill9_of_the_gateway_node_applies_each_request_exactly_once() {
         report.to_json()
     );
     assert_eq!(report.gave_up, 0);
+    assert!(
+        report.client.redirects <= clients as u64,
+        "at most one redirect per client: {}",
+        report.to_json()
+    );
     let stdout = finish_cluster(child);
+    assert!(
+        stdout.contains("0 violations, 0 divergences"),
+        "the survivors audit clean:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("suspected: p0 (crashed in instance"),
+        "the killed node is reported as crashed:\n{stdout}"
+    );
 
     // Store-level exactly-once: precisely `requests` external commands
     // were decided, no matter how many resubmissions the kill caused.
