@@ -13,12 +13,12 @@
 //! conformance diff (socket trace vs virtual-clock oracle) and the
 //! parent-side replay possible at all.
 //!
-//! Per instance, every node runs `A1`'s two rounds in the lock-step
-//! discipline of the threaded driver: a send phase (explicit null
-//! wires included), then a collect phase that closes on a full row or
-//! on PFD suspicion ([`StalenessFd`]) plus the `RS` drain — suspicion
-//! only ever comes from the timeout, never from socket state, so a
-//! `kill -9`'d peer surfaces exactly the way §3's detector
+//! Per instance, every node runs `A1`'s rounds on the threaded
+//! driver's own round core ([`RoundCore`]): a send phase (explicit
+//! null wires included), then the shared collect loop, which closes on
+//! a full row or on PFD suspicion ([`TimeoutFd`]) plus the `RS` drain —
+//! suspicion only ever comes from the timeout, never from socket
+//! state, so a `kill -9`'d peer surfaces exactly the way §3's detector
 //! construction says it must. The drain is anchored at the suspicion,
 //! not at the round: a missing wire is declared absent once its sender
 //! has been silent for `fd_timeout + drain`, so each silence pays the
@@ -41,9 +41,9 @@ use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, Round, TaggedRunLog};
 use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 use ssp_runtime::{
-    ChaosProxy, ChaosProxyConfig, DegradeMode, FdModule, GatewayListener, GatewayStats, LinkSpec,
-    NetStats, RoundObs, RunTrace, SocketConfig, SocketNet, StalenessFd, SynchronyEvent,
-    SynchronyReport, ThreadedOutcome, TransportStats,
+    ChaosProxy, ChaosProxyConfig, Collected, DegradeMode, FdModule, GatewayListener, GatewayStats,
+    LinkSpec, NetStats, RoundCore, RoundIo, RoundObs, RunTrace, SocketConfig, SocketNet,
+    SynchronyMonitor, SynchronyReport, ThreadedOutcome, TimeoutFd, TransportStats, Wire,
 };
 
 use crate::command::{
@@ -52,9 +52,6 @@ use crate::command::{
 use crate::proposer::Proposer;
 use crate::stats::EngineStats;
 use crate::workload::{Workload, WorkloadConfig};
-
-/// `A1`'s round horizon (fixed: round 1 broadcast, round 2 relay).
-const HORIZON: u32 = 2;
 
 /// Configuration of one cluster node (one OS process).
 #[derive(Debug, Clone)]
@@ -258,11 +255,16 @@ fn unhex_batch(hex: &str) -> Option<Batch> {
     take_batch(&mut from_hex(hex)?.as_slice())
 }
 
-fn cell_to_str(cell: &Option<Vec<u8>>) -> String {
-    match cell {
-        None => "-".to_string(),
-        Some(bytes) => to_hex(bytes),
-    }
+/// An `S` or `R` report row: per cell `-` or the hex-encoded wire.
+fn row(cells: &[Option<Option<A1Msg<Batch>>>]) -> String {
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|cell| {
+            cell.as_ref()
+                .map_or_else(|| "-".to_string(), |w| to_hex(&encode_wire(w)))
+        })
+        .collect();
+    cells.join(" ")
 }
 
 // ---------------------------------------------------------------------------
@@ -341,12 +343,13 @@ pub fn serve_node_with(
         delta: cfg.delta,
         degrade: cfg.degrade,
     })?;
-    let fd = StalenessFd::new(net.board(), cfg.fd_timeout, me);
+    let fd = TimeoutFd::new(net.board(), cfg.fd_timeout, me);
+    let horizon = RoundAlgorithm::<Batch>::round_horizon(&A1, n, 1);
     let mut workload = Workload::new(cfg.seed, WorkloadConfig::new(cfg.clients));
     let mut proposer = Proposer::new();
     let mut kv = KvStore::default();
-    // Early arrivals from rounds/instances we have not reached yet.
-    let mut future: Vec<(u64, u32, ProcessId, Option<A1Msg<Batch>>)> = Vec::new();
+    // Early arrivals from instances we have not reached yet.
+    let mut later: Vec<LaterWire> = Vec::new();
     let listener = match gateway {
         Some(gw) => Some(GatewayListener::spawn(
             &gw.listen,
@@ -373,9 +376,8 @@ pub fn serve_node_with(
         // failure-free single round. Everyone else redirects.
         let mut gw_tail = Batch::default();
         if let (Some(listener), Some(gw)) = (&listener, gateway) {
-            let suspects = fd.suspects();
             let accepting_node = (0..n)
-                .find(|&q| q == cfg.me || !suspects.contains(ProcessId::new(q)))
+                .find(|&q| fd.suspected_for(ProcessId::new(q)).is_none())
                 .unwrap_or(cfg.me);
             for sub in listener.drain(gw.queue_cap) {
                 if sub.client >= u64::from(EXTERNAL_BIT) || u32::try_from(sub.req).is_err() {
@@ -414,124 +416,64 @@ pub fn serve_node_with(
 
         let mut proposals = proposer.proposals(n, cfg.batch_max, k);
         proposals[cfg.me].0.extend(gw_tail.0.iter().copied());
-        let mut proc_ = A1.spawn(me, n, 1, proposals[cfg.me].clone());
+        let mut core = RoundCore::new(A1.spawn(me, n, 1, proposals[cfg.me].clone()), me, n);
+        let (early, rest): (Vec<_>, Vec<_>) = later.drain(..).partition(|w| w.0 == k);
+        later = rest;
+        for (_, r, src, payload) in early {
+            core.deliver(src, r, payload);
+        }
         let monitor = net.begin_instance(k);
-        let mut pending_seen = 0u64;
+        // Wires of earlier instances: pending here, but not in the core.
+        let mut stale = 0u64;
         let mut decided_written = false;
-        let mut aborted = false;
-        let mut gave_up = false;
+        // Aborted or gave up: the batch stays pending, and the node stops.
+        let mut halted = false;
 
-        for r in 1..=HORIZON {
+        for r in 1..=horizon {
             // --- send phase (explicit null wires, self kept local) ---
-            let mut self_payload: Option<A1Msg<Batch>> = None;
-            let mut sent_cells: Vec<Option<Vec<u8>>> = vec![None; n];
-            for (q, cell) in sent_cells.iter_mut().enumerate() {
-                let payload = proc_.msgs(Round::new(r), ProcessId::new(q));
-                let bytes = encode_wire(&payload);
-                *cell = Some(bytes.clone());
-                if q == cfg.me {
-                    self_payload = payload;
-                } else {
-                    net.send(ProcessId::new(q), k, Round::new(r), bytes);
-                }
+            let sent = core.open(|_| true);
+            for (q, wire) in sent.iter().enumerate().filter(|&(q, _)| q != cfg.me) {
+                let wire = wire.as_ref().expect("a node emits every wire");
+                net.send(ProcessId::new(q), k, Round::new(r), encode_wire(wire));
             }
-            let row: Vec<String> = sent_cells.iter().map(cell_to_str).collect();
-            writeln!(out, "S {k} {r} {}", row.join(" "))?;
+            writeln!(out, "S {k} {r} {}", row(sent))?;
             out.flush()?;
 
             // --- collect phase ---
-            let mut got: Vec<Option<Option<A1Msg<Batch>>>> = vec![None; n];
-            got[cfg.me] = Some(self_payload);
-            future.retain(|(fk, fr, src, payload)| {
-                if *fk == k && *fr == r {
-                    got[src.index()] = Some(payload.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            let deadline = Instant::now() + cfg.round_timeout;
-            loop {
-                if monitor.aborted() || net.remote_abort().is_some_and(|ab| ab <= k) {
-                    net.abort(k);
-                    aborted = true;
-                    break;
-                }
-                let rws = monitor.degraded();
-                // A missing wire is declared absent once its sender is
-                // suspected — under RS only after the link has drained
-                // for `drain` past the suspicion. The drain is anchored
-                // at the suspicion, not at this round, so a long-dead
-                // peer costs it once per silence.
-                let ready = (0..n).all(|q| {
-                    got[q].is_some()
-                        || fd
-                            .suspected_for(ProcessId::new(q))
-                            .is_some_and(|suspected| rws || suspected >= cfg.drain)
-                });
-                if ready {
-                    break;
-                }
-                if Instant::now() > deadline {
-                    gave_up = true;
-                    break;
-                }
-                let Ok(msg) = net.recv_timeout(Duration::from_millis(2)) else {
-                    continue;
-                };
-                let Some(payload) = decode_wire(&msg.payload) else {
-                    continue;
-                };
-                let at = (msg.instance, msg.round.get());
-                if at == (k, r) {
-                    got[msg.src.index()] = Some(payload);
-                } else if at > (k, r) {
-                    future.push((msg.instance, msg.round.get(), msg.src, payload));
-                } else {
-                    // A genuinely pending message: its round already
-                    // closed here.
-                    pending_seen += 1;
-                    if msg.instance == k && monitor.is_armed() && !monitor.degraded() {
-                        monitor.record(SynchronyEvent::PendingUnderRs {
-                            src: msg.src,
-                            dst: me,
-                            wire_round: msg.round,
-                            observed_in: Round::new(r),
-                        });
-                    } else if msg.instance < k && monitor.is_armed() {
-                        // Its instance is already summarised: leave the
-                        // guard's finding for the merge to flag it.
-                        writeln!(
-                            out,
-                            "L {} {} {}",
-                            msg.instance,
-                            msg.round.get(),
-                            msg.src.index()
-                        )?;
-                    }
+            let mut io = NodeIo {
+                net: &net,
+                fd: &fd,
+                monitor: &monitor,
+                k,
+                later: &mut later,
+                earlier: Vec::new(),
+                deadline: Instant::now() + cfg.round_timeout,
+            };
+            let collected = core.collect(&mut io, &monitor, cfg.drain);
+            for (i, r, src) in io.earlier {
+                // Its instance is already summarised: leave the guard's
+                // finding for the merge to flag it.
+                stale += 1;
+                if monitor.is_armed() {
+                    writeln!(out, "L {i} {r} {}", src.index())?;
                 }
             }
-            if aborted {
-                writeln!(out, "A {k}")?;
+            let halt = match collected {
+                Collected::Ready => None,
+                Collected::Aborted => Some(format!("A {k}")),
+                Collected::GaveUp => Some(format!("G {k} {r}")),
+            };
+            if let Some(line) = halt {
+                writeln!(out, "{line}")?;
                 out.flush()?;
+                halted = true;
                 break;
             }
-            if gave_up {
-                writeln!(out, "G {k} {r}")?;
-                out.flush()?;
-                break;
-            }
-            let row: Vec<String> = got
-                .iter()
-                .map(|cell| cell_to_str(&cell.as_ref().map(encode_wire)))
-                .collect();
-            writeln!(out, "R {k} {r} {}", row.join(" "))?;
+            let received = core.close().received.expect("a closed round has a row");
+            writeln!(out, "R {k} {r} {}", row(&received))?;
             out.flush()?;
-            let received: Vec<Option<A1Msg<Batch>>> =
-                got.into_iter().map(Option::flatten).collect();
-            proc_.trans(Round::new(r), &received);
             if !decided_written {
-                if let Some((batch, round)) = proc_.decision() {
+                if let Some((batch, round)) = core.process().decision() {
                     writeln!(out, "D {k} {} {}", round.get(), hex_batch(&batch))?;
                     out.flush()?;
                     decided_written = true;
@@ -539,10 +481,9 @@ pub fn serve_node_with(
             }
         }
 
-        // Commit whatever this instance decided; abort/give-up leave
-        // the batch pending.
-        if !aborted && !gave_up {
-            if let Some((batch, round)) = proc_.decision() {
+        // Commit whatever this instance decided.
+        if !halted {
+            if let Some((batch, round)) = core.process().decision() {
                 let committed = proposer
                     .commit(&batch, k, round.get())
                     .map_err(|e| io::Error::other(format!("instance {k}: {e}")))?;
@@ -566,12 +507,13 @@ pub fn serve_node_with(
         let report = monitor.report();
         writeln!(
             out,
-            "Y {k} {} {} {} {pending_seen}",
+            "Y {k} {} {} {} {}",
             report
                 .degraded_at
                 .map_or_else(|| "-".to_string(), |r| r.get().to_string()),
             u8::from(report.violated),
             u8::from(report.aborted),
+            core.pending() + stale,
         )?;
         // Gateway counters are re-written every instance (parse keeps
         // the last line) so a `kill -9` loses at most the counts of the
@@ -580,7 +522,7 @@ pub fn serve_node_with(
             write_gateway_line(out, listener, gw_admitted, gw_deduped)?;
         }
         out.flush()?;
-        if aborted || gave_up {
+        if halted {
             // Continuing with a state that diverged from the peers
             // (uncommitted batch) would poison every later instance.
             break 'instances;
@@ -607,6 +549,56 @@ pub fn serve_node_with(
     out.flush()?;
     net.shutdown();
     Ok(())
+}
+
+/// A wire of a later instance: `(instance, round, sender, payload)`.
+type LaterWire = (u64, u32, ProcessId, Option<A1Msg<Batch>>);
+
+/// The node's side of [`RoundCore::collect`] for one round of instance
+/// `k`: the socket transport, the PFD and remote aborts.
+struct NodeIo<'a> {
+    net: &'a SocketNet,
+    fd: &'a TimeoutFd,
+    monitor: &'a SynchronyMonitor,
+    k: u64,
+    /// Wires of later instances, held for their own cores.
+    later: &'a mut Vec<LaterWire>,
+    /// `(instance, round, sender)` of wires of earlier instances.
+    earlier: Vec<(u64, u32, ProcessId)>,
+    deadline: Instant,
+}
+
+impl RoundIo<A1Msg<Batch>> for NodeIo<'_> {
+    fn aborted(&mut self) -> bool {
+        let aborted =
+            self.monitor.aborted() || self.net.remote_abort().is_some_and(|ab| ab <= self.k);
+        if aborted {
+            self.net.abort(self.k);
+        }
+        aborted
+    }
+
+    fn suspected_for(&mut self, q: ProcessId) -> Option<Duration> {
+        self.fd.suspected_for(q)
+    }
+
+    fn expired(&mut self) -> bool {
+        Instant::now() > self.deadline
+    }
+
+    fn recv(&mut self) -> Option<Wire<A1Msg<Batch>>> {
+        let msg = self.net.recv_timeout(Duration::from_millis(2)).ok()?;
+        let payload = decode_wire(&msg.payload)?;
+        let round = msg.round.get();
+        if msg.instance > self.k {
+            self.later.push((msg.instance, round, msg.src, payload));
+        } else if msg.instance < self.k {
+            self.earlier.push((msg.instance, round, msg.src));
+        } else {
+            return Some((msg.src, round, payload));
+        }
+        None
+    }
 }
 
 /// Writes the `W` report line: the node's own admission counters plus
@@ -651,7 +643,7 @@ struct NodeLog {
     /// Instances with a wire that arrived after their summary while
     /// the guard was armed (`L` lines).
     late: BTreeSet<u64>,
-    aborted: BTreeMap<u64, bool>,
+    aborted: BTreeSet<u64>,
     gave_up: BTreeMap<u64, u32>,
     transport: TransportStats,
     digest: Option<(u64, u64)>,
@@ -709,7 +701,7 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
             }
             "A" => {
                 if let Some(k) = num(1) {
-                    log.aborted.insert(k, true);
+                    log.aborted.insert(k);
                 }
             }
             "L" => {
@@ -833,6 +825,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
     let n = cfg.n;
     assert_eq!(reports.len(), n, "one report per node");
     let nodes: Vec<NodeLog> = reports.iter().map(|r| parse_node_report(r, n)).collect();
+    let horizon = RoundAlgorithm::<Batch>::round_horizon(&A1, n, 1);
 
     let mut workload = Workload::new(cfg.seed, WorkloadConfig::new(cfg.clients));
     let mut proposer = Proposer::new();
@@ -889,7 +882,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
         let mut outcomes: Vec<ProcessOutcome<Batch>> = Vec::with_capacity(n);
         let aborted = nodes
             .iter()
-            .any(|nl| nl.summary.get(&k).is_some_and(|s| s.aborted) || nl.aborted.contains_key(&k));
+            .any(|nl| nl.summary.get(&k).is_some_and(|s| s.aborted) || nl.aborted.contains(&k));
 
         for (i, nl) in nodes.iter().enumerate() {
             let mut log: Vec<RoundObs<A1Msg<Batch>>> = Vec::new();
@@ -900,7 +893,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
             // are whatever the survivors actually received from it.
             let finished = nl.summary.contains_key(&k) || nl.gave_up.contains_key(&k);
             let mut completed = 0u32;
-            for r in 1..=HORIZON {
+            for r in 1..=horizon {
                 let Some(s) = nl.sent.get(&(k, r)) else { break };
                 let received = nl.recv.get(&(k, r)).map(|g| decode_cells(g));
                 if received.is_none() && !finished {
@@ -918,7 +911,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
             }
             if !finished {
                 let crash_round = completed + 1;
-                if crash_round <= HORIZON {
+                if crash_round <= horizon {
                     let sent = nodes
                         .iter()
                         .enumerate()
@@ -932,7 +925,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
                         received: None,
                     });
                 }
-                crashes[i] = Some(Round::new(crash_round.min(HORIZON + 1)));
+                crashes[i] = Some(Round::new(crash_round.min(horizon + 1)));
                 if !crashed_nodes.iter().any(|&(p, _)| p == i) {
                     crashed_nodes.push((i, k));
                 }
@@ -963,7 +956,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
 
         let trace = RunTrace {
             n,
-            horizon: HORIZON,
+            horizon,
             model: RoundModel::Rs,
             logs: trace_logs,
             crashes: crashes.clone(),
@@ -1060,7 +1053,7 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
             // stops behind the parent's replay; equality is asserted
             // only for nodes that served every merged instance.
             let served_all = nodes[i].summary.len() as u64 == stats.instances
-                && !nodes[i].aborted.iter().any(|(_, &a)| a)
+                && nodes[i].aborted.is_empty()
                 && nodes[i].gave_up.is_empty();
             if served_all && *d != stats.kv_digest {
                 return Err(io::Error::other(format!(
@@ -1345,7 +1338,7 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)), Some(bytes));
         assert_eq!(from_hex("0g"), None);
         assert_eq!(from_hex("abc"), None);
-        assert_eq!(cell_to_str(&None), "-");
+        assert_eq!(row(&[None, Some(None)]), "- 00");
     }
 
     /// An in-process 3-node cluster over real loopback sockets: run

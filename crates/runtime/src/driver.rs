@@ -5,14 +5,20 @@
 //! The same driver realizes both models:
 //!
 //! * [`SyncPolicy::Rs`] — bounded-delay network + timeout detector +
-//!   a *drain* period after each suspicion, so that in-flight messages
-//!   from a crashed sender still land before the round closes. Under
-//!   the delay bound this yields round synchrony (missing message ⇒
-//!   the sender never sent it to us).
+//!   a *drain* anchored at the suspicion: a round closes without a
+//!   sender's wire only once the sender has been suspected for the
+//!   drain, so that in-flight messages from a crashed sender still land
+//!   first, and a sender dead for many rounds costs the drain once.
+//!   Under the delay bound this yields round synchrony (missing
+//!   message ⇒ the sender never sent it to us).
 //! * [`SyncPolicy::Rws`] — the §4.2 rule verbatim: close the round as
 //!   soon as every peer has either delivered or become suspected.
 //!   Messages that arrive after their round closed are *pending*,
 //!   counted in [`ThreadedOutcome::pending_messages`].
+//!
+//! Each worker drives the sans-IO [`RoundCore`] the socket node runs
+//! too, adding the scripted crash, stall and retirement, its own
+//! heartbeat, and the ledger that tells a detector mistake from a crash.
 //!
 //! `RS` runs carry a **synchrony watchdog**
 //! ([`crate::fd::SynchronyMonitor`]): the claimed delivery bound Δ is
@@ -39,10 +45,11 @@ use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 
 use crate::clock::{Backend, Clock, Tick};
 use crate::fd::{
-    CrashLedger, DegradeMode, FdModule, HeartbeatBoard, Oracle, OracleFd, SynchronyEvent,
-    SynchronyMonitor, SynchronyReport, TimeoutFd,
+    CrashLedger, DegradeMode, FdModule, HeartbeatBoard, Oracle, SynchronyEvent, SynchronyMonitor,
+    SynchronyReport, TimeoutFd,
 };
 use crate::net::{spawn_network_watched, NetConfig, NetReceiver, NetSender, NetStats};
+use crate::round::{Collected, RoundCore, RoundIo, Wire};
 use crate::trace::{RoundObs, RunTrace};
 
 /// Safety margin the auto-derived watchdog Δ adds on top of the
@@ -55,22 +62,15 @@ pub const WATCHDOG_MARGIN: Duration = Duration::from_millis(25);
 /// jitter budget applies).
 pub const FD_TIMEOUT_MARGIN: Duration = Duration::from_millis(10);
 
-/// Round-tagged wire format (nulls sent explicitly, as in the §4.2
-/// emulation, so receivers can stop waiting for live-but-silent peers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundWire<M> {
-    round: u32,
-    payload: Option<M>,
-}
-
 /// When a round may close on a missing peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Suspicion + a drain period (realizes `RS` under bounded delays).
     Rs {
-        /// How long to keep receiving after a peer is first found
-        /// suspected-and-missing. Must exceed the network's maximum
-        /// delay for round synchrony to hold.
+        /// How long a missing peer must have been suspected before a
+        /// round closes without its wire: anchored at the suspicion,
+        /// so paid once per suspicion, not per round. Must exceed the
+        /// network's maximum delay for round synchrony to hold.
         drain: Duration,
     },
     /// Suspicion alone (realizes `RWS`; pending messages possible).
@@ -143,11 +143,11 @@ impl ThreadCrash {
         }
     }
 
-    /// Whether slot `slot` (for receiver `q` out of `n`) is emitted.
-    fn emits(&self, slot: usize, q: ProcessId) -> bool {
+    /// Whether the crash round's wire to `q` is emitted.
+    fn emits(&self, q: ProcessId) -> bool {
         match self.sends_to {
             Some(set) => set.contains(q),
-            None => slot < self.after_sends,
+            None => q.index() < self.after_sends,
         }
     }
 }
@@ -524,26 +524,10 @@ pub struct ThreadedOutcome<V, M> {
 }
 
 struct ProcessReturn<V, M> {
-    input: V,
-    decision: Option<(V, Round)>,
-    crashed_in: Option<Round>,
+    outcome: ProcessOutcome<V>,
     retired: Option<Round>,
     pending_seen: u64,
     log: Vec<RoundObs<M>>,
-}
-
-enum AnyFd {
-    Timeout(TimeoutFd),
-    Oracle(OracleFd),
-}
-
-impl AnyFd {
-    fn suspects(&self) -> ssp_model::ProcessSet {
-        match self {
-            AnyFd::Timeout(fd) => fd.suspects(),
-            AnyFd::Oracle(fd) => fd.suspects(),
-        }
-    }
 }
 
 /// Per-worker wiring, bundled to keep [`worker`]'s signature sane.
@@ -551,9 +535,11 @@ struct WorkerEnv<M> {
     me: ProcessId,
     n: usize,
     horizon: u32,
-    rx: NetReceiver<RoundWire<M>>,
-    tx: NetSender<RoundWire<M>>,
-    fd: AnyFd,
+    /// Round-tagged wires; nulls go explicitly (§4.2) so receivers
+    /// can stop waiting for live-but-silent peers.
+    rx: NetReceiver<(u32, Option<M>)>,
+    tx: NetSender<(u32, Option<M>)>,
+    fd: Box<dyn FdModule>,
     board: Arc<HeartbeatBoard>,
     oracle: Arc<Oracle>,
     monitor: Arc<SynchronyMonitor>,
@@ -607,7 +593,7 @@ where
     };
     let ledger = CrashLedger::new(n);
     let (net_tx, net_rxs, net_handle) =
-        spawn_network_watched::<RoundWire<<A::Process as RoundProcess>::Msg>>(
+        spawn_network_watched::<(u32, Option<<A::Process as RoundProcess>::Msg>)>(
             n,
             runtime.net.clone(),
             Arc::clone(&monitor),
@@ -615,21 +601,16 @@ where
         );
 
     let board = HeartbeatBoard::new(n, clock.clone());
+    let (min_notify, max_notify) = match runtime.fd {
+        FdFlavor::Oracle {
+            min_notify,
+            max_notify,
+        } => (min_notify, max_notify),
+        FdFlavor::Timeout { .. } => (Duration::ZERO, Duration::ZERO),
+    };
     let oracle = match &runtime.notify_script {
         Some(script) => Oracle::scripted(n, script.clone(), clock.clone()),
-        None => Oracle::new(
-            n,
-            match runtime.fd {
-                FdFlavor::Oracle { min_notify, .. } => min_notify,
-                _ => Duration::ZERO,
-            },
-            match runtime.fd {
-                FdFlavor::Oracle { max_notify, .. } => max_notify,
-                _ => Duration::ZERO,
-            },
-            runtime.net.seed,
-            clock.clone(),
-        ),
+        None => Oracle::new(n, min_notify, max_notify, runtime.net.seed, clock.clone()),
     };
 
     let started = clock.now();
@@ -647,11 +628,11 @@ where
     for me in all_processes(n) {
         let proc_ = algo.spawn(me, n, t, config.input(me).clone());
         let input = config.input(me).clone();
-        let fd = match runtime.fd {
+        let fd: Box<dyn FdModule> = match runtime.fd {
             FdFlavor::Timeout { timeout } => {
-                AnyFd::Timeout(TimeoutFd::new(Arc::clone(&board), timeout, me))
+                Box::new(TimeoutFd::new(Arc::clone(&board), timeout, me))
             }
-            FdFlavor::Oracle { .. } => AnyFd::Oracle(oracle.module(me)),
+            FdFlavor::Oracle { .. } => Box::new(oracle.module(me)),
         };
         let env = WorkerEnv {
             me,
@@ -702,13 +683,10 @@ where
         pending_total += r.pending_seen;
         logs.push(r.log);
         // Clamp post-horizon crash rounds to the round-model limit.
-        crash_rounds.push(r.crashed_in.map(|c| c.min(Round::new(horizon + 1))));
+        let crashed_in = r.outcome.crashed_in;
+        crash_rounds.push(crashed_in.map(|c| c.min(Round::new(horizon + 1))));
         retired_rounds.push(r.retired);
-        outcomes.push(ProcessOutcome {
-            input: r.input,
-            decision: r.decision,
-            crashed_in: r.crashed_in,
-        });
+        outcomes.push(r.outcome);
     }
     // All workers are done: shut the network down, discarding (and
     // accounting) whatever is still in flight.
@@ -743,88 +721,77 @@ enum Exit {
     GaveUp,
 }
 
-/// One round's send phase: `proc_`'s wire to every receiver the crash
-/// script lets it reach, in process order. The self slot is recorded
-/// but never put on the network. In its crash round a process skips
-/// every slot its [`ThreadCrash`] leaves out (for a prefix cut, every
-/// slot from `after_sends` on).
-fn send_phase<P>(
-    proc_: &P,
-    me: ProcessId,
-    n: usize,
-    r: u32,
-    crash: Option<ThreadCrash>,
-    tx: &NetSender<RoundWire<P::Msg>>,
-) -> Vec<Option<Option<P::Msg>>>
-where
-    P: RoundProcess,
-    P::Msg: Send + 'static,
-{
-    let mut sent = vec![None; n];
-    for (slot, q) in all_processes(n).enumerate() {
-        if crash.is_some_and(|c| c.round == r && !c.emits(slot, q)) {
-            continue;
-        }
-        let payload = proc_.msgs(Round::new(r), q);
-        if q != me {
-            tx.send(
-                me,
-                q,
-                RoundWire {
-                    round: r,
-                    payload: payload.clone(),
-                },
-            );
-        }
-        sent[q.index()] = Some(payload);
-    }
-    sent
+/// The worker's side of [`RoundCore::collect`] in round `round`.
+struct WorkerIo<'a, M> {
+    env: &'a WorkerEnv<M>,
+    round: u32,
+    /// Live peers already reported as detector mistakes (once each).
+    mistaken: &'a mut [bool],
+    deadline: Tick,
 }
 
-fn worker<P>(
-    mut proc_: P,
-    input: P::Value,
-    env: WorkerEnv<P::Msg>,
-) -> ProcessReturn<P::Value, P::Msg>
+impl<M> RoundIo<M> for WorkerIo<'_, M> {
+    fn aborted(&mut self) -> bool {
+        if self.env.monitor.aborted() {
+            return true;
+        }
+        // The worker's own heartbeat rides its polls.
+        self.env.board.mark(self.env.me);
+        false
+    }
+
+    fn suspected_for(&mut self, q: ProcessId) -> Option<Duration> {
+        let suspected = self.env.fd.suspected_for(q);
+        // The detector is about to be trusted on q. If q never actually
+        // crashed, that is a detector mistake — report it (once) to the
+        // watchdog.
+        if suspected.is_some() && !self.mistaken[q.index()] && !self.env.ledger.crashed(q) {
+            self.mistaken[q.index()] = true;
+            self.env.monitor.record(SynchronyEvent::DetectorMistake {
+                observer: self.env.me,
+                suspect: q,
+                round: Round::new(self.round),
+            });
+        }
+        suspected
+    }
+
+    fn expired(&mut self) -> bool {
+        // Liveness failure: give up undecided. The incomplete round
+        // (without a crash) makes the trace inadmissible, which is
+        // exactly what conformance should report.
+        self.env.clock.now() > self.deadline
+    }
+
+    fn recv(&mut self) -> Option<Wire<M>> {
+        let env = self.env.rx.recv_timeout(Duration::from_micros(500)).ok()?;
+        Some((env.src, env.payload.0, env.payload.1))
+    }
+}
+
+fn worker<P>(proc_: P, input: P::Value, env: WorkerEnv<P::Msg>) -> ProcessReturn<P::Value, P::Msg>
 where
     P: RoundProcess,
     P::Msg: Send + 'static,
 {
-    let WorkerEnv {
-        me,
-        n,
-        horizon,
-        rx,
-        tx,
-        fd,
-        board,
-        oracle,
-        monitor,
-        ledger,
-        crash,
-        stall,
-        policy: base_policy,
-        round_timeout,
-        retire,
-        clock,
-    } = env;
-    let mut future: Vec<(u32, ProcessId, Option<P::Msg>)> = Vec::new();
-    let mut pending_seen = 0u64;
-    let mut log: Vec<RoundObs<P::Msg>> = Vec::with_capacity(horizon as usize);
-    // Live peers already reported as detector mistakes (once each).
-    let mut mistaken = vec![false; n];
+    let me = env.me;
+    let drain = match env.policy {
+        SyncPolicy::Rs { drain } => drain,
+        SyncPolicy::Rws => Duration::ZERO,
+    };
+    let mut core = RoundCore::new(proc_, me, env.n);
+    let mut log: Vec<RoundObs<P::Msg>> = Vec::with_capacity(env.horizon as usize);
+    let mut mistaken = vec![false; env.n];
     let mut retired: Option<Round> = None;
 
     let exit = 'run: {
-        for r in 1..=horizon {
+        for r in 1..=env.horizon {
             if retired.is_none() {
-                if let Some(s) = stall {
-                    if s.round == r {
-                        // Heartbeat starvation: live, but silent and deaf.
-                        clock.sleep(s.duration);
-                    }
+                if let Some(s) = env.stall.filter(|s| s.round == r) {
+                    // Heartbeat starvation: live, but silent and deaf.
+                    env.clock.sleep(s.duration);
                 }
-                if monitor.aborted() {
+                if env.monitor.aborted() {
                     break 'run Exit::GaveUp;
                 }
                 // Early close: a decided process of a retire-capable
@@ -834,131 +801,39 @@ where
                 // is what lets the engine start the next one sooner.
                 // The scripted crash still applies mid-burst, so fault
                 // plans keep their bite under early close.
-                if retire && proc_.decision().is_some() {
+                if env.retire && core.process().decision().is_some() {
                     retired = Some(Round::new(r));
                 }
             }
-            board.beat(me);
-            let sent = send_phase(&proc_, me, n, r, crash, &tx);
+            env.board.mark(me);
             // A scripted crash in round r strikes after the send phase,
             // before the process receives or applies trans.
-            let crashes = crash.is_some_and(|c| c.round == r);
-            let received = 'collect: {
-                if crashes || retired.is_some() {
-                    break 'collect None;
+            let crashes = env.crash.filter(|c| c.round == r);
+            let sent = core.open(|q| crashes.is_none_or(|c| c.emits(q)));
+            for (q, wire) in all_processes(env.n).zip(sent) {
+                if let (true, Some(payload)) = (q != me, wire) {
+                    env.tx.send(me, q, (r, payload.clone()));
                 }
-                let mut got: Vec<Option<Option<P::Msg>>> = vec![None; n];
-                got[me.index()].clone_from(&sent[me.index()]);
-                // Absorb early arrivals stashed in previous rounds.
-                future.retain(|(fr, src, payload)| {
-                    if *fr == r {
-                        got[src.index()] = Some(payload.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let deadline = clock.now() + round_timeout;
-                let mut missing_since: Vec<Option<Tick>> = vec![None; n];
-                loop {
-                    // Abort wins over everything, including a ready
-                    // round: the check runs before readiness so the
-                    // outcome is the same whichever the worker notices
-                    // first.
-                    if monitor.aborted() {
-                        break 'collect None;
-                    }
-                    board.beat(me);
-                    // Mid-run degradation: a violated Δ forfeits the RS
-                    // drain discipline; close on suspicion alone from
-                    // here on.
-                    let policy = if monitor.degraded() {
-                        SyncPolicy::Rws
-                    } else {
-                        base_policy
-                    };
-                    let suspects = fd.suspects();
-                    let now = clock.now();
-                    let mut ready = true;
-                    for q in all_processes(n) {
-                        if got[q.index()].is_some() {
-                            continue;
-                        }
-                        if !suspects.contains(q) {
-                            ready = false;
-                            continue;
-                        }
-                        // The detector is about to be trusted on q. If
-                        // q never actually crashed, that is a detector
-                        // mistake — report it (once) to the watchdog.
-                        if !mistaken[q.index()] && !ledger.crashed(q) {
-                            mistaken[q.index()] = true;
-                            monitor.record(SynchronyEvent::DetectorMistake {
-                                observer: me,
-                                suspect: q,
-                                round: Round::new(r),
-                            });
-                        }
-                        match policy {
-                            SyncPolicy::Rws => {}
-                            SyncPolicy::Rs { drain } => {
-                                // Keep draining the link for `drain`
-                                // after the suspicion before declaring
-                                // the message absent.
-                                let since = missing_since[q.index()].get_or_insert(now);
-                                if now.saturating_duration_since(*since) < drain {
-                                    ready = false;
-                                }
-                            }
-                        }
-                    }
-                    if ready {
-                        break 'collect Some(got);
-                    }
-                    if now > deadline {
-                        // Liveness failure: give up undecided. The
-                        // incomplete round (without a crash) makes the
-                        // trace inadmissible, which is exactly what
-                        // conformance should report.
-                        break 'collect None;
-                    }
-                    if let Ok(env) = rx.recv_timeout(Duration::from_micros(500)) {
-                        let wire = env.payload;
-                        if wire.round == r {
-                            got[env.src.index()] = Some(wire.payload);
-                        } else if wire.round > r {
-                            future.push((wire.round, env.src, wire.payload));
-                        } else {
-                            pending_seen += 1; // arrived after its round closed
-                            if monitor.is_armed() && !monitor.degraded() {
-                                // A pending arrival while still claiming
-                                // RS: round synchrony was already broken.
-                                monitor.record(SynchronyEvent::PendingUnderRs {
-                                    src: env.src,
-                                    dst: me,
-                                    wire_round: Round::new(wire.round),
-                                    observed_in: Round::new(r),
-                                });
-                            }
-                        }
-                    }
-                }
-            };
-            log.push(RoundObs {
-                sent,
-                received: received.clone(),
-            });
-            if crashes {
+            }
+            if crashes.is_some() {
+                log.push(core.cut());
                 break 'run Exit::Crashed(r);
             }
             if retired.is_some() {
+                log.push(core.cut());
                 continue;
             }
-            let Some(got) = received else {
-                break 'run Exit::GaveUp;
+            let mut io = WorkerIo {
+                env: &env,
+                round: r,
+                mistaken: &mut mistaken,
+                deadline: env.clock.now() + env.round_timeout,
             };
-            let received: Vec<Option<P::Msg>> = got.into_iter().map(Option::flatten).collect();
-            proc_.trans(Round::new(r), &received);
+            if core.collect(&mut io, &env.monitor, drain) != Collected::Ready {
+                log.push(core.cut());
+                break 'run Exit::GaveUp;
+            }
+            log.push(core.close());
         }
         Exit::Completed
     };
@@ -966,24 +841,26 @@ where
     let crashed_in = match exit {
         Exit::Crashed(r) => Some(r),
         // A crash scripted beyond the horizon: decide, then crash.
-        Exit::Completed => crash.map(|c| c.round).filter(|&r| r > horizon),
+        Exit::Completed => env.crash.map(|c| c.round).filter(|&r| r > env.horizon),
         Exit::GaveUp => None,
     };
     if crashed_in.is_some() {
-        ledger.mark(me);
-        board.silence(me);
-        oracle.report_crash(me);
+        env.ledger.mark(me);
+        env.board.silence(me);
+        env.oracle.report_crash(me);
     } else if matches!(exit, Exit::Completed) {
         // One last beat so laggards don't suspect us while they
         // finish (or wait out our burst wires).
-        board.beat(me);
+        env.board.mark(me);
     }
     ProcessReturn {
-        input,
-        decision: proc_.decision(),
-        crashed_in: crashed_in.map(Round::new),
+        outcome: ProcessOutcome {
+            input,
+            decision: core.process().decision(),
+            crashed_in: crashed_in.map(Round::new),
+        },
         retired,
-        pending_seen,
+        pending_seen: core.pending(),
         log,
     }
 }

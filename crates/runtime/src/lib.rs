@@ -6,9 +6,9 @@
 //!
 //! * the **`SS` flavour** — a bounded-delay network
 //!   ([`NetConfig::bounded`]), the timeout-based perfect detector
-//!   ([`TimeoutFd`], §3's construction), and a drain period that turns
-//!   suspicion into certainty about in-flight messages: rounds satisfy
-//!   round synchrony;
+//!   ([`TimeoutFd`], §3's construction), and a drain anchored at the
+//!   suspicion that turns it into certainty about in-flight messages:
+//!   rounds satisfy round synchrony;
 //! * the **`SP` flavour** — finite but arbitrary link delays (a
 //!   [`LinkScript`] pins any wire's delay), an oracle detector
 //!   ([`OracleFd`]) that knows *that* a process crashed but nothing
@@ -17,7 +17,8 @@
 //!
 //! [`RuntimeBuilder`] executes any `ssp-rounds` [`RoundAlgorithm`]
 //! unchanged in either flavour; the driver tests reproduce the §5.3
-//! `A1` disagreement with actual threads and delayed packets.
+//! `A1` disagreement with actual threads and delayed packets, on the
+//! sans-IO [`RoundCore`] that the socket node runs too.
 //!
 //! Time itself is pluggable ([`Clock`], [`Backend`]): the **real**
 //! backend sleeps on the OS clock, while the **virtual** backend runs
@@ -57,6 +58,7 @@ pub mod driver;
 pub mod fd;
 pub mod net;
 pub mod plan;
+pub mod round;
 pub mod seqset;
 pub mod socket;
 pub mod trace;
@@ -66,18 +68,19 @@ pub use builder::RuntimeBuilder;
 pub use chaos_proxy::{ChaosProxy, ChaosProxyConfig, LinkSpec};
 pub use clock::{Backend, Clock, Gate, ParseBackendError, Tick};
 pub use driver::{
-    ConfigError, FdFlavor, RoundWire, RuntimeConfig, Stall, SyncPolicy, ThreadCrash,
-    ThreadedOutcome, WatchdogConfig, FD_TIMEOUT_MARGIN, WATCHDOG_MARGIN,
+    ConfigError, FdFlavor, RuntimeConfig, Stall, SyncPolicy, ThreadCrash, ThreadedOutcome,
+    WatchdogConfig, FD_TIMEOUT_MARGIN, WATCHDOG_MARGIN,
 };
 pub use fd::{
-    CrashLedger, DegradeMode, FdModule, HeartbeatBoard, LastSeenBoard, Oracle, OracleFd,
-    StalenessFd, SynchronyEvent, SynchronyMonitor, SynchronyReport, TimeoutFd,
+    CrashLedger, DegradeMode, FdModule, HeartbeatBoard, Oracle, OracleFd, SynchronyEvent,
+    SynchronyMonitor, SynchronyReport, TimeoutFd,
 };
 pub use net::{
-    spawn_network, spawn_network_watched, splitmix, ChaosConfig, LinkScript, NetConfig,
-    NetEnvelope, NetHandle, NetReceiver, NetSender, NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
+    spawn_network_watched, splitmix, ChaosConfig, LinkScript, NetConfig, NetEnvelope, NetHandle,
+    NetReceiver, NetSender, NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
 pub use plan::{FaultPlan, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
+pub use round::{Collected, RoundCore, RoundIo, Wire};
 pub use seqset::SeqSet;
 pub use socket::{
     FrameReader, GatewayListener, GatewaySubmission, SocketConfig, SocketMsg, SocketNet,

@@ -427,19 +427,6 @@ impl<M> NetReceiver<M> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<NetEnvelope<M>, RecvTimeoutError> {
         self.clock.recv(&self.rx, &self.gate, Some(timeout))
     }
-
-    /// Returns an already-delivered envelope without waiting (and
-    /// without touching the clock, so it is safe from unregistered
-    /// threads under the virtual backend).
-    ///
-    /// # Errors
-    ///
-    /// [`TryRecvError::Empty`] when the inbox is empty,
-    /// [`TryRecvError::Disconnected`] once the network thread is gone
-    /// and the inbox drained.
-    pub fn try_recv(&self) -> Result<NetEnvelope<M>, crossbeam::channel::TryRecvError> {
-        self.rx.try_recv()
-    }
 }
 
 /// Owns the network thread: signals shutdown and joins it on drop, so
@@ -482,22 +469,12 @@ impl Drop for NetHandle {
     }
 }
 
-/// Spawns the network thread on the real clock; returns one sender
-/// handle, the `n` per-process receivers, and the joinable
-/// [`NetHandle`]. The thread exits when every sender is dropped and
-/// all held messages are delivered, or as soon as the handle signals
-/// shutdown.
-#[must_use]
-pub fn spawn_network<M: Clone + Send + 'static>(
-    n: usize,
-    config: NetConfig,
-) -> (NetSender<M>, Vec<NetReceiver<M>>, NetHandle) {
-    spawn_network_watched(n, config, SynchronyMonitor::disarmed(), Clock::real())
-}
-
-/// [`spawn_network`] on an explicit [`Clock`] and with a synchrony
-/// watchdog attached: over-Δ scheduling, late deliveries, and
-/// shutdown-stranded wires are reported to `monitor`.
+/// Spawns the network thread on `clock`; returns one sender handle,
+/// the `n` per-process receivers, and the joinable [`NetHandle`]. The
+/// thread exits when every sender is dropped and all held messages are
+/// delivered, or as soon as the handle signals shutdown. Over-Δ
+/// scheduling, late deliveries, and shutdown-stranded wires are
+/// reported to `monitor`.
 #[must_use]
 pub fn spawn_network_watched<M: Clone + Send + 'static>(
     n: usize,
@@ -861,6 +838,14 @@ fn net_thread<M: Clone + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The network on the real clock, unwatched.
+    fn spawn_network<M: Clone + Send + 'static>(
+        n: usize,
+        config: NetConfig,
+    ) -> (NetSender<M>, Vec<NetReceiver<M>>, NetHandle) {
+        spawn_network_watched(n, config, SynchronyMonitor::disarmed(), Clock::real())
+    }
     use crate::fd::DegradeMode;
     use std::time::Instant;
 

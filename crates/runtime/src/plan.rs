@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use ssp_model::ProcessId;
 use ssp_rounds::{CrashSchedule, PendingChoice, RoundModel};
 
-use crate::driver::{FdFlavor, RuntimeConfig, Stall, SyncPolicy, ThreadCrash, WatchdogConfig};
+use crate::driver::{FdFlavor, RuntimeConfig, Stall, ThreadCrash, WatchdogConfig};
 use crate::fd::DegradeMode;
 use crate::net::{ChaosConfig, LinkScript, NetConfig};
 
@@ -375,45 +375,31 @@ impl FaultPlan {
         if let Some(chaos) = self.chaos {
             net = net.with_chaos(chaos);
         }
-        let watchdog = WatchdogConfig {
-            delta: None,
-            degrade: self.degrade,
+        let notify_scale = self.chaos.map_or(1, |_| CHAOS_NOTIFY_SCALE);
+        let n = self.crashes.len();
+        let (base, notify_script) = match self.model {
+            RoundModel::Rs => (RuntimeConfig::ss_flavor(n, self.seed), None),
+            RoundModel::Rws => (
+                RuntimeConfig {
+                    fd: FdFlavor::Oracle {
+                        min_notify: NOTIFY_BASE * notify_scale,
+                        max_notify: (NOTIFY_BASE + NOTIFY_JITTER) * notify_scale,
+                    },
+                    ..RuntimeConfig::sp_flavor(n, self.seed)
+                },
+                Some(self.notify.clone()),
+            ),
         };
-        let notify_scale = if self.chaos.is_some() {
-            CHAOS_NOTIFY_SCALE
-        } else {
-            1
-        };
-        match self.model {
-            RoundModel::Rs => RuntimeConfig {
-                net,
-                policy: SyncPolicy::Rs {
-                    drain: Duration::from_millis(200),
-                },
-                fd: FdFlavor::Timeout {
-                    timeout: Duration::from_millis(100),
-                },
-                crashes: self.crashes.clone(),
-                stalls: self.stalls.clone(),
-                watchdog,
-                round_timeout: Duration::from_secs(20),
-                notify_script: None,
-                early_close: false,
+        RuntimeConfig {
+            net,
+            crashes: self.crashes.clone(),
+            stalls: self.stalls.clone(),
+            watchdog: WatchdogConfig {
+                delta: None,
+                degrade: self.degrade,
             },
-            RoundModel::Rws => RuntimeConfig {
-                net,
-                policy: SyncPolicy::Rws,
-                fd: FdFlavor::Oracle {
-                    min_notify: NOTIFY_BASE * notify_scale,
-                    max_notify: (NOTIFY_BASE + NOTIFY_JITTER) * notify_scale,
-                },
-                crashes: self.crashes.clone(),
-                stalls: self.stalls.clone(),
-                watchdog,
-                round_timeout: Duration::from_secs(20),
-                notify_script: Some(self.notify.clone()),
-                early_close: false,
-            },
+            notify_script,
+            ..base
         }
     }
 

@@ -19,10 +19,10 @@
 //! Two properties the paper cares about are structural here:
 //!
 //! * **Suspicion is gated on the PFD timeout, never on connection
-//!   state.** Only frame arrivals mark the [`LastSeenBoard`] (the
+//!   state.** Only frame arrivals mark the [`HeartbeatBoard`] (the
 //!   acceptor merely ticks its running clock); a refused dial, a
 //!   mid-stream reset, or a closed socket is invisible to
-//!   [`StalenessFd`](crate::fd::StalenessFd). A `kill -9`'d peer is
+//!   [`TimeoutFd`](crate::fd::TimeoutFd). A `kill -9`'d peer is
 //!   suspected when its silence outlives the timeout — §3's detector
 //!   construction — while a reset that reconnects inside the bound
 //!   leaves no trace.
@@ -46,7 +46,8 @@ use parking_lot::Mutex;
 
 use ssp_model::{ProcessId, Round};
 
-use crate::fd::{DegradeMode, LastSeenBoard, SynchronyEvent, SynchronyMonitor};
+use crate::clock::Clock;
+use crate::fd::{DegradeMode, HeartbeatBoard, SynchronyEvent, SynchronyMonitor};
 use crate::seqset::SeqSet;
 use crate::transport::{backoff_delay, Frame, GatewayStats, TransportError, TransportStats};
 
@@ -188,7 +189,7 @@ struct Core {
     delta: Option<Duration>,
     degrade: DegradeMode,
     shutdown: AtomicBool,
-    board: Arc<LastSeenBoard>,
+    board: Arc<HeartbeatBoard>,
     stats: SharedStats,
     /// The current instance's synchrony guard (swapped by
     /// `begin_instance`) and which instance it guards.
@@ -276,7 +277,7 @@ impl SocketNet {
             delta: config.delta,
             degrade: config.degrade,
             shutdown: AtomicBool::new(false),
-            board: LastSeenBoard::new(config.n),
+            board: HeartbeatBoard::new(config.n, Clock::real()),
             stats: SharedStats::default(),
             monitor: Mutex::new(SynchronyMonitor::disarmed()),
             guarded_instance: AtomicU64::new(NO_ABORT),
@@ -322,10 +323,10 @@ impl SocketNet {
         self.local_addr
     }
 
-    /// The last-arrival board feeding
-    /// [`StalenessFd`](crate::fd::StalenessFd).
+    /// The frame-arrival board feeding
+    /// [`TimeoutFd`](crate::fd::TimeoutFd).
     #[must_use]
-    pub fn board(&self) -> Arc<LastSeenBoard> {
+    pub fn board(&self) -> Arc<HeartbeatBoard> {
         Arc::clone(&self.core.board)
     }
 
@@ -842,6 +843,7 @@ pub struct GatewaySubmission {
 
 /// State shared between the gateway acceptor, its per-session reader
 /// threads, and the serving layer.
+#[derive(Debug)]
 struct GatewayShared {
     shutdown: AtomicBool,
     /// Backpressure hint carried in `Busy` rejections.
@@ -851,7 +853,9 @@ struct GatewayShared {
     /// Ack route per client: the write half of the client's *latest*
     /// connection (a reconnect simply overwrites the entry).
     sessions: Mutex<BTreeMap<u64, Arc<Mutex<TcpStream>>>>,
-    queue_tx: Sender<GatewaySubmission>,
+    /// The bounded admission queue; one entry per `(client, req)`.
+    held: Mutex<Vec<GatewaySubmission>>,
+    queue_cap: usize,
 }
 
 impl GatewayShared {
@@ -877,24 +881,17 @@ impl GatewayShared {
 ///
 /// Every submission that fits the queue is held there until the
 /// serving layer drains it at an instance boundary and admits, re-acks
-/// or redirects it; a session itself answers only with `Busy`.
+/// or redirects it; a session itself answers only with `Busy`. A
+/// resubmission of a request still held takes no second slot: it only
+/// moves the answer's route to its session.
 ///
 /// Admission-level dedup lives with the serving layer (it owns the
 /// proposer's decided-id ledger); this type owns everything socket.
 #[derive(Debug)]
 pub struct GatewayListener {
     shared: Arc<GatewayShared>,
-    queue_rx: Receiver<GatewaySubmission>,
     local: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for GatewayShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GatewayShared")
-            .field("redirects", &self.redirects.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 impl GatewayListener {
@@ -909,7 +906,6 @@ impl GatewayListener {
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let (queue_tx, queue_rx) = crossbeam::channel::bounded(queue_cap.max(1));
         #[allow(clippy::cast_possible_truncation)]
         let shared = Arc::new(GatewayShared {
             shutdown: AtomicBool::new(false),
@@ -917,7 +913,8 @@ impl GatewayListener {
             busy_rejected: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
             sessions: Mutex::new(BTreeMap::new()),
-            queue_tx,
+            held: Mutex::new(Vec::new()),
+            queue_cap: queue_cap.max(1),
         });
         let acc = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
@@ -925,7 +922,6 @@ impl GatewayListener {
             .spawn(move || gateway_acceptor(&acc, &listener))?;
         Ok(GatewayListener {
             shared,
-            queue_rx,
             local,
             acceptor: Some(acceptor),
         })
@@ -937,17 +933,13 @@ impl GatewayListener {
         self.local
     }
 
-    /// Drains up to `max` queued submissions without blocking.
+    /// Drains up to `max` queued submissions, oldest first, without
+    /// blocking; a later resubmission of one of them queues anew.
     #[must_use]
     pub fn drain(&self, max: usize) -> Vec<GatewaySubmission> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.queue_rx.try_recv() {
-                Ok(sub) => out.push(sub),
-                Err(_) => break,
-            }
-        }
-        out
+        let mut held = self.shared.held.lock();
+        let take = held.len().min(max);
+        held.drain(..take).collect()
     }
 
     /// Acks `(client, req)` as decided by consensus instance `seq` in
@@ -1038,23 +1030,27 @@ fn gateway_session(shared: &Arc<GatewayShared>, stream: TcpStream) {
                 // client: a resubmission after reconnect must be
                 // answered on the new socket, not the dead one.
                 shared.sessions.lock().insert(client, Arc::clone(&writer));
-                match shared.queue_tx.try_send(GatewaySubmission {
-                    client,
-                    req,
-                    payload,
-                }) {
-                    Ok(()) => {}
-                    Err(crossbeam::channel::TrySendError::Full(_)) => {
-                        shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                        let busy = Frame::Busy {
-                            req,
-                            retry_after_ms: shared.retry_after_ms,
-                        };
-                        if write_frame(&mut writer.lock(), &busy).is_err() {
-                            return;
-                        }
+                {
+                    let mut held = shared.held.lock();
+                    if held.iter().any(|h| (h.client, h.req) == (client, req)) {
+                        continue; // already held: answered on this session
                     }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => return,
+                    if held.len() < shared.queue_cap {
+                        held.push(GatewaySubmission {
+                            client,
+                            req,
+                            payload,
+                        });
+                        continue;
+                    }
+                }
+                shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
+                let busy = Frame::Busy {
+                    req,
+                    retry_after_ms: shared.retry_after_ms,
+                };
+                if write_frame(&mut writer.lock(), &busy).is_err() {
+                    return;
                 }
             }
             Ok(_) | Err(_) => return,
@@ -1162,20 +1158,82 @@ mod tests {
     }
 
     #[test]
+    fn a_resubmitted_held_request_takes_one_slot() {
+        const CAP: usize = 4;
+        let gw = GatewayListener::spawn("127.0.0.1:0", CAP, Duration::from_millis(25)).unwrap();
+        // Each client submits once, then resubmits five times, every
+        // time over a fresh session.
+        let mut sessions = Vec::new();
+        for _ in 0..6 {
+            for client in 0..CAP as u64 {
+                let route = gw.shared.sessions.lock().get(&client).cloned();
+                let mut session = TcpStream::connect(gw.local_addr()).unwrap();
+                let submit = Frame::Submit {
+                    client,
+                    req: 1,
+                    payload: vec![1],
+                };
+                submit.write_to(&mut session).unwrap();
+                // Wait until the session's reader took the frame: the
+                // client's ack route moves to the new session.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while gw.shared.sessions.lock().get(&client).map(Arc::as_ptr)
+                    == route.as_ref().map(Arc::as_ptr)
+                {
+                    assert!(Instant::now() < deadline, "submission never read");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                sessions.push(session);
+            }
+        }
+        assert_eq!(gw.stats().busy_rejected, 0, "resubmissions take no slot");
+        let mut held = gw.drain(6 * CAP);
+        held.sort_by_key(|sub| sub.client);
+        let clients: Vec<u64> = held.iter().map(|sub| sub.client).collect();
+        assert_eq!(clients, [0, 1, 2, 3], "one entry per request");
+
+        // The answer goes to the latest session, and a drained request
+        // is released: its next resubmission is queued again.
+        gw.ack(0, 1, 9, 1);
+        let latest = &mut sessions[5 * CAP];
+        latest
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            Frame::read_from(latest).unwrap(),
+            Frame::ClientAck {
+                req: 1,
+                seq: 9,
+                round: 1
+            }
+        );
+        Frame::Submit {
+            client: 0,
+            req: 1,
+            payload: vec![1],
+        }
+        .write_to(latest)
+        .unwrap();
+        assert_eq!(drain_some(&gw).len(), 1);
+        gw.shutdown();
+    }
+
+    #[test]
     fn heartbeats_keep_staleness_fresh() {
-        use crate::fd::{FdModule, StalenessFd};
+        use crate::fd::{FdModule, TimeoutFd};
         let (a, b) = pair();
-        let fd = StalenessFd::new(a.board(), Duration::from_millis(500), p(0));
+        let fd = TimeoutFd::new(a.board(), Duration::from_millis(500), p(0));
         // Wait long enough that only heartbeats can be keeping b fresh.
         std::thread::sleep(Duration::from_millis(700));
-        assert!(
-            fd.suspects().is_empty(),
+        assert_eq!(
+            fd.suspected_for(p(1)),
+            None,
             "a heartbeating peer is never suspected"
         );
         drop(b);
         // With b gone, silence accumulates past the timeout.
         std::thread::sleep(Duration::from_millis(900));
-        assert!(fd.suspects().contains(p(1)), "a dead peer is suspected");
+        assert!(fd.suspected_for(p(1)).is_some(), "a dead peer is suspected");
         drop(a);
     }
 }

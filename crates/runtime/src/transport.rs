@@ -21,7 +21,7 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
-use ssp_model::ProcessId;
+use ssp_model::{process::MAX_PROCESSES, ProcessId};
 
 use crate::net::{roll, splitmix};
 
@@ -225,6 +225,16 @@ fn take_u64(buf: &[u8], at: &mut usize) -> Result<u64, TransportError> {
     Ok(u64::from_le_bytes(take::<8>(buf, at)?))
 }
 
+/// A `u32` process index, inside the process universe.
+fn take_process(buf: &[u8], at: &mut usize) -> Result<ProcessId, TransportError> {
+    match take_u32(buf, at)? as usize {
+        i if i < MAX_PROCESSES => Ok(ProcessId::new(i)),
+        i => Err(TransportError::FrameCorrupt(format!(
+            "process index {i} out of range"
+        ))),
+    }
+}
+
 /// A `u32`-length-prefixed payload, capped at [`MAX_FRAME_LEN`].
 fn take_payload(buf: &[u8], at: &mut usize) -> Result<Vec<u8>, TransportError> {
     let len = take_u32(buf, at)? as usize;
@@ -333,13 +343,13 @@ impl Frame {
     /// # Errors
     ///
     /// [`TransportError::FrameCorrupt`] on an unknown tag, a truncated
-    /// body, or trailing garbage.
+    /// body, a process index outside the universe, or trailing garbage.
     pub fn decode_body(buf: &[u8]) -> Result<Frame, TransportError> {
         let mut at = 0usize;
         let [tag] = take::<1>(buf, &mut at)?;
         let frame = match tag {
             TAG_HELLO => Frame::Hello {
-                src: ProcessId::new(take_u32(buf, &mut at)? as usize),
+                src: take_process(buf, &mut at)?,
                 epoch: take_u64(buf, &mut at)?,
             },
             TAG_DATA => Frame::Data {
@@ -597,6 +607,12 @@ mod tests {
         body.push(0);
         let err = Frame::decode_body(&body).unwrap_err();
         assert!(matches!(err, TransportError::FrameCorrupt(_)), "{err}");
+        // A hello from outside the process universe.
+        let mut body = vec![TAG_HELLO];
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&1u64.to_le_bytes());
+        let err = Frame::decode_body(&body).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
         // Truncated client frames are corrupt, not panics.
         for f in [
             Frame::Submit {

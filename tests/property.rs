@@ -5,13 +5,14 @@
 use proptest::prelude::*;
 
 use ssp::algos::{FloodSet, FloodSetWs};
+use ssp::engine::decode_wire;
 use ssp::fd::{classify, PerfectOracle};
 use ssp::model::{
     check_uniform_consensus_strong, FailurePattern, InitialConfig, ProcessId, ProcessSet, Round,
     Time,
 };
 use ssp::rounds::{run_rs, run_rws, validate_pending, CrashSchedule, PendingChoice, RoundCrash};
-use ssp::runtime::SeqSet;
+use ssp::runtime::{Frame, SeqSet};
 
 fn pid() -> impl Strategy<Value = ProcessId> {
     (0usize..8).prop_map(ProcessId::new)
@@ -236,6 +237,34 @@ mod sim_props {
             let mut adv = RandomAdversary::new(3, 80, seed);
             let result = run(ModelKind::ss(phi, delta), automata, &mut adv, 1_000).unwrap();
             prop_assert!(ssp::sim::validate_ss(&result.trace, phi, delta).is_ok());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Bytes that cross the peer trust boundary meet a typed error or
+    /// `None`, never a panic: the frame splitter (on raw bytes and
+    /// behind a matching length prefix), the frame body decoder, and
+    /// the node's wire payload decoder. `tag` steers the first byte
+    /// into the small tag space both codecs dispatch on.
+    #[test]
+    fn arbitrary_bytes_meet_a_typed_error_never_a_panic(
+        tag in 0u8..16,
+        raw in proptest::collection::vec(0u8..=255, 0..80),
+    ) {
+        let mut tagged = vec![tag];
+        tagged.extend_from_slice(&raw);
+        for body in [&raw, &tagged] {
+            let _ = Frame::split_buffered(body);
+            let mut framed = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+            framed.extend_from_slice(body);
+            if let Ok(Some((_, used))) = Frame::split_buffered(&framed) {
+                prop_assert_eq!(used, framed.len());
+            }
+            let _ = Frame::decode_body(body);
+            let _ = decode_wire(body);
         }
     }
 }

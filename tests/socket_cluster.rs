@@ -425,6 +425,58 @@ fn row<'a>(report: &'a str, tag: &str, k: u64, r: u32) -> Option<Vec<&'a str>> {
         .map(|cells| cells.split(' ').collect())
 }
 
+/// The report grammar the benchmark parses (`Y`, `R` and `W` lines in
+/// `perfbench`) stays put: a failure-free node writes, per instance,
+/// exactly `S 1`, `R 1`, `D` (round 1), `S 2`, `R 2`, `Y`, and then the
+/// trailing `T` and `K` lines, each with its field count.
+#[test]
+fn a_failure_free_node_report_keeps_its_line_order() {
+    let dir = scratch("grammar");
+    let addrs = free_addrs(3);
+    let mut nodes = spawn_nodes(
+        &addrs,
+        &dir,
+        &[
+            "--instances",
+            "3",
+            "--seed",
+            "5",
+            "--fd-timeout-ms",
+            "10000",
+        ],
+    );
+    for node in &mut nodes {
+        assert!(node.wait().expect("wait node").success(), "a node failed");
+    }
+    let mut expected = Vec::new();
+    for k in 0..3 {
+        for head in [
+            "S {k} 1", "R {k} 1", "D {k} 1", "S {k} 2", "R {k} 2", "Y {k}",
+        ] {
+            expected.push(head.replace("{k}", &k.to_string()));
+        }
+    }
+    expected.extend(["T".to_string(), "K".to_string()]);
+    for i in 0..3 {
+        let report = std::fs::read_to_string(report_path(&dir, i)).expect("report");
+        let mut heads = Vec::new();
+        for line in report.lines() {
+            let fields: Vec<&str> = line.split(' ').collect();
+            let (head, width) = match fields[0] {
+                "S" | "R" => (3, 3 + 3),
+                "D" => (3, 4),
+                "Y" => (2, 6),
+                "T" => (1, 9),
+                "K" => (1, 3),
+                _ => (fields.len(), 0),
+            };
+            assert_eq!(fields.len(), width, "node {i}: {line:?}");
+            heads.push(fields[..head].join(" "));
+        }
+        assert_eq!(heads, expected, "node {i}:\n{report}");
+    }
+}
+
 /// A falsely suspected peer: node 2 is `SIGSTOP`ped past
 /// `fd_timeout + drain`, so the survivors close its rounds without its
 /// wires, then `SIGCONT`ed, so those wires arrive late. With the Δ

@@ -12,7 +12,7 @@ use std::time::Duration;
 use ssp::model::ProcessId;
 use ssp::runtime::{
     backoff_delay, ChaosProxy, ChaosProxyConfig, FdModule, Frame, FrameReader, LinkSpec,
-    SocketConfig, SocketMsg, SocketNet, StalenessFd, TransportError, BACKOFF_BASE, BACKOFF_CAP,
+    SocketConfig, SocketMsg, SocketNet, TimeoutFd, TransportError, BACKOFF_BASE, BACKOFF_CAP,
     BACKOFF_JITTER_MAX,
 };
 
@@ -198,7 +198,7 @@ fn reset_and_reconnect_inside_delta_never_suspects() {
         vec![addr0.clone(), proxy.link_addrs()[0].to_string()],
     ))
     .expect("spawn node 0");
-    let fd = StalenessFd::new(net1.board(), Duration::from_secs(4), ProcessId::new(1));
+    let fd = TimeoutFd::new(net1.board(), Duration::from_secs(4), ProcessId::new(1));
     let monitor = net1.begin_instance(0);
 
     // Frame 3 trips the scripted reset; retransmission re-delivers it
@@ -220,7 +220,7 @@ fn reset_and_reconnect_inside_delta_never_suspects() {
     }
     assert_eq!(got.len(), 4, "exactly-once delivery across the reset");
     assert!(
-        fd.suspects().is_empty(),
+        fd.suspected_for(ProcessId::new(0)).is_none(),
         "a reset + reconnect inside Δ must not suspect anyone"
     );
     let report = monitor.report();
@@ -241,21 +241,24 @@ fn reset_and_reconnect_inside_delta_never_suspects() {
 #[test]
 fn suspicion_requires_the_pfd_timeout_not_connection_loss() {
     let (net0, net1, _, _) = spawn_pair(None, None);
-    let fd = StalenessFd::new(net1.board(), Duration::from_millis(600), ProcessId::new(1));
+    let fd = TimeoutFd::new(net1.board(), Duration::from_millis(600), ProcessId::new(1));
     // Let heartbeats flow both ways first.
     std::thread::sleep(Duration::from_millis(200));
-    assert!(fd.suspects().is_empty(), "live peer must not be suspected");
+    assert!(
+        fd.suspected_for(ProcessId::new(0)).is_none(),
+        "live peer must not be suspected"
+    );
     // Kill node 0 without any goodbye: its connections die instantly,
     // but suspicion must wait for the staleness timeout.
     drop(net0);
     std::thread::sleep(Duration::from_millis(250));
     assert!(
-        fd.suspects().is_empty(),
+        fd.suspected_for(ProcessId::new(0)).is_none(),
         "connection loss alone must not trigger suspicion"
     );
     std::thread::sleep(Duration::from_millis(700));
     assert!(
-        fd.suspects().contains(ProcessId::new(0)),
+        fd.suspected_for(ProcessId::new(0)).is_some(),
         "after the timeout the dead peer must be suspected"
     );
     net1.shutdown();

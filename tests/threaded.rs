@@ -3,7 +3,7 @@
 
 use ssp::algos::{EarlyDeciding, FOptFloodSet, FloodSet, FloodSetWs, A1};
 use ssp::model::{check_uniform_consensus, check_uniform_consensus_strong, InitialConfig, Round};
-use ssp::runtime::{FaultPlan, RuntimeBuilder, RuntimeConfig, ThreadCrash};
+use ssp::runtime::{FaultPlan, RuntimeBuilder, RuntimeConfig, SyncPolicy, ThreadCrash};
 
 mod common;
 use common::p;
@@ -288,4 +288,37 @@ fn early_close_crash_mid_burst_keeps_the_scripted_cut() {
         check_uniform_consensus_strong(&result.outcome).unwrap();
         trace.validate().unwrap();
     }
+}
+
+/// The in-process twin of `tests/socket_cluster.rs::
+/// survivors_pay_the_drain_once_per_suspicion`: the RS drain is
+/// anchored at the suspicion, so a round-1 crash costs the survivors
+/// one drain over all three of FloodSet's rounds, not one per round.
+#[test]
+fn survivors_pay_the_in_process_drain_once_per_suspicion() {
+    let config = InitialConfig::new(vec![3u64, 1, 4, 1]);
+    let runtime = RuntimeConfig::ss_flavor(4, 11).with_crash(
+        p(0),
+        ThreadCrash {
+            round: 1,
+            after_sends: 2,
+            sends_to: None,
+        },
+    );
+    let SyncPolicy::Rs { drain } = runtime.policy else {
+        panic!("ss_flavor is RS");
+    };
+    let result = RuntimeBuilder::new(&FloodSet, &config)
+        .t(2)
+        .runtime(runtime)
+        .run()
+        .unwrap();
+    check_uniform_consensus_strong(&result.outcome).unwrap();
+    assert_eq!(result.trace.horizon, 3);
+    assert_eq!(result.outcome.outcome(p(0)).crashed_in, Some(Round::FIRST));
+    assert!(
+        result.elapsed < drain * 2,
+        "three rounds after one suspicion took {:?} (drain {drain:?})",
+        result.elapsed
+    );
 }
