@@ -120,12 +120,6 @@ impl<V: Value> CtProcess<V> {
         ProcessId::new(((round - 1) % self.n as u64) as usize)
     }
 
-    /// The asynchronous round this process is currently in.
-    #[must_use]
-    pub fn current_round(&self) -> u64 {
-        self.round
-    }
-
     fn broadcast(&mut self, msg: &CtMsg<V>) {
         for i in 0..self.n {
             let dst = ProcessId::new(i);

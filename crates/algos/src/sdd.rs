@@ -16,7 +16,7 @@
 //!   [`Theorem 3.1 adversary`](../../ssp_lab/impossibility/index.html)
 //!   defeats it (and every other candidate) by run surgery.
 
-use ssp_model::{ProcessId, ProcessSet};
+use ssp_model::ProcessId;
 use ssp_sim::{StepAutomaton, StepContext};
 
 /// The SDD sender: transmits its input bit to the receiver in its very
@@ -223,13 +223,6 @@ impl StepAutomaton for PatientSpSddReceiver {
     fn output(&self) -> Option<bool> {
         self.decision
     }
-}
-
-/// Convenience: the suspicion set that never suspects (for direct
-/// driving of candidates in unit tests).
-#[must_use]
-pub fn no_suspects() -> ProcessSet {
-    ProcessSet::empty()
 }
 
 #[cfg(test)]

@@ -41,9 +41,9 @@ use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, Round, TaggedRunLog};
 use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 use ssp_runtime::{
-    ChaosProxy, ChaosProxyConfig, Collected, DegradeMode, FdModule, GatewayListener, GatewayStats,
-    LinkSpec, NetStats, RoundCore, RoundIo, RoundObs, RunTrace, SocketConfig, SocketNet,
-    SynchronyMonitor, SynchronyReport, ThreadedOutcome, TimeoutFd, TransportStats, Wire,
+    Collected, DegradeMode, FdModule, GatewayListener, GatewayStats, NetStats, RoundCore, RoundIo,
+    RoundObs, RunTrace, SocketConfig, SocketFaults, SocketNet, SynchronyMonitor, SynchronyReport,
+    ThreadedOutcome, TimeoutFd, TransportStats, Wire,
 };
 
 use crate::command::{
@@ -97,6 +97,9 @@ pub struct NodeConfig {
     /// poll can land the signal mid-run instead of racing a cluster
     /// that finishes in milliseconds.
     pub instance_gap: Duration,
+    /// Seeded faults on this node's outgoing data frames (`None` = a
+    /// clean wire).
+    pub faults: Option<SocketFaults>,
 }
 
 impl NodeConfig {
@@ -120,6 +123,7 @@ impl NodeConfig {
             drain: Duration::from_millis(150),
             round_timeout: Duration::from_secs(10),
             instance_gap: Duration::ZERO,
+            faults: None,
         }
     }
 }
@@ -342,6 +346,7 @@ pub fn serve_node_with(
         heartbeat: cfg.heartbeat,
         delta: cfg.delta,
         degrade: cfg.degrade,
+        faults: cfg.faults,
     })?;
     let fd = TimeoutFd::new(net.board(), cfg.fd_timeout, me);
     let horizon = RoundAlgorithm::<Batch>::round_horizon(&A1, n, 1);
@@ -1108,9 +1113,6 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Optional mid-run `kill -9`.
     pub kill: Option<KillSpec>,
-    /// Optional socket-level chaos: every directed link is routed
-    /// through a [`ChaosProxy`] with this fault script.
-    pub proxy: Option<ChaosProxyConfig>,
     /// Optional per-node client gateway.
     pub gateway: Option<GatewaySpec>,
 }
@@ -1121,8 +1123,9 @@ fn free_loopback_addr() -> io::Result<String> {
 }
 
 /// Spawns `n` node processes of `bin` (`ssp serve a1 rs --node i ...`),
-/// optionally interposing a [`ChaosProxy`] on every directed link and
-/// killing one node mid-run, then merges and audits their reports.
+/// each applying the template's socket faults to its own outgoing
+/// links, optionally kills one node mid-run, then merges and audits
+/// their reports.
 ///
 /// # Errors
 ///
@@ -1134,34 +1137,6 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
     let addrs: Vec<String> = (0..n)
         .map(|_| free_loopback_addr())
         .collect::<io::Result<_>>()?;
-
-    // With a proxy, node i dials peer j through the (i→j) link proxy;
-    // without one, directly.
-    let mut proxy = None;
-    let mut peer_views: Vec<Vec<String>> = vec![addrs.clone(); n];
-    if let Some(proxy_cfg) = cfg.proxy {
-        let mut links = Vec::new();
-        let mut slots = Vec::new();
-        for i in 0..n {
-            for (j, upstream) in addrs.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                links.push(LinkSpec {
-                    src: ProcessId::new(i),
-                    dst: ProcessId::new(j),
-                    listen: "127.0.0.1:0".to_string(),
-                    upstream: upstream.clone(),
-                });
-                slots.push((i, j));
-            }
-        }
-        let p = ChaosProxy::spawn(proxy_cfg, links)?;
-        for (slot, addr) in slots.iter().zip(p.link_addrs()) {
-            peer_views[slot.0][slot.1] = addr.to_string();
-        }
-        proxy = Some(p);
-    }
 
     let report_path = |i: usize| -> PathBuf { dir.join(format!("node{i}.log")) };
     let mut children = Vec::with_capacity(n);
@@ -1175,7 +1150,7 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
             .arg("--listen")
             .arg(&addrs[i])
             .arg("--peers")
-            .arg(peer_views[i].join(","))
+            .arg(addrs.join(","))
             .arg("--report")
             .arg(report_path(i))
             .arg("--instances")
@@ -1205,6 +1180,16 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
                 DegradeMode::Rws => "rws",
                 DegradeMode::Abort => "abort",
             });
+        }
+        if let Some(f) = &cfg.node.faults {
+            cmd.arg("--proxy-seed").arg(f.seed.to_string());
+            cmd.arg("--proxy-delay-ms")
+                .arg(f.delay.as_millis().to_string());
+            cmd.arg("--proxy-delay-rate").arg(per_mille(f.delay_pm));
+            cmd.arg("--proxy-drop-rate").arg(per_mille(f.drop_pm));
+            if let Some(k) = f.reset_after {
+                cmd.arg("--proxy-reset-after").arg(k.to_string());
+            }
         }
         if let Some(gw) = &cfg.gateway {
             #[allow(clippy::cast_possible_truncation)]
@@ -1240,14 +1225,17 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
     for child in &mut children {
         let _ = child.wait()?;
     }
-    if let Some(p) = proxy {
-        p.shutdown();
-    }
 
     let reports: Vec<String> = (0..n)
         .map(|i| std::fs::read_to_string(report_path(i)).unwrap_or_default())
         .collect::<Vec<_>>();
     merge_reports(&cfg.node, &reports)
+}
+
+/// A per-mille rate as the probability a rate flag takes (`250` →
+/// `0.25`).
+fn per_mille(pm: u32) -> String {
+    format!("{}", f64::from(pm) / 1000.0)
 }
 
 /// Convenience wrapper: run one node writing its report to `path`,

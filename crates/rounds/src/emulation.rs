@@ -111,12 +111,6 @@ impl<P: RoundProcess> RsOnSs<P> {
         }
     }
 
-    /// Total own-steps this process needs to finish all rounds.
-    #[must_use]
-    pub fn total_budget(&self) -> u64 {
-        cumulative_round_budget(self.phi, self.delta, self.n, self.horizon)
-    }
-
     fn absorb(&mut self, src: ProcessId, msg: &EmuMsg<P::Msg>) {
         if (1..=self.horizon).contains(&msg.round) {
             if let Some(payload) = &msg.payload {
@@ -213,13 +207,6 @@ impl<P: RoundProcess> RwsOnSp<P> {
             store: vec![vec![None; n]; horizon as usize],
             heard: vec![ProcessSet::empty(); horizon as usize],
         }
-    }
-
-    /// The round this process is currently emulating
-    /// (`horizon + 1` once finished).
-    #[must_use]
-    pub fn current_round(&self) -> u32 {
-        self.round
     }
 
     fn absorb(&mut self, src: ProcessId, msg: &EmuMsg<P::Msg>) {

@@ -19,10 +19,10 @@
 use ssp_model::{InitialConfig, Value};
 use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
 
+use crate::chaos::ChaosConfig;
 use crate::clock::Backend;
 use crate::driver::{run_on_backend, ConfigError, RuntimeConfig, ThreadedOutcome};
 use crate::fd::DegradeMode;
-use crate::net::ChaosConfig;
 use crate::plan::FaultPlan;
 
 /// Builder for threaded runtime executions — the single entry point

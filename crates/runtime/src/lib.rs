@@ -36,9 +36,14 @@
 //!
 //! On top of the scripted faults sits the **chaos plane**
 //! ([`ChaosConfig`]): seed-deterministic message loss, duplication,
-//! and reordering, masked by a reliable-delivery layer (acks +
-//! capped-backoff retransmits + dedup) so round algorithms keep their
-//! exactly-once wire contract. A **synchrony watchdog**
+//! and reordering. The in-process network is a delay model of a
+//! reliable link, not a second protocol — a lost attempt costs its
+//! retransmit timeout, the final attempt always lands, duplicates are
+//! suppressed — so round algorithms keep their exactly-once wire
+//! contract. On sockets, the same seeded rule ([`chaos`]) drives
+//! [`SocketFaults`] inside each peer supervisor, whose seqno/ack/
+//! retransmit/dedup is the tree's one reliable-delivery protocol. A
+//! **synchrony watchdog**
 //! ([`SynchronyMonitor`]) checks the claimed delay bound Δ at runtime
 //! and, on violation, either flags the run, downgrades it to `RWS`
 //! semantics, or aborts it ([`DegradeMode`]) — the paper's §3 caveat
@@ -52,7 +57,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod builder;
-pub mod chaos_proxy;
+pub mod chaos;
 pub mod clock;
 pub mod driver;
 pub mod fd;
@@ -65,7 +70,7 @@ pub mod trace;
 pub mod transport;
 
 pub use builder::RuntimeBuilder;
-pub use chaos_proxy::{ChaosProxy, ChaosProxyConfig, LinkSpec};
+pub use chaos::{splitmix, ChaosConfig, SocketFaults};
 pub use clock::{Backend, Clock, Gate, ParseBackendError, Tick};
 pub use driver::{
     ConfigError, FdFlavor, RuntimeConfig, Stall, SyncPolicy, ThreadCrash, ThreadedOutcome,
@@ -76,8 +81,8 @@ pub use fd::{
     SynchronyMonitor, SynchronyReport, TimeoutFd,
 };
 pub use net::{
-    spawn_network_watched, splitmix, ChaosConfig, LinkScript, NetConfig, NetEnvelope, NetHandle,
-    NetReceiver, NetSender, NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
+    spawn_network_watched, LinkScript, NetConfig, NetEnvelope, NetHandle, NetReceiver, NetSender,
+    NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
 pub use plan::{FaultPlan, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
 pub use round::{Collected, RoundCore, RoundIo, Wire};

@@ -36,9 +36,10 @@ use rand::{Rng, SeedableRng};
 use ssp_model::ProcessId;
 use ssp_rounds::{CrashSchedule, PendingChoice, RoundModel};
 
+use crate::chaos::ChaosConfig;
 use crate::driver::{FdFlavor, RuntimeConfig, Stall, ThreadCrash, WatchdogConfig};
 use crate::fd::DegradeMode;
-use crate::net::{ChaosConfig, LinkScript, NetConfig};
+use crate::net::{LinkScript, NetConfig};
 
 /// Maximum delivery delay of an unscripted ("fast") link.
 pub const FAST_MAX: Duration = Duration::from_millis(1);
@@ -615,7 +616,6 @@ mod tests {
         }
         let config = plan.runtime_config();
         assert_eq!(config.net.chaos(), Some(chaos));
-        assert!(config.net.is_reliable());
         assert!(plan.to_string().contains("chaos(loss=300"), "{plan}");
         // The stretched margins must still satisfy the config invariants.
         config.validate(plan.n).unwrap();

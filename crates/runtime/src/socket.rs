@@ -12,9 +12,11 @@
 //!   ([`backoff_delay`]), introduces itself with a `Hello{epoch}`
 //!   handshake, sends data/ack/heartbeat/abort frames, arms an RTO
 //!   retransmit timer per unacked data frame, and on reconnect resends
-//!   everything unacked — the same seqno/ack/dedup reliable-delivery
-//!   protocol the in-process chaos network uses, now over a wire that
-//!   can genuinely fail.
+//!   everything unacked — the tree's one seqno/ack/dedup
+//!   reliable-delivery protocol (the in-process network only models
+//!   its timing), over a wire that can genuinely fail. Seeded
+//!   [`SocketFaults`] (drop, delay, reset) strike where the supervisor
+//!   writes a data frame, so this same code is what absorbs them.
 //!
 //! Two properties the paper cares about are structural here:
 //!
@@ -33,7 +35,7 @@
 //!   `off|rws|abort` degrade modes mid-run ([`DegradeMode`]) — the §3
 //!   caveat as an online guard.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,6 +48,7 @@ use parking_lot::Mutex;
 
 use ssp_model::{ProcessId, Round};
 
+use crate::chaos::SocketFaults;
 use crate::clock::Clock;
 use crate::fd::{DegradeMode, HeartbeatBoard, SynchronyEvent, SynchronyMonitor};
 use crate::seqset::SeqSet;
@@ -101,6 +104,8 @@ pub struct SocketConfig {
     pub delta: Option<Duration>,
     /// What a Δ violation does to the current instance.
     pub degrade: DegradeMode,
+    /// Seeded faults on this node's outgoing data frames, if any.
+    pub faults: Option<SocketFaults>,
 }
 
 impl SocketConfig {
@@ -118,6 +123,7 @@ impl SocketConfig {
             heartbeat: Duration::from_millis(20),
             delta: None,
             degrade: DegradeMode::Off,
+            faults: None,
         }
     }
 }
@@ -188,6 +194,7 @@ struct Core {
     seed: u64,
     delta: Option<Duration>,
     degrade: DegradeMode,
+    faults: Option<SocketFaults>,
     shutdown: AtomicBool,
     board: Arc<HeartbeatBoard>,
     stats: SharedStats,
@@ -199,8 +206,9 @@ struct Core {
     remote_abort: AtomicU64,
     /// Newest epoch seen per peer.
     epochs: Vec<AtomicU64>,
-    /// Per-peer dedup of received data seqs (the sender numbers its
-    /// frames from 0, so the set stays at its reordering window).
+    /// Per-peer dedup of received data seqs (each incarnation numbers
+    /// its frames from 0, so the set stays at its reordering window and
+    /// restarts with a newer epoch).
     seen: Vec<Mutex<SeqSet>>,
     /// Per-peer supervisor inboxes (entry for `me` exists but is
     /// never dialed).
@@ -276,6 +284,7 @@ impl SocketNet {
             seed: config.seed,
             delta: config.delta,
             degrade: config.degrade,
+            faults: config.faults,
             shutdown: AtomicBool::new(false),
             board: HeartbeatBoard::new(config.n, Clock::real()),
             stats: SharedStats::default(),
@@ -529,12 +538,14 @@ impl FrameReader {
 
 /// Handles one inbound connection: epoch handshake, then a frame loop
 /// that marks the last-seen board, acks and dedups data, measures
-/// one-way delays against Δ, and routes acks/aborts. Connection death
-/// in any form simply ends the thread — the peer's supervisor owns
-/// reconnection, and *nothing here touches the failure detector*.
+/// one-way delays against Δ, and routes acks/aborts. A strictly newer
+/// epoch restarts the peer's dedup set, and a connection whose epoch
+/// has been superseded is dropped at its next data frame. Connection
+/// death in any form simply ends the thread — the peer's supervisor
+/// owns reconnection, and *nothing here touches the failure detector*.
 fn reader(core: &Arc<Core>, stream: TcpStream) {
     let mut fr = FrameReader::new(stream);
-    let src = match fr.next(&core.shutdown) {
+    let (src, epoch) = match fr.next(&core.shutdown) {
         Ok(Frame::Hello { src, epoch }) => {
             if src.index() >= core.epochs.len() || src == core.me {
                 core.stats.corrupt_drops.fetch_add(1, Ordering::Relaxed);
@@ -553,7 +564,11 @@ fn reader(core: &Arc<Core>, stream: TcpStream) {
                     Err(cur) => latest = cur,
                 }
             }
-            src
+            if epoch > latest {
+                // A successor numbers its frames from 0 again.
+                *core.seen[src.index()].lock() = SeqSet::new();
+            }
+            (src, epoch)
         }
         Ok(_) => {
             core.stats.corrupt_drops.fetch_add(1, Ordering::Relaxed);
@@ -576,16 +591,26 @@ fn reader(core: &Arc<Core>, stream: TcpStream) {
                 sent_micros,
                 payload,
             }) => {
-                core.board.mark(src);
                 if round == 0 {
                     // Rounds are one-based; a zero round is a corrupt
                     // frame that happened to parse.
                     core.stats.corrupt_drops.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
+                // The epoch is read under the dedup lock, which a newer
+                // `Hello` takes to restart the set.
+                let fresh = {
+                    let mut seen = core.seen[src.index()].lock();
+                    (core.epochs[src.index()].load(Ordering::SeqCst) == epoch)
+                        .then(|| seen.insert(seq))
+                };
+                let Some(fresh) = fresh else {
+                    core.stats.stale_epoch_drops.fetch_add(1, Ordering::Relaxed);
+                    return;
+                };
+                core.board.mark(src);
                 // Ack every copy — a lost ack cannot strand the sender.
                 let _ = core.sups[src.index()].send(SupCmd::SendAck { seq });
-                let fresh = core.seen[src.index()].lock().insert(seq);
                 if !fresh {
                     core.stats.dup_suppressed.fetch_add(1, Ordering::Relaxed);
                     continue;
@@ -658,81 +683,133 @@ fn write_frame(stream: &mut TcpStream, frame: &Frame) -> Result<(), TransportErr
         .map_err(|e| TransportError::from_io(&e))
 }
 
+/// A supervisor's outgoing link: the connection, plus the frames the
+/// delay fault holds on it and the reset fault's data-frame count,
+/// both kept across reconnects.
+#[derive(Default)]
+struct Link {
+    stream: Option<TcpStream>,
+    /// Frames waiting for their due instant, in order: a held frame
+    /// holds every later frame on the link behind it.
+    held: VecDeque<(Instant, Frame)>,
+    data_frames: u64,
+    reset_done: bool,
+}
+
+impl Link {
+    /// Writes `frame` once it is `due` and every frame before it is
+    /// written. `false` means the connection must be considered dead.
+    fn write(&mut self, frame: Frame, due: Instant) -> bool {
+        self.held.push_back((due, frame));
+        self.release()
+    }
+
+    /// Writes every frame that is due, in order.
+    fn release(&mut self) -> bool {
+        let now = Instant::now();
+        while self.held.front().is_some_and(|(due, _)| *due <= now) {
+            let (_, frame) = self.held.pop_front().expect("peeked");
+            let Some(stream) = self.stream.as_mut() else {
+                return false;
+            };
+            if write_frame(stream, &frame).is_err() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Drops the connection and what it was holding; unacked data is
+    /// resent on the next one.
+    fn disconnect(&mut self) {
+        self.stream = None;
+        self.held.clear();
+    }
+}
+
+/// Writes one copy of the unacked data frame `seq` to `peer`, through
+/// the node's [`SocketFaults`]: the copy may be dropped (the RTO
+/// resends it), held for the fault delay (stamped before the hold, so
+/// the receiver's Δ guard measures it), or trip the link's one reset.
+/// `false` means the connection must be considered dead.
+fn write_data(core: &Core, peer: ProcessId, link: &mut Link, seq: u64, p: &mut Pending) -> bool {
+    p.last_sent = Instant::now();
+    let frame = Frame::Data {
+        instance: p.instance,
+        round: p.round,
+        seq,
+        attempt: p.attempt,
+        sent_micros: p.sent_micros,
+        payload: p.payload.clone(),
+    };
+    let Some(faults) = &core.faults else {
+        return link.write(frame, p.last_sent);
+    };
+    link.data_frames += 1;
+    if faults.reset_after.is_some_and(|k| link.data_frames >= k) && !link.reset_done {
+        link.reset_done = true;
+        return false;
+    }
+    if faults.drops(core.me, peer, seq, p.attempt) {
+        return true;
+    }
+    if faults.delays(core.me, peer, seq) {
+        // The RTO runs from when the copy leaves.
+        p.last_sent += faults.delay;
+    }
+    link.write(frame, p.last_sent)
+}
+
 /// Owns the outgoing connection to `peer`: dial + handshake +
 /// backoff, sends and retransmits until acked, heartbeats, and
 /// resends the unacked window after every reconnect.
 #[allow(clippy::too_many_lines)]
 fn supervisor(core: &Arc<Core>, peer: ProcessId, addr: &str, rx: &Receiver<SupCmd>) {
-    let mut stream: Option<TcpStream> = None;
+    let mut link = Link::default();
     let mut unacked: BTreeMap<u64, Pending> = BTreeMap::new();
     let mut next_seq = 0u64;
     let mut dial_attempt = 0u32;
     let mut ever_connected = false;
     let mut last_heartbeat = Instant::now();
     while !core.shutdown.load(Ordering::SeqCst) {
-        if stream.is_none() {
-            match TcpStream::connect(addr) {
-                Ok(mut s) => {
-                    let _ = s.set_nodelay(true);
-                    let hello = Frame::Hello {
-                        src: core.me,
-                        epoch: core.epoch,
-                    };
-                    if write_frame(&mut s, &hello).is_err() {
-                        // Treat as a failed dial.
-                        let wait = backoff_delay(core.seed, core.me, peer, dial_attempt);
-                        core.stats
-                            .backoff_micros
-                            .fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
-                        dial_attempt += 1;
-                        sleep_interruptibly(core, wait);
-                        continue;
-                    }
-                    if ever_connected {
-                        core.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ever_connected = true;
-                    dial_attempt = 0;
-                    // Resend the whole unacked window: the peer dedups
-                    // by seq, so over-delivery is safe and
-                    // under-delivery is impossible.
-                    let mut dead = false;
-                    for (seq, p) in &mut unacked {
-                        p.attempt += 1;
-                        p.last_sent = Instant::now();
-                        core.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-                        let f = Frame::Data {
-                            instance: p.instance,
-                            round: p.round,
-                            seq: *seq,
-                            attempt: p.attempt,
-                            sent_micros: p.sent_micros,
-                            payload: p.payload.clone(),
-                        };
-                        if write_frame(&mut s, &f).is_err() {
-                            dead = true;
-                            break;
-                        }
-                    }
-                    if !dead {
-                        stream = Some(s);
-                    }
-                }
-                Err(_refused_or_unreachable) => {
-                    // TransportError::Refused (or any dial failure):
-                    // back off deterministically and retry.
-                    let wait = backoff_delay(core.seed, core.me, peer, dial_attempt);
-                    core.stats
-                        .backoff_micros
-                        .fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
-                    dial_attempt += 1;
-                    sleep_interruptibly(core, wait);
-                    continue;
+        if link.stream.is_none() {
+            let hello = Frame::Hello {
+                src: core.me,
+                epoch: core.epoch,
+            };
+            let Some(s) = TcpStream::connect(addr).ok().and_then(|mut s| {
+                let _ = s.set_nodelay(true);
+                write_frame(&mut s, &hello).is_ok().then_some(s)
+            }) else {
+                // TransportError::Refused (or any dial failure): back
+                // off deterministically and retry.
+                let wait = backoff_delay(core.seed, core.me, peer, dial_attempt);
+                core.stats
+                    .backoff_micros
+                    .fetch_add(wait.as_micros() as u64, Ordering::Relaxed);
+                dial_attempt += 1;
+                sleep_interruptibly(core, wait);
+                continue;
+            };
+            if ever_connected {
+                core.stats.reconnects.fetch_add(1, Ordering::Relaxed);
+            }
+            ever_connected = true;
+            dial_attempt = 0;
+            link.stream = Some(s);
+            // Resend the whole unacked window: the peer dedups by seq,
+            // so over-delivery is safe and under-delivery is impossible.
+            for (seq, p) in &mut unacked {
+                p.attempt += 1;
+                core.stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                if !write_data(core, peer, &mut link, *seq, p) {
+                    link.disconnect();
+                    break;
                 }
             }
+            continue;
         }
-        let mut broken = false;
-        match rx.recv_timeout(SUP_TICK) {
+        let mut alive = match rx.recv_timeout(SUP_TICK) {
             Ok(SupCmd::Data {
                 instance,
                 round,
@@ -740,85 +817,49 @@ fn supervisor(core: &Arc<Core>, peer: ProcessId, addr: &str, rx: &Receiver<SupCm
             }) => {
                 let seq = next_seq;
                 next_seq += 1;
-                let p = Pending {
+                let p = unacked.entry(seq).or_insert(Pending {
                     instance,
                     round,
                     sent_micros: unix_micros(),
                     payload,
                     attempt: 0,
                     last_sent: Instant::now(),
-                };
-                let f = Frame::Data {
-                    instance,
-                    round,
-                    seq,
-                    attempt: 0,
-                    sent_micros: p.sent_micros,
-                    payload: p.payload.clone(),
-                };
-                unacked.insert(seq, p);
-                if let Some(s) = stream.as_mut() {
-                    broken = write_frame(s, &f).is_err();
-                }
+                });
+                write_data(core, peer, &mut link, seq, p)
             }
-            Ok(SupCmd::SendAck { seq }) => {
-                if let Some(s) = stream.as_mut() {
-                    broken = write_frame(s, &Frame::Ack { seq }).is_err();
-                }
-                // Disconnected: drop the ack. The peer retransmits and
-                // a later copy gets acked on the next connection.
-            }
+            // The peer retransmits a data frame whose ack is lost.
+            Ok(SupCmd::SendAck { seq }) => link.write(Frame::Ack { seq }, Instant::now()),
             Ok(SupCmd::Acked { seq }) => {
                 if unacked.remove(&seq).is_some() {
                     core.inflight[peer.index()].fetch_sub(1, Ordering::SeqCst);
                 }
+                true
             }
-            Ok(SupCmd::Abort { instance }) => {
-                if let Some(s) = stream.as_mut() {
-                    broken = write_frame(s, &Frame::Abort { instance }).is_err();
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
+            Ok(SupCmd::Abort { instance }) => link.write(Frame::Abort { instance }, Instant::now()),
+            Err(RecvTimeoutError::Timeout) => link.release(),
             Err(RecvTimeoutError::Disconnected) => return,
+        };
+        if alive && last_heartbeat.elapsed() >= core.heartbeat {
+            last_heartbeat = Instant::now();
+            let beat = Frame::Heartbeat {
+                sent_micros: unix_micros(),
+            };
+            alive = link.write(beat, last_heartbeat);
         }
-        if let Some(s) = stream.as_mut() {
-            if !broken && last_heartbeat.elapsed() >= core.heartbeat {
-                broken = write_frame(
-                    s,
-                    &Frame::Heartbeat {
-                        sent_micros: unix_micros(),
-                    },
-                )
-                .is_err();
-                last_heartbeat = Instant::now();
+        for (seq, p) in &mut unacked {
+            if !alive {
+                break;
             }
-            if !broken {
-                for (seq, p) in &mut unacked {
-                    if p.last_sent.elapsed() < SOCKET_RTO {
-                        continue;
-                    }
-                    p.attempt += 1;
-                    p.last_sent = Instant::now();
-                    core.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-                    let f = Frame::Data {
-                        instance: p.instance,
-                        round: p.round,
-                        seq: *seq,
-                        attempt: p.attempt,
-                        sent_micros: p.sent_micros,
-                        payload: p.payload.clone(),
-                    };
-                    if write_frame(s, &f).is_err() {
-                        broken = true;
-                        break;
-                    }
-                }
+            if p.last_sent.elapsed() >= SOCKET_RTO {
+                p.attempt += 1;
+                core.stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                alive = write_data(core, peer, &mut link, *seq, p);
             }
         }
-        if broken {
+        if !alive {
             // TransportError::Reset: reconnect (with backoff if the
             // peer is really gone) and resend the unacked window.
-            stream = None;
+            link.disconnect();
         }
     }
 }
@@ -1067,6 +1108,11 @@ mod tests {
     }
 
     fn pair() -> (SocketNet, SocketNet) {
+        faulty_pair(None)
+    }
+
+    /// Two nodes; node 0 applies `faults` to its frames to node 1.
+    fn faulty_pair(faults: Option<SocketFaults>) -> (SocketNet, SocketNet) {
         // Bind both listeners first so the peer addresses are known.
         let a_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let b_listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1075,9 +1121,135 @@ mod tests {
         drop(a_listener);
         drop(b_listener);
         let peers = vec![a_addr.clone(), b_addr.clone()];
-        let a = SocketNet::spawn(SocketConfig::local(p(0), 2, a_addr, peers.clone())).unwrap();
+        let mut a_cfg = SocketConfig::local(p(0), 2, a_addr, peers.clone());
+        a_cfg.faults = faults;
+        let a = SocketNet::spawn(a_cfg).unwrap();
         let b = SocketNet::spawn(SocketConfig::local(p(1), 2, b_addr, peers)).unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn injected_delay_holds_frames_for_the_scripted_duration() {
+        let (a, b) = faulty_pair(Some(SocketFaults {
+            seed: 7,
+            delay_pm: 1000,
+            delay: Duration::from_millis(300),
+            drop_pm: 0,
+            reset_after: None,
+        }));
+        let t0 = Instant::now();
+        a.send(p(1), 0, Round::FIRST, vec![5]);
+        let got = b.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(got.payload, vec![5]);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(250),
+            "frame arrived in {:?}, before the injected delay",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn reset_link_recovers_through_reconnect_and_retransmit() {
+        let (a, b) = faulty_pair(Some(SocketFaults {
+            seed: 7,
+            delay_pm: 0,
+            delay: Duration::ZERO,
+            drop_pm: 0,
+            reset_after: Some(1),
+        }));
+        // The first data frame trips the one-shot reset; the
+        // supervisor reconnects and resends, and delivery still
+        // happens exactly once.
+        a.send(p(1), 0, Round::FIRST, vec![8]);
+        let got = b.recv_timeout(Duration::from_secs(20)).unwrap();
+        assert_eq!(got.payload, vec![8]);
+        assert!(
+            b.recv_timeout(Duration::from_millis(200)).is_err(),
+            "dedup must suppress the retransmitted copy"
+        );
+        let stats = a.stats();
+        assert!(stats.reconnects >= 1, "supervisor must have reconnected");
+    }
+
+    #[test]
+    fn dropped_copies_are_resent_until_one_lands() {
+        let (a, b) = faulty_pair(Some(SocketFaults {
+            seed: 7,
+            delay_pm: 0,
+            delay: Duration::ZERO,
+            drop_pm: 500,
+            reset_after: None,
+        }));
+        for r in 1..=8 {
+            a.send(p(1), 0, Round::new(r), vec![r as u8]);
+        }
+        let mut got: Vec<u8> = (0..8)
+            .map(|_| b.recv_timeout(Duration::from_secs(10)).unwrap().payload[0])
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, (1..=8).collect::<Vec<u8>>());
+        assert!(
+            a.stats().retransmits > 0,
+            "a drop rate of 0.5 must cost resends"
+        );
+    }
+
+    /// A restarted peer numbers its frames from 0 again: its newer
+    /// epoch restarts the receiver's dedup set, and a connection of the
+    /// older incarnation can no longer deliver.
+    #[test]
+    fn a_restarted_peer_is_heard_from_its_first_frame() {
+        let (a, b) = pair();
+        let peers = vec![a.local_addr().to_string(), b.local_addr().to_string()];
+        // A second connection of incarnation 1, still open later.
+        let mut ghost = TcpStream::connect(b.local_addr()).unwrap();
+        let data = |seq, payload| Frame::Data {
+            instance: 0,
+            round: 1,
+            seq,
+            attempt: 0,
+            sent_micros: unix_micros(),
+            payload,
+        };
+        Frame::Hello {
+            src: p(0),
+            epoch: 1,
+        }
+        .write_to(&mut ghost)
+        .unwrap();
+        data(1000, vec![7]).write_to(&mut ghost).unwrap();
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(10)).unwrap().payload,
+            vec![7]
+        );
+        for r in 1..=3 {
+            a.send(p(1), 0, Round::new(r), vec![r as u8]);
+            assert_eq!(
+                b.recv_timeout(Duration::from_secs(10)).unwrap().payload,
+                vec![r as u8]
+            );
+        }
+        drop(a);
+
+        let mut cfg = SocketConfig::local(p(0), 2, peers[0].clone(), peers);
+        cfg.epoch = 2;
+        let successor = SocketNet::spawn(cfg).unwrap();
+        successor.send(p(1), 1, Round::FIRST, vec![9]);
+        let got = b
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the successor's first frame is delivered");
+        assert_eq!((got.instance, got.payload), (1, vec![9]));
+
+        data(1001, vec![66]).write_to(&mut ghost).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while b.stats().stale_epoch_drops == 0 {
+            assert!(Instant::now() < deadline, "the stale frame was never read");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            b.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the predecessor's connection delivers nothing more"
+        );
     }
 
     #[test]

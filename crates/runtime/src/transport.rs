@@ -1,9 +1,9 @@
 //! Wire format and robustness primitives for the TCP transport.
 //!
-//! The in-process network (`net.rs`) already implements the protocol
-//! that matters — per-link sequence numbers, acks, capped-backoff
-//! retransmits, receiver-side dedup. This module puts that protocol in
-//! a byte form a socket can carry: length-prefixed [`Frame`]s with an
+//! The socket supervisors (`socket.rs`) run the tree's reliable-delivery
+//! protocol — per-link sequence numbers, acks, retransmits,
+//! receiver-side dedup. This module puts that protocol in a byte form a
+//! socket can carry: length-prefixed [`Frame`]s with an
 //! explicit epoch handshake, a typed [`TransportError`] taxonomy for
 //! everything a real wire does that a channel cannot (refused
 //! connections, mid-stream resets, stale peers, corrupt frames), and a
@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use ssp_model::{process::MAX_PROCESSES, ProcessId};
 
-use crate::net::{roll, splitmix};
+use crate::chaos::{roll, splitmix};
 
 /// Hard cap on a frame body, guarding length-prefix corruption: a
 /// mangled prefix must fail fast as [`TransportError::FrameCorrupt`],
@@ -115,8 +115,8 @@ pub enum Frame {
     },
     /// A round message. `seq` is the per-sender sequence number that
     /// drives ack/retransmit/dedup; `attempt` is the retransmission
-    /// count (0 = first send) so fault interposers can roll fresh
-    /// decisions per attempt, exactly like `ChaosConfig`; and
+    /// count (0 = first send), on which the sender's
+    /// [`SocketFaults`](crate::SocketFaults) roll each copy's drop; and
     /// `sent_micros` is the sender's wall-clock stamp feeding the
     /// receiver's one-way-delay measurement against Δ.
     Data {

@@ -57,13 +57,6 @@ impl DetectionDelays {
         DetectionDelays::uniform(n, 0)
     }
 
-    /// Overrides the delay for one `(observer, target)` pair.
-    #[must_use]
-    pub fn with_delay(mut self, observer: ProcessId, target: ProcessId, delay: u64) -> Self {
-        self.per_pair[observer.index() * self.n + target.index()] = Some(delay);
-        self
-    }
-
     /// The delay after which `observer` suspects a crashed `target`.
     #[must_use]
     pub fn delay(&self, observer: ProcessId, target: ProcessId) -> u64 {

@@ -45,7 +45,7 @@ use ssp::lab::{
 use ssp::model::{InitialConfig, RunLog};
 use ssp::rounds::{cumulative_round_budget, RoundAlgorithm};
 use ssp::runtime::{
-    Backend, ChaosConfig, ChaosProxyConfig, ConfigError, DegradeMode, FaultPlan, RuntimeBuilder,
+    Backend, ChaosConfig, ConfigError, DegradeMode, FaultPlan, RuntimeBuilder, SocketFaults,
     ThreadCrash, SECTION_5_3_SEED,
 };
 
@@ -316,10 +316,8 @@ fn check_a1_bounds(algo_name: &str, n: usize, t: usize) -> Result<(), String> {
 }
 
 fn cmd_verify(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: ssp verify <algo> <rs|rws> [-n N] [-t T] [--threads K] [--sym off|values|full]";
-    let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
-    let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
+    let algo_name = flags.positional.get(1).ok_or(VERIFY_USAGE)?.as_str();
+    let model_name = flags.positional.get(2).ok_or(VERIFY_USAGE)?.as_str();
     let model: RoundModel = model_name.parse()?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
@@ -371,9 +369,8 @@ fn cmd_verify(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_sample(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp sample <algo> <rs|rws> [-n N] [-t T] [--trials K] [--seed S]";
-    let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
-    let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
+    let algo_name = flags.positional.get(1).ok_or(SAMPLE_USAGE)?.as_str();
+    let model_name = flags.positional.get(2).ok_or(SAMPLE_USAGE)?.as_str();
     let n = flags.usize_or("n", 5)?;
     let t = flags.usize_or("t", 2)?;
     check_a1_bounds(algo_name, n, t)?;
@@ -679,15 +676,12 @@ fn cmd_runtime_fuzz(flags: &Flags) -> Result<(), String> {
 /// runtime and print the canonical run log as line-delimited JSON, or
 /// diff two previously dumped logs (`--diff`).
 fn cmd_trace_dump(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: ssp trace-dump <algo> <rs|rws> [--seed S] [-n N] [-t T] [--backend virtual|real] [--out FILE]\n\
-                         \u{20}      ssp trace-dump --diff FILE1 FILE2";
     if let Some(left_path) = flags.get("diff") {
-        let right_path = flags.positional.get(1).ok_or(USAGE)?.as_str();
+        let right_path = flags.positional.get(1).ok_or(TRACE_DUMP_USAGE)?.as_str();
         return diff_dumped_logs(left_path, right_path);
     }
-    let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
-    let model_name = flags.positional.get(2).ok_or(USAGE)?.as_str();
+    let algo_name = flags.positional.get(1).ok_or(TRACE_DUMP_USAGE)?.as_str();
+    let model_name = flags.positional.get(2).ok_or(TRACE_DUMP_USAGE)?.as_str();
     let model: RoundModel = model_name.parse()?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
@@ -745,17 +739,7 @@ fn diff_dumped_logs(left_path: &str, right_path: &str) -> Result<(), String> {
 /// by a seeded closed-loop workload, audited in the background.
 /// Exits nonzero if any instance fails its audit.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp serve <algo> [rs|rws] [-n N] [-t T] [--clients K] \
-                         [--instances I] [--seed S] [--batch B] [--keys K] [--skew Z] \
-                         [--failure-free] [--chaos] [--loss P] [--dup P] [--reorder P] \
-                         [--degrade=rws|abort|off] [--backend virtual|real] [--drain MS] \
-                         [--shards G] [--cross-shard-rate P] [--prepare-patience T] \
-                         [--crash-group G --crash-instance I --crash-process P \
-                         --crash-round R] [--stats-out FILE] [--logs-out FILE]";
-    if flags.is_set("node") {
-        return cmd_serve_node(flags);
-    }
-    let algo_name = flags.positional.get(1).ok_or(USAGE)?.as_str();
+    let algo_name = flags.positional.get(1).ok_or(SERVE_USAGE)?.as_str();
     let model = model_arg(flags, RoundModel::Rs)?;
     let n = flags.usize_or("n", 3)?;
     let t = flags.usize_or("t", 1)?;
@@ -900,9 +884,11 @@ fn ms_or(flags: &Flags, key: &str, default_ms: u64) -> Result<Duration, String> 
     Ok(Duration::from_millis(flags.u64_or(key, default_ms)?))
 }
 
-/// Fills a [`NodeConfig`]'s shared knobs (sizes, timing, guard) from
-/// the flags — used identically by `serve --node` and `serve-cluster`
-/// so a node launched by hand matches one launched by the parent.
+/// Fills a [`NodeConfig`]'s shared knobs (sizes, timing, guard, socket
+/// faults) from the flags — used identically by `serve --node` and
+/// `serve-cluster` so a node launched by hand matches one launched by
+/// the parent. Any `--proxy-*` delay, drop rate or reset turns on the
+/// faults each node applies to its own outgoing data frames.
 fn node_config_from_flags(
     flags: &Flags,
     me: usize,
@@ -924,6 +910,22 @@ fn node_config_from_flags(
         cfg.delta = Some(ms_or(flags, "delta-ms", 0)?);
         cfg.degrade = parse_degrade(flags)?;
     }
+    if ["proxy-delay-ms", "proxy-drop-rate", "proxy-reset-after"]
+        .iter()
+        .any(|key| flags.is_set(key))
+    {
+        let reset_after = match flags.get("proxy-reset-after") {
+            None => None,
+            Some(_) => Some(flags.u64_or("proxy-reset-after", 0)?),
+        };
+        cfg.faults = Some(SocketFaults {
+            seed: flags.u64_or("proxy-seed", cfg.seed)?,
+            delay_pm: u32::from(flags.rate_pm_or("proxy-delay-rate", 1000)?),
+            delay: ms_or(flags, "proxy-delay-ms", 0)?,
+            drop_pm: u32::from(flags.rate_pm_or("proxy-drop-rate", 0)?),
+            reset_after,
+        });
+    }
     Ok(cfg)
 }
 
@@ -933,24 +935,18 @@ fn node_config_from_flags(
 /// the PFD staleness timeout — losing a TCP connection alone never
 /// suspects anyone.
 fn cmd_serve_node(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp serve a1 rs --node I --listen ADDR --peers A0,A1,.. \
-                         [--report FILE] [-n N] [--instances I] [--seed S] [--batch B] \
-                         [--clients K] [--epoch E] [--hb-ms MS] [--fd-timeout-ms MS] \
-                         [--delta-ms MS] [--degrade=rws|abort|off] [--drain MS] \
-                         [--round-timeout-ms MS] [--gateway-listen ADDR] \
-                         [--gateway-queue N]";
     let algo = flags.positional.get(1).map_or("a1", String::as_str);
     let model = flags.positional.get(2).map_or("rs", String::as_str);
     if algo != "a1" || model != "rs" {
         return Err(format!(
-            "multi-process serving is wired for `a1 rs` only, got {algo:?} {model:?}\n{USAGE}"
+            "multi-process serving is wired for `a1 rs` only, got {algo:?} {model:?}\n{SERVE_NODE_USAGE}"
         ));
     }
     let me = flags.usize_or("node", 0)?;
-    let listen = flags.get("listen").ok_or(USAGE)?.to_string();
+    let listen = flags.get("listen").ok_or(SERVE_NODE_USAGE)?.to_string();
     let peers: Vec<String> = flags
         .get("peers")
-        .ok_or(USAGE)?
+        .ok_or(SERVE_NODE_USAGE)?
         .split(',')
         .map(|s| s.trim().to_string())
         .collect();
@@ -983,23 +979,16 @@ fn cmd_serve_node(flags: &Flags) -> Result<(), String> {
 }
 
 /// `ssp serve-cluster`: spawn one `ssp serve --node` OS process per
-/// consensus process on loopback, optionally route every link through
-/// the deterministic [`ChaosProxy`](ssp::runtime::ChaosProxy) and/or
-/// `kill -9` one node mid-run, then merge the node reports, replay the
+/// consensus process on loopback, optionally hand every node the same
+/// seeded socket faults (`--proxy-*`, applied by each node to its own
+/// outgoing data frames) and/or `kill -9` one node mid-run, then merge
+/// the node reports, replay the
 /// deterministic workload and certify every instance with the same
 /// audit pipeline as in-process runs. Exits nonzero only on a spec
 /// violation or model divergence — a `SynchronyViolation` or `aborted`
 /// verdict under a scripted Δ violation is a demonstrated outcome, not
 /// an error.
 fn cmd_serve_cluster(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp serve-cluster [-n N] [--instances I] [--seed S] [--batch B] \
-                         [--clients K] [--kill9 NODE] [--kill-at K] [--delta-ms MS] \
-                         [--degrade=rws|abort|off] [--proxy-delay-ms MS] [--proxy-delay-rate P] \
-                         [--proxy-drop-rate P] [--proxy-reset-after K] [--proxy-seed S] \
-                         [--hb-ms MS] [--fd-timeout-ms MS] [--drain MS] [--round-timeout-ms MS] \
-                         [--gateway-base-port P] [--gateway-queue N] \
-                         [--dir DIR] [--stats-out FILE] [--logs-out FILE]";
-    let _ = USAGE;
     let n = flags.usize_or("n", 4)?;
     if n < 2 {
         return Err(format!("need n ≥ 2, got {n}"));
@@ -1013,24 +1002,6 @@ fn cmd_serve_cluster(flags: &Flags) -> Result<(), String> {
         Some(KillSpec {
             node: victim,
             after_instance: flags.u64_or("kill-at", 1)?,
-        })
-    } else {
-        None
-    };
-    let proxy = if flags.is_set("proxy-delay-ms")
-        || flags.is_set("proxy-drop-rate")
-        || flags.is_set("proxy-reset-after")
-    {
-        let reset_after = match flags.get("proxy-reset-after") {
-            None => None,
-            Some(_) => Some(flags.u64_or("proxy-reset-after", 0)?),
-        };
-        Some(ChaosProxyConfig {
-            seed: flags.u64_or("proxy-seed", flags.u64_or("seed", 1)?)?,
-            delay_pm: u32::from(flags.rate_pm_or("proxy-delay-rate", 1000)?),
-            delay: ms_or(flags, "proxy-delay-ms", 0)?,
-            drop_pm: u32::from(flags.rate_pm_or("proxy-drop-rate", 0)?),
-            reset_after,
         })
     } else {
         None
@@ -1053,7 +1024,6 @@ fn cmd_serve_cluster(flags: &Flags) -> Result<(), String> {
     let cluster = ClusterConfig {
         node,
         kill,
-        proxy,
         gateway,
     };
     let report = run_cluster(&bin, &cluster, &dir).map_err(|e| e.to_string())?;
@@ -1117,11 +1087,6 @@ fn cmd_serve_cluster(flags: &Flags) -> Result<(), String> {
 /// per-class ack-*round* histograms are deterministic per seed: the
 /// client-observed face of Theorem 5.2.
 fn cmd_load(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp load --targets A0,A1,.. [--requests R] [--seed S] \
-                         [--concurrency C | --rate R] [--deadline-ms MS] [--json FILE]\n\
-                         usage: ssp load --inproc [<algo> <rs|rws>] [--shards G] [--clients C] \
-                         [--requests-per-client R] [--cross-rate P] [-n N] [-t T] \
-                         [--instances I] [--seed S] [--json FILE]";
     if flags.is_set("rate") && flags.is_set("concurrency") {
         return Err(
             "--rate (open loop) and --concurrency (closed loop) are mutually exclusive".to_string(),
@@ -1132,7 +1097,7 @@ fn cmd_load(flags: &Flags) -> Result<(), String> {
     }
     let targets: Vec<String> = flags
         .get("targets")
-        .ok_or(USAGE)?
+        .ok_or(LOAD_USAGE)?
         .split(',')
         .map(|s| s.trim().to_string())
         .collect();
@@ -1211,8 +1176,6 @@ fn cmd_load_inproc(flags: &Flags) -> Result<(), String> {
 /// checked against the round models, every violation shrunk to a
 /// least witness. Deterministic: same flags, byte-identical output.
 fn cmd_explore(flags: &Flags) -> Result<(), String> {
-    const USAGE: &str = "usage: ssp explore [<algo> <rs|rws>] [--n N] [--t T] \
-                         [--inputs v1,v2,..] [--sym off|full] [--limit K] [--backend virtual]";
     let algo_flag = flags
         .get("algo")
         .map(str::to_string)
@@ -1228,7 +1191,7 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
         .get("model")
         .or_else(|| flags.positional.get(2).map(String::as_str))
         .map_or(Ok(RoundModel::Rws), str::parse)
-        .map_err(|e| format!("{e}\n{USAGE}"))?;
+        .map_err(|e| format!("{e}\n{EXPLORE_USAGE}"))?;
     let t = flags.usize_or("t", 1)?;
     let backend = parse_backend(flags)?;
     let limit = match flags.get("limit") {
@@ -1315,6 +1278,65 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+// Each subcommand's usage. It is also the list of flags the
+// subcommand accepts: any other flag is rejected before it runs, so a
+// typo cannot silently fall back to a default.
+const LATENCY_USAGE: &str = "usage: ssp latency [-n N] [-t T]";
+const VERIFY_USAGE: &str =
+    "usage: ssp verify <algo> <rs|rws> [-n N] [-t T] [--threads K] [--sym off|values|full]";
+const SAMPLE_USAGE: &str =
+    "usage: ssp sample <algo> <rs|rws> [-n N] [-t T] [--trials K] [--seed S]";
+const REFUTE_SDD_USAGE: &str = "usage: ssp refute-sdd [--patience K]";
+const COMMIT_USAGE: &str = "usage: ssp commit [-n N] [-t T] [--trials K] [--crash-prob P]";
+const HEARTBEAT_USAGE: &str = "usage: ssp heartbeat [-n N] [--phi F] [--delta D]";
+const EMULATION_USAGE: &str = "usage: ssp emulation [-n N] [--phi F] [--delta D] [-r R]";
+const RUNTIME_FUZZ_USAGE: &str = "usage: ssp runtime-fuzz [<algo> <rs|rws>] [--seed-range A..B] \
+                                  [-n N] [-t T] [--validity uniform|strong] [--chaos] [--loss P] \
+                                  [--dup P] [--reorder P] [--degrade=rws|abort|off] \
+                                  [--backend virtual|real] [--delta-violation]";
+const TRACE_DUMP_USAGE: &str = "usage: ssp trace-dump <algo> <rs|rws> [--seed S] [-n N] [-t T] \
+                                [--degrade=rws|abort|off] [--backend virtual|real] [--out FILE]\n\
+                                \u{20}      ssp trace-dump --diff FILE1 FILE2";
+const SERVE_USAGE: &str = "usage: ssp serve <algo> [rs|rws] [-n N] [-t T] [--clients K] \
+                           [--instances I] [--seed S] [--batch B] [--keys K] [--skew Z] \
+                           [--failure-free] [--chaos] [--loss P] [--dup P] [--reorder P] \
+                           [--degrade=rws|abort|off] [--backend virtual|real] [--drain MS] \
+                           [--shards G] [--cross-shard-rate P] [--prepare-patience T] \
+                           [--crash-group G --crash-instance I --crash-process P \
+                           --crash-round R [--crash-after-sends S]] [--stats-out FILE] \
+                           [--logs-out FILE]";
+const SERVE_NODE_USAGE: &str = "usage: ssp serve a1 rs --node I --listen ADDR --peers A0,A1,.. \
+                                [--report FILE] [-n N] [--instances I] [--seed S] [--batch B] \
+                                [--clients K] [--epoch E] [--hb-ms MS] [--fd-timeout-ms MS] \
+                                [--delta-ms MS] [--degrade=rws|abort|off] [--drain MS] \
+                                [--round-timeout-ms MS] [--gap-ms MS] [--gateway-listen ADDR] \
+                                [--gateway-queue N] [--proxy-delay-ms MS] [--proxy-delay-rate P] \
+                                [--proxy-drop-rate P] [--proxy-reset-after K] [--proxy-seed S]";
+const SERVE_CLUSTER_USAGE: &str = "usage: ssp serve-cluster [-n N] [--instances I] [--seed S] \
+                                   [--batch B] [--clients K] [--kill9 NODE] [--kill-at K] \
+                                   [--delta-ms MS] [--degrade=rws|abort|off] \
+                                   [--proxy-delay-ms MS] [--proxy-delay-rate P] \
+                                   [--proxy-drop-rate P] [--proxy-reset-after K] \
+                                   [--proxy-seed S] [--hb-ms MS] [--fd-timeout-ms MS] \
+                                   [--drain MS] [--round-timeout-ms MS] [--gap-ms MS] \
+                                   [--gateway-base-port P] [--gateway-queue N] [--dir DIR] \
+                                   [--stats-out FILE] [--logs-out FILE]";
+const LOAD_USAGE: &str = "usage: ssp load --targets A0,A1,.. [--requests R] [--seed S] \
+                          [--concurrency C | --rate R] [--deadline-ms MS] [--json FILE]\n\
+                          usage: ssp load --inproc [<algo> <rs|rws>] [--shards G] [--clients C] \
+                          [--requests-per-client R] [--cross-rate P] [-n N] [-t T] \
+                          [--instances I] [--batch B] [--seed S] [--json FILE]";
+const EXPLORE_USAGE: &str = "usage: ssp explore [<algo> <rs|rws>] [--algo A] [--model rs|rws] \
+                             [--n N] [--t T] [--inputs v1,v2,..] [--sym off|full] [--limit K] \
+                             [--backend virtual]";
+
+/// Whether `usage` lists the flag `key` (as `--key` or `-key`).
+fn usage_names(usage: &str, key: &str) -> bool {
+    usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .any(|word| word.starts_with('-') && word.trim_start_matches('-') == key)
+}
+
 const USAGE: &str = "usage: ssp <command> [options]
 
 commands:
@@ -1354,17 +1376,21 @@ commands:
   serve      a1 rs --node I --listen ADDR --peers A0,A1,.. [--report FILE]
              [--instances I] [--seed S] [--hb-ms MS] [--fd-timeout-ms MS]
              [--delta-ms MS] [--degrade=rws|abort|off] [--drain MS]
+             [--proxy-delay-ms MS] [--proxy-delay-rate P] [--proxy-drop-rate P]
+             [--proxy-reset-after K] [--proxy-seed S]
              one cluster node as one OS process over real TCP sockets:
              length-prefixed frames, reconnect with capped backoff,
              retransmit + dedup, PFD suspicion only via staleness
-             timeout (never from connection loss), online Δ guard
+             timeout (never from connection loss), online Δ guard,
+             optional seeded faults on its own outgoing data frames
   serve-cluster [-n N] [--instances I] [--seed S] [--kill9 NODE] [--kill-at K]
              [--delta-ms MS] [--degrade=rws|abort|off] [--proxy-delay-ms MS]
              [--proxy-delay-rate P] [--proxy-drop-rate P] [--proxy-reset-after K]
              [--proxy-seed S] [--dir DIR] [--stats-out FILE] [--logs-out FILE]
              spawn a loopback cluster of `serve --node` processes
-             (optionally through the deterministic socket-level chaos
-             proxy, optionally kill -9'ing one node mid-run), merge the
+             (optionally with seeded socket faults — delay, drop,
+             reset — applied at each sending node, optionally
+             kill -9'ing one node mid-run), merge the
              node reports and certify every instance with the same
              audit pipeline as in-process serving (exit 1 only on a
              spec violation or divergence)
@@ -1394,28 +1420,37 @@ commands:
 
 algorithms: floodset floodset-ws c-opt c-opt-ws f-opt f-opt-ws a1 ct early early-ws";
 
+/// A subcommand's entry point.
+type Command = fn(&Flags) -> Result<(), String>;
+
 fn dispatch(args: &[String]) -> Result<(), String> {
     let flags = parse_args(args)?;
-    match flags.positional.first().map(String::as_str) {
-        Some("latency") => cmd_latency(&flags),
-        Some("verify") => cmd_verify(&flags),
-        Some("sample") => cmd_sample(&flags),
-        Some("refute-sdd") => cmd_refute_sdd(&flags),
-        Some("commit") => cmd_commit(&flags),
-        Some("heartbeat") => cmd_heartbeat(&flags),
-        Some("emulation") => cmd_emulation(&flags),
-        Some("runtime-fuzz") => cmd_runtime_fuzz(&flags),
-        Some("trace-dump") => cmd_trace_dump(&flags),
-        Some("serve") => cmd_serve(&flags),
-        Some("serve-cluster") => cmd_serve_cluster(&flags),
-        Some("load") => cmd_load(&flags),
-        Some("explore") => cmd_explore(&flags),
-        Some("help") | None => {
+    let name = flags.positional.first().map_or("help", String::as_str);
+    let (command, usage): (Command, &str) = match name {
+        "latency" => (cmd_latency, LATENCY_USAGE),
+        "verify" => (cmd_verify, VERIFY_USAGE),
+        "sample" => (cmd_sample, SAMPLE_USAGE),
+        "refute-sdd" => (cmd_refute_sdd, REFUTE_SDD_USAGE),
+        "commit" => (cmd_commit, COMMIT_USAGE),
+        "heartbeat" => (cmd_heartbeat, HEARTBEAT_USAGE),
+        "emulation" => (cmd_emulation, EMULATION_USAGE),
+        "runtime-fuzz" => (cmd_runtime_fuzz, RUNTIME_FUZZ_USAGE),
+        "trace-dump" => (cmd_trace_dump, TRACE_DUMP_USAGE),
+        "serve" if flags.is_set("node") => (cmd_serve_node, SERVE_NODE_USAGE),
+        "serve" => (cmd_serve, SERVE_USAGE),
+        "serve-cluster" => (cmd_serve_cluster, SERVE_CLUSTER_USAGE),
+        "load" => (cmd_load, LOAD_USAGE),
+        "explore" => (cmd_explore, EXPLORE_USAGE),
+        "help" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => return Err(format!("unknown command {other:?}\n{USAGE}")),
+    };
+    if let Some((key, _)) = flags.pairs.iter().find(|(key, _)| !usage_names(usage, key)) {
+        return Err(format!("unknown flag --{key} for `ssp {name}`\n{usage}"));
     }
+    command(&flags)
 }
 
 fn main() -> ExitCode {

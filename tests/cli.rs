@@ -332,6 +332,56 @@ fn runtime_fuzz_rejects_a_malformed_seed_range() {
     assert!(stderr.contains("seed-range"), "{stderr}");
 }
 
+/// A flag the subcommand does not read is an error naming the flag,
+/// followed by that subcommand's usage — never a silent default.
+#[test]
+fn an_unknown_flag_is_rejected_with_the_subcommand_usage() {
+    for (args, flag, usage) in [
+        (
+            &["verify", "a1", "rs", "--tt", "2"][..],
+            "--tt",
+            "usage: ssp verify",
+        ),
+        (
+            &["runtime-fuzz", "--seed-rang", "0..2"],
+            "--seed-rang",
+            "usage: ssp runtime-fuzz",
+        ),
+        (
+            &["serve", "a1", "rs", "--node", "0", "--shards", "2"],
+            "--shards",
+            "usage: ssp serve a1 rs --node",
+        ),
+        (
+            &["serve-cluster", "--epoch", "2"],
+            "--epoch",
+            "usage: ssp serve-cluster",
+        ),
+        (
+            &["latency", "--threads", "2"],
+            "--threads",
+            "usage: ssp latency",
+        ),
+    ] {
+        let (ok, stdout, stderr) = ssp(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+        let mut lines = stderr.lines();
+        let first = lines.next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: unknown flag {flag} for")),
+            "{stderr}"
+        );
+        assert!(
+            lines.next().unwrap_or_default().starts_with(usage),
+            "{stderr}"
+        );
+    }
+    // The same flags spelled right are accepted.
+    let (ok, stdout, _) = ssp(&["verify", "a1", "rs", "-t", "1", "--threads", "1"]);
+    assert!(ok && stdout.contains("OK over"), "{stdout}");
+}
+
 #[test]
 fn bad_flag_value_fails() {
     let (ok, _, stderr) = ssp(&["latency", "-n", "lots"]);
