@@ -335,7 +335,7 @@ mod tests {
         ];
         let mut adv = FairAdversary::new(2, 200).with_crash(p(0), 1);
         let result = run(
-            ModelKind::sp(DetectionDelays::uniform(2, 50)),
+            ModelKind::sp(DetectionDelays::uniform(50)),
             automata,
             &mut adv,
             1_000,
@@ -368,7 +368,7 @@ mod tests {
             ],
         );
         let result = run(
-            ModelKind::sp(DetectionDelays::immediate(2)),
+            ModelKind::sp(DetectionDelays::immediate()),
             automata,
             &mut adv,
             100,
@@ -399,7 +399,7 @@ mod tests {
         deliveries.push(DeliveryChoice::All);
         let mut adv = ScriptedAdversary::new(events, deliveries);
         let result = run(
-            ModelKind::sp(DetectionDelays::immediate(2)),
+            ModelKind::sp(DetectionDelays::immediate()),
             automata,
             &mut adv,
             100,

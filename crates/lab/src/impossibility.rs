@@ -149,7 +149,7 @@ impl<M> Adversary<M> for InitiallyDeadAdversary {
 /// decision — which would indicate a non-deterministic candidate,
 /// violating the model's premises (§2.2: automata are deterministic).
 pub fn refute<C: SddCandidate>(candidate: &C, receiver_step_cap: u64) -> RefutationReport<C::Msg> {
-    let delays = DetectionDelays::immediate(2);
+    let delays = DetectionDelays::immediate();
 
     // --- r0: sender initially dead, input arbitrary (say false). ---
     let automata = vec![candidate.sender(false), candidate.receiver()];

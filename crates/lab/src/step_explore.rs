@@ -296,7 +296,7 @@ mod sp_tests {
             ]
         };
         let space = StepSpace {
-            model: ModelKind::sp(DetectionDelays::immediate(2)),
+            model: ModelKind::sp(DetectionDelays::immediate()),
             step_caps: vec![2, 4],
             crashable: ProcessSet::singleton(p(0)),
             max_crashes: 1,

@@ -385,7 +385,7 @@ mod tests {
             .collect();
         let mut adv = FairAdversary::new(n, 10_000);
         let result = run(
-            ModelKind::sp(DetectionDelays::immediate(n)),
+            ModelKind::sp(DetectionDelays::immediate()),
             automata,
             &mut adv,
             100_000,
@@ -408,7 +408,7 @@ mod tests {
         // block forever: the detector eventually reports it.
         let mut adv = FairAdversary::new(n, 10_000).with_crash(ProcessId::new(0), 0);
         let result = run(
-            ModelKind::sp(DetectionDelays::uniform(n, 3)),
+            ModelKind::sp(DetectionDelays::uniform(3)),
             automata,
             &mut adv,
             100_000,

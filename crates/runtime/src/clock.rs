@@ -10,9 +10,10 @@
 //! * [`Backend::Virtual`] — a discrete-event scheduler. Threads still
 //!   run on real OS threads, but "time" is a shared counter that only
 //!   advances when *every* registered thread is parked (asleep or
-//!   waiting on an empty channel). At that quiescence point the clock
-//!   jumps straight to the earliest pending deadline — a 600 ms slow
-//!   wire or a 200 ms drain costs a few microseconds of real time.
+//!   waiting on an empty channel). Every park has a deadline, so at
+//!   that quiescence point the clock jumps straight to the earliest
+//!   one — a 600 ms slow wire or a 200 ms drain costs a few
+//!   microseconds of real time.
 //!
 //! The virtual backend preserves the runtime's observable behavior
 //! because the determinism-by-margins design never lets an outcome
@@ -28,8 +29,9 @@
 //! * a thread that participates in virtual time is **registered**
 //!   (by its spawner, before the spawn, so the count can never dip to
 //!   zero spuriously) and deregisters on exit;
-//! * blocking operations **park** the thread: its running count slot
-//!   is released and an entry `(gate, deadline)` joins the parked set;
+//! * blocking operations **park** the thread until a deadline: its
+//!   running count slot is released and an entry `(gate, deadline)`
+//!   joins the parked set;
 //! * message senders **notify** a [`Gate`]; a parked receiver wakes
 //!   immediately, a non-parked receiver finds the pending flag under
 //!   the same lock it parks with — no lost wakeups;
@@ -149,8 +151,8 @@ enum Wake {
 struct Parked {
     /// The gate key the thread parked on.
     key: u64,
-    /// Absolute wake deadline in nanos; `None` waits for a notify.
-    deadline: Option<u64>,
+    /// Absolute wake deadline in nanos.
+    deadline: u64,
     /// Set (with the running count re-incremented) when woken.
     wake: Option<Wake>,
 }
@@ -197,17 +199,15 @@ impl VirtCore {
 
     /// Jumps `now` to the earliest pending deadline and wakes every
     /// entry due at (or before) that instant. Called with the running
-    /// count at zero; entries without deadlines stay parked — progress
-    /// then depends on an unregistered thread (e.g. the driver's main
-    /// thread sending shutdown), which happens in real time.
+    /// count at zero; with nothing parked there is nothing to wake.
     fn advance(s: &mut VirtState) {
         debug_assert_eq!(s.running, 0, "advance requires quiescence");
-        let Some(min) = s.parked.iter().filter_map(|e| e.deadline).min() else {
+        let Some(min) = s.parked.iter().map(|e| e.deadline).min() else {
             return;
         };
         s.now = s.now.max(min);
         for e in &mut s.parked {
-            if e.wake.is_none() && e.deadline.is_some_and(|d| d <= s.now) {
+            if e.wake.is_none() && e.deadline <= s.now {
                 e.wake = Some(Wake::Deadline);
                 s.running += 1;
             }
@@ -217,12 +217,12 @@ impl VirtCore {
     /// Parks the calling (registered) thread on `key` until the gate
     /// is notified or `deadline` passes. Consumes a pending notify
     /// under the same lock — no lost wakeups.
-    fn park(&self, key: u64, deadline: Option<u64>) -> Wake {
+    fn park(&self, key: u64, deadline: u64) -> Wake {
         let mut s = self.lock();
         if s.pending.remove(&key) {
             return Wake::Notified;
         }
-        if deadline.is_some_and(|d| d <= s.now) {
+        if deadline <= s.now {
             return Wake::Deadline;
         }
         s.running -= 1;
@@ -336,12 +336,6 @@ impl Clock {
         }
     }
 
-    /// Whether this is a virtual (discrete-event) clock.
-    #[must_use]
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.inner, ClockInner::Virtual { .. })
-    }
-
     /// The current time on this clock.
     #[must_use]
     pub fn now(&self) -> Tick {
@@ -389,7 +383,7 @@ impl Clock {
                 let key = core.fresh_key();
                 // A fresh key is never notified: the park can only end
                 // at the deadline.
-                let woke = core.park(key, Some(deadline));
+                let woke = core.park(key, deadline);
                 debug_assert_eq!(woke, Wake::Deadline);
             }
         }
@@ -407,31 +401,8 @@ impl Clock {
         }
     }
 
-    /// Parks the calling (registered) thread on `gate` until the gate
-    /// is notified or `timeout` elapses, whichever comes first;
-    /// `timeout: None` waits for a notify alone. Unlike [`Clock::recv`]
-    /// this returns on *any* wake, letting the caller re-check state
-    /// beyond a single channel (e.g. a separate shutdown channel)
-    /// before parking again. Real backend: a plain sleep for `timeout`
-    /// (zero when `None` — real-clock callers poll).
-    pub(crate) fn park_gate(&self, gate: &Gate, timeout: Option<Duration>) {
-        match &self.inner {
-            ClockInner::Real { .. } => {
-                if let Some(d) = timeout {
-                    std::thread::sleep(d);
-                }
-            }
-            ClockInner::Virtual { core } => {
-                let deadline = timeout.map(|d| core.lock().now.saturating_add(duration_nanos(d)));
-                let _ = core.park(gate.key, deadline);
-            }
-        }
-    }
-
-    /// Receives from `rx` with an optional timeout, parking on `gate`
-    /// under the virtual backend (senders must [`Gate::notify`] after
-    /// sending). `timeout: None` waits indefinitely — only a send or a
-    /// disconnect wakes the receiver.
+    /// Receives from `rx` within `timeout`, parking on `gate` under the
+    /// virtual backend (senders must [`Gate::notify`] after sending).
     ///
     /// # Errors
     ///
@@ -442,37 +413,27 @@ impl Clock {
         &self,
         rx: &Receiver<T>,
         gate: &Gate,
-        timeout: Option<Duration>,
+        timeout: Duration,
     ) -> Result<T, RecvTimeoutError> {
         match &self.inner {
-            ClockInner::Real { .. } => match timeout {
-                Some(d) => rx.recv_timeout(d),
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            },
+            ClockInner::Real { .. } => rx.recv_timeout(timeout),
             ClockInner::Virtual { core } => {
-                let deadline = timeout.map(|d| core.lock().now.saturating_add(duration_nanos(d)));
+                let deadline = core.lock().now.saturating_add(duration_nanos(timeout));
+                // Look once more after the deadline wake: a send racing
+                // the deadline is a delivery, not a timeout.
+                let mut expired = false;
                 loop {
                     match rx.try_recv() {
                         Ok(v) => return Ok(v),
                         Err(TryRecvError::Disconnected) => {
                             return Err(RecvTimeoutError::Disconnected)
                         }
+                        Err(TryRecvError::Empty) if expired => {
+                            return Err(RecvTimeoutError::Timeout)
+                        }
                         Err(TryRecvError::Empty) => {}
                     }
-                    match core.park(gate.key, deadline) {
-                        Wake::Notified => {}
-                        Wake::Deadline => {
-                            // One last look: a send racing the deadline
-                            // is a delivery, not a timeout.
-                            return match rx.try_recv() {
-                                Ok(v) => Ok(v),
-                                Err(TryRecvError::Disconnected) => {
-                                    Err(RecvTimeoutError::Disconnected)
-                                }
-                                Err(TryRecvError::Empty) => Err(RecvTimeoutError::Timeout),
-                            };
-                        }
-                    }
+                    expired = core.park(gate.key, deadline) == Wake::Deadline;
                 }
             }
         }
@@ -557,7 +518,7 @@ mod tests {
         let (_tx, rx) = bounded::<u8>(1);
         let gate = clock.gate();
         clock.register();
-        let got = clock.recv(&rx, &gate, Some(Duration::from_millis(500)));
+        let got = clock.recv(&rx, &gate, Duration::from_millis(500));
         clock.deregister();
         assert_eq!(got, Err(RecvTimeoutError::Timeout));
         assert_eq!(clock.now(), Tick::ZERO + Duration::from_millis(500));
@@ -571,7 +532,7 @@ mod tests {
         tx.send(7).unwrap();
         gate.notify(); // receiver not parked yet: pending flag
         clock.register();
-        let got = clock.recv(&rx, &gate, Some(Duration::from_secs(1)));
+        let got = clock.recv(&rx, &gate, Duration::from_secs(1));
         clock.deregister();
         assert_eq!(got, Ok(7));
         assert_eq!(clock.now(), Tick::ZERO, "no time passed");
@@ -592,7 +553,7 @@ mod tests {
             sender_gate.notify();
             sender_clock.deregister();
         });
-        let got = clock.recv(&rx, &gate, Some(Duration::from_secs(30)));
+        let got = clock.recv(&rx, &gate, Duration::from_secs(30));
         clock.deregister();
         sender.join().unwrap();
         assert_eq!(got, Ok(9));
@@ -622,26 +583,5 @@ mod tests {
         let (a, b) = (h1.join().unwrap(), h2.join().unwrap());
         assert_eq!(a, Tick::ZERO + Duration::from_millis(10));
         assert_eq!(b, Tick::ZERO + Duration::from_millis(25));
-    }
-
-    #[test]
-    fn disconnect_wakes_a_deadline_less_receiver() {
-        let clock = Clock::simulated();
-        let (tx, rx) = bounded::<u8>(1);
-        let gate = clock.gate();
-        let notifier = gate.clone();
-        clock.register();
-        // An unregistered (real-time) thread drops the sender, as the
-        // driver's main thread does at shutdown.
-        let dropper = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            drop(tx);
-            notifier.notify();
-        });
-        let got = clock.recv(&rx, &gate, None);
-        clock.deregister();
-        dropper.join().unwrap();
-        assert_eq!(got, Err(RecvTimeoutError::Disconnected));
-        assert_eq!(clock.now(), Tick::ZERO, "no deadline ⇒ no advance");
     }
 }

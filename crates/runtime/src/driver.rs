@@ -48,13 +48,13 @@ use crate::fd::{
     CrashLedger, DegradeMode, FdModule, HeartbeatBoard, Oracle, SynchronyEvent, SynchronyMonitor,
     SynchronyReport, TimeoutFd,
 };
-use crate::net::{spawn_network_watched, NetConfig, NetReceiver, NetSender, NetStats};
+use crate::net::{network, NetConfig, NetReceiver, NetSender, NetStats};
 use crate::round::{Collected, RoundCore, RoundIo, Wire};
 use crate::trace::{RoundObs, RunTrace};
 
 /// Safety margin the auto-derived watchdog Δ adds on top of the
 /// network's worst transport delay (absorbs scheduling jitter between
-/// submission and the net thread picking the wire up).
+/// a wire's arrival time and its receiver taking it).
 pub const WATCHDOG_MARGIN: Duration = Duration::from_millis(25);
 
 /// Minimum headroom the FD timeout must keep above the delay bound
@@ -537,7 +537,6 @@ struct WorkerEnv<M> {
     horizon: u32,
     /// Round-tagged wires; nulls go explicitly (§4.2) so receivers
     /// can stop waiting for live-but-silent peers.
-    rx: NetReceiver<(u32, Option<M>)>,
     tx: NetSender<(u32, Option<M>)>,
     fd: Box<dyn FdModule>,
     board: Arc<HeartbeatBoard>,
@@ -592,13 +591,12 @@ where
         SynchronyMonitor::disarmed()
     };
     let ledger = CrashLedger::new(n);
-    let (net_tx, net_rxs, net_handle) =
-        spawn_network_watched::<(u32, Option<<A::Process as RoundProcess>::Msg>)>(
-            n,
-            runtime.net.clone(),
-            Arc::clone(&monitor),
-            clock.clone(),
-        );
+    let (net_tx, net_rxs, net) = network::<(u32, Option<<A::Process as RoundProcess>::Msg>)>(
+        n,
+        runtime.net.clone(),
+        Arc::clone(&monitor),
+        clock.clone(),
+    );
 
     let board = HeartbeatBoard::new(n, clock.clone());
     let (min_notify, max_notify) = match runtime.fd {
@@ -625,7 +623,7 @@ where
         clock.register();
     }
     let mut handles = Vec::with_capacity(n);
-    for me in all_processes(n) {
+    for (me, rx) in all_processes(n).zip(net_rxs) {
         let proc_ = algo.spawn(me, n, t, config.input(me).clone());
         let input = config.input(me).clone();
         let fd: Box<dyn FdModule> = match runtime.fd {
@@ -638,7 +636,6 @@ where
             me,
             n,
             horizon,
-            rx: net_rxs[me.index()].clone(),
             tx: net_tx.clone(),
             fd,
             board: Arc::clone(&board),
@@ -657,10 +654,7 @@ where
             std::thread::Builder::new()
                 .name(format!("ssp-{me}"))
                 .spawn(move || {
-                    // `worker` drops its NetSender (waking the network
-                    // thread) before we take the finish stamp and leave
-                    // the virtual timeline.
-                    let ret = worker(proc_, input, env);
+                    let ret = worker(proc_, input, env, rx);
                     let finished = wclock.now();
                     wclock.deregister();
                     (ret, finished)
@@ -688,9 +682,9 @@ where
         retired_rounds.push(r.retired);
         outcomes.push(r.outcome);
     }
-    // All workers are done: shut the network down, discarding (and
-    // accounting) whatever is still in flight.
-    let net_stats = net_handle.shutdown();
+    // All workers are done: count what landed and what is still in
+    // flight.
+    let net_stats = net.finish();
     let synchrony = monitor.report();
     Ok(ThreadedOutcome {
         outcome: ConsensusOutcome::new(outcomes),
@@ -724,6 +718,7 @@ enum Exit {
 /// The worker's side of [`RoundCore::collect`] in round `round`.
 struct WorkerIo<'a, M> {
     env: &'a WorkerEnv<M>,
+    rx: &'a mut NetReceiver<(u32, Option<M>)>,
     round: u32,
     /// Live peers already reported as detector mistakes (once each).
     mistaken: &'a mut [bool],
@@ -764,12 +759,17 @@ impl<M> RoundIo<M> for WorkerIo<'_, M> {
     }
 
     fn recv(&mut self) -> Option<Wire<M>> {
-        let env = self.env.rx.recv_timeout(Duration::from_micros(500)).ok()?;
+        let env = self.rx.recv_timeout(Duration::from_micros(500)).ok()?;
         Some((env.src, env.payload.0, env.payload.1))
     }
 }
 
-fn worker<P>(proc_: P, input: P::Value, env: WorkerEnv<P::Msg>) -> ProcessReturn<P::Value, P::Msg>
+fn worker<P>(
+    proc_: P,
+    input: P::Value,
+    env: WorkerEnv<P::Msg>,
+    mut rx: NetReceiver<(u32, Option<P::Msg>)>,
+) -> ProcessReturn<P::Value, P::Msg>
 where
     P: RoundProcess,
     P::Msg: Send + 'static,
@@ -825,6 +825,7 @@ where
             }
             let mut io = WorkerIo {
                 env: &env,
+                rx: &mut rx,
                 round: r,
                 mistaken: &mut mistaken,
                 deadline: env.clock.now() + env.round_timeout,

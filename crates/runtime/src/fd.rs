@@ -430,8 +430,8 @@ pub enum SynchronyEvent {
         /// Observed submission-to-delivery latency.
         latency: Duration,
     },
-    /// A wire with an over-Δ delay was still undelivered when the
-    /// network shut down (it was pending for the whole run).
+    /// A wire with an over-Δ delay was still in flight when the run
+    /// finished (it was pending for the whole run).
     UndeliveredAtShutdown {
         /// Sender.
         src: ProcessId,

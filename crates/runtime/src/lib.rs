@@ -1,8 +1,10 @@
 //! Threaded, channel-based runtime: the paper's models in wall-clock
 //! form.
 //!
-//! One OS thread per process, crossbeam channels for links, and two
-//! flavours of everything:
+//! In process, each process is one OS thread and no other thread runs:
+//! a send fixes the wire's arrival time and pushes it into the
+//! receiver's crossbeam inbox, which hands it out once that time comes
+//! ([`network`]). Two flavours of everything:
 //!
 //! * the **`SS` flavour** — a bounded-delay network
 //!   ([`NetConfig::bounded`]), the timeout-based perfect detector
@@ -81,8 +83,8 @@ pub use fd::{
     SynchronyMonitor, SynchronyReport, TimeoutFd,
 };
 pub use net::{
-    spawn_network_watched, LinkScript, NetConfig, NetEnvelope, NetHandle, NetReceiver, NetSender,
-    NetStats, MAX_SEND_ATTEMPTS, RTO_INITIAL,
+    network, LinkScript, NetConfig, NetEnvelope, NetReceiver, NetSender, NetStats, Network,
+    MAX_SEND_ATTEMPTS, RTO_INITIAL,
 };
 pub use plan::{FaultPlan, DELTA_VIOLATION_SEED, SECTION_5_3_SEED};
 pub use round::{Collected, RoundCore, RoundIo, Wire};

@@ -1,9 +1,12 @@
 //! An in-process message network with injectable delays and chaos
 //! faults: a delay model of a reliable link.
 //!
-//! Each process owns a receiving channel; sends are routed through a
-//! dedicated network thread that holds messages for a per-link delay
-//! before delivery. Two delay regimes realize the paper's models:
+//! Nothing runs between a sender and its receiver. [`NetSender::send`]
+//! fixes a wire's arrival time when the wire is admitted and pushes it
+//! into the receiver's inbox stamped with that time; the receiver takes
+//! it once its clock reaches the stamp ([`NetReceiver::recv_timeout`]),
+//! in `(arrival, admission)` order. Two delay regimes realize the
+//! paper's models:
 //!
 //! * **bounded** (the `SS` flavour): every delay ≤ a known bound, so
 //!   timeouts can implement a perfect failure detector;
@@ -30,31 +33,33 @@
 //! final of [`MAX_SEND_ATTEMPTS`] attempts is immune, so every wire
 //! lands within [`NetConfig::worst_transport_delay`]. The first attempt
 //! that survives is delivered, with its reorder jitter and possibly a
-//! duplicate that the receiving side suppresses. The jitter stays below
+//! duplicate, which lands after the original and so is always
+//! suppressed: it only shows in [`NetStats`]. The jitter stays below
 //! the RTO, so no later attempt could have landed first. Round
 //! algorithms therefore keep their exactly-once-per-round wire contract
 //! over lossy links.
 //!
 //! The network also taps the synchrony watchdog
 //! ([`crate::fd::SynchronyMonitor`]): a wire scheduled or delivered
-//! beyond the claimed Δ, or still undelivered at shutdown, is reported
-//! as a [`SynchronyEvent`]. Scheduling-time detection is deliberate
-//! harness omniscience — the fault injector knows it is violating the
-//! bound the moment it assigns the delay, which lets degradation react
-//! before any round is missed.
+//! beyond the claimed Δ, or still in flight at [`Network::finish`], is
+//! reported as a [`SynchronyEvent`]. Scheduling-time detection is
+//! deliberate harness omniscience — the fault injector knows it is
+//! violating the bound the moment it assigns the delay, which lets
+//! degradation react before any round is missed.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ssp_model::{ProcessId, Round};
 
 use crate::chaos::{ChaosConfig, REORDER_JITTER_MAX};
-use crate::clock::{Backend, Clock, Gate, Tick};
+use crate::clock::{Clock, Gate, Tick};
 use crate::fd::{SynchronyEvent, SynchronyMonitor};
 
 /// Timeout before a lost attempt is retransmitted; doubles on every
@@ -68,9 +73,6 @@ pub const MAX_SEND_ATTEMPTS: u32 = 3;
 
 /// How long after the original a duplicated copy is delivered.
 const DUP_OFFSET: Duration = Duration::from_micros(300);
-
-/// How often the network thread polls for shutdown while idle.
-const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// A deterministic delivery schedule: the delay of the `k`-th message
 /// on each scripted directed link. Messages on unscripted links (or
@@ -203,9 +205,15 @@ impl NetConfig {
         }
     }
 
-    fn delay_for<M, R: Rng>(&self, env: &NetEnvelope<M>, nth: usize, rng: &mut R) -> Duration {
+    fn delay_for<R: Rng>(
+        &self,
+        src: ProcessId,
+        dst: ProcessId,
+        nth: usize,
+        rng: &mut R,
+    ) -> Duration {
         if let Some(script) = &self.script {
-            if let Some(delay) = script.delay(env.src, env.dst, nth) {
+            if let Some(delay) = script.delay(src, dst, nth) {
                 return delay;
             }
         }
@@ -217,261 +225,118 @@ impl NetConfig {
     }
 }
 
-/// Deterministic transport counters for one run, reported at network
-/// shutdown and recorded in the run trace.
+/// Deterministic transport counters for one run, reported by
+/// [`Network::finish`] and recorded in the run trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Wires submitted (one per `send`, retransmissions excluded).
     pub wires: u64,
-    /// Wires delivered to an inbox (exactly once each).
+    /// Wires due by finish, whether or not their receiver took them
+    /// (exactly once each).
     pub delivered: u64,
     /// Transmission attempts dropped by chaos loss.
     pub chaos_dropped: u64,
     /// Extra copies injected by chaos duplication.
     pub chaos_duplicated: u64,
-    /// Chaos duplicates suppressed by receiver-side dedup.
+    /// Chaos duplicates due by finish, each suppressed.
     pub dup_suppressed: u64,
     /// Deliveries later than the watchdog's claimed Δ.
     pub late_deliveries: u64,
     /// Wires whose assigned delay already exceeded Δ at scheduling.
     pub slow_scheduled: u64,
-    /// Wires still undelivered when the network shut down.
+    /// Wires still in flight at finish.
     pub undelivered: u64,
 }
 
-/// Internal per-wire transport state.
-struct WireState<M> {
-    env: NetEnvelope<M>,
+/// One admitted wire, as [`Network::finish`] counts it.
+#[derive(Debug)]
+struct WireState {
+    src: ProcessId,
+    dst: ProcessId,
     link_seq: u64,
     submitted: Tick,
     base_delay: Duration,
-    delivered: bool,
-}
-
-/// A delivery of one wire's copy, the network's one event kind.
-struct Scheduled {
+    /// When the first surviving attempt lands.
     at: Tick,
-    seq: u64,
-    wire: usize,
+    /// Whether a chaos duplicate lands [`DUP_OFFSET`] after `at`.
+    duplicated: bool,
+    /// Whether its receiver already reported it as a late delivery.
+    reported: bool,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl WireState {
+    fn latency(&self) -> Duration {
+        self.at.saturating_duration_since(self.submitted)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+
+/// A wire in its receiver's inbox, ordered for a min-heap on
+/// `(at, wire)`: arrival time, then admission order.
+#[derive(Debug)]
+struct Arrival<M> {
+    at: Tick,
+    wire: usize,
+    /// Whether it lands later than the watchdog's Δ.
+    late: bool,
+    env: NetEnvelope<M>,
+}
+
+impl<M> PartialEq for Arrival<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire == other.wire
+    }
+}
+impl<M> Eq for Arrival<M> {}
+impl<M> PartialOrd for Arrival<M> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<M> Ord for Arrival<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for a min-heap on (at, seq).
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
+        (other.at, other.wire).cmp(&(self.at, self.wire))
     }
 }
 
-/// A handle for sending into the network.
-#[derive(Debug, Clone)]
-pub struct NetSender<M> {
-    /// `Option` so `Drop` can disconnect the channel *before* waking
-    /// the network thread: a woken thread must be able to observe the
-    /// disconnection, or the virtual clock could advance through
-    /// deadlines that the imminent shutdown should strand.
-    submit: Option<Sender<NetEnvelope<M>>>,
-    gate: Gate,
-}
-
-impl<M: Send + 'static> NetSender<M> {
-    /// Sends `payload` from `src` to `dst`; delivery happens after the
-    /// link's delay. Sends to finished processes are dropped silently.
-    pub fn send(&self, src: ProcessId, dst: ProcessId, payload: M) {
-        if let Some(submit) = &self.submit {
-            let _ = submit.send(NetEnvelope { src, dst, payload });
-        }
-        self.gate.notify();
-    }
-}
-
-impl<M> Drop for NetSender<M> {
-    fn drop(&mut self) {
-        self.submit = None;
-        self.gate.notify();
-    }
-}
-
-/// The per-process receiving end: a channel plus the wakeup gate the
-/// network thread rings after each delivery.
-#[derive(Debug, Clone)]
-pub struct NetReceiver<M> {
-    rx: Receiver<NetEnvelope<M>>,
-    gate: Gate,
-    clock: Clock,
-}
-
-impl<M> NetReceiver<M> {
-    /// Waits for the next delivered envelope, up to `timeout` on the
-    /// receiver's clock.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time,
-    /// [`RecvTimeoutError::Disconnected`] once the network thread is
-    /// gone and the inbox drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<NetEnvelope<M>, RecvTimeoutError> {
-        self.clock.recv(&self.rx, &self.gate, Some(timeout))
-    }
-}
-
-/// Owns the network thread: signals shutdown and joins it on drop, so
-/// no run leaks the thread or its in-flight envelopes.
+/// The admission state every sender shares: the delay RNG, per-link
+/// counters, and every admitted wire.
 #[derive(Debug)]
-pub struct NetHandle {
-    shutdown: Sender<()>,
-    gate: Gate,
-    thread: Option<std::thread::JoinHandle<NetStats>>,
-}
-
-impl NetHandle {
-    /// Signals shutdown, joins the thread, and returns its transport
-    /// counters. Wires still in flight are discarded but accounted as
-    /// [`NetStats::undelivered`] (and reported to the watchdog when
-    /// they were over-Δ).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network thread itself panicked.
-    #[must_use]
-    pub fn shutdown(mut self) -> NetStats {
-        let _ = self.shutdown.try_send(());
-        self.gate.notify();
-        self.thread
-            .take()
-            .expect("network thread handle")
-            .join()
-            .expect("network thread panicked")
-    }
-}
-
-impl Drop for NetHandle {
-    fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = self.shutdown.try_send(());
-            self.gate.notify();
-            let _ = t.join();
-        }
-    }
-}
-
-/// Spawns the network thread on `clock`; returns one sender handle,
-/// the `n` per-process receivers, and the joinable [`NetHandle`]. The
-/// thread exits when every sender is dropped and all held messages are
-/// delivered, or as soon as the handle signals shutdown. Over-Δ
-/// scheduling, late deliveries, and shutdown-stranded wires are
-/// reported to `monitor`.
-#[must_use]
-pub fn spawn_network_watched<M: Clone + Send + 'static>(
-    n: usize,
-    config: NetConfig,
-    monitor: Arc<SynchronyMonitor>,
-    clock: Clock,
-) -> (NetSender<M>, Vec<NetReceiver<M>>, NetHandle) {
-    let (submit_tx, submit_rx) = unbounded::<NetEnvelope<M>>();
-    let (shutdown_tx, shutdown_rx) = bounded::<()>(1);
-    let submit_gate = clock.gate();
-    let mut inboxes_tx = Vec::with_capacity(n);
-    let mut inboxes_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded::<NetEnvelope<M>>(4096);
-        let gate = clock.gate();
-        inboxes_tx.push((tx, gate.clone()));
-        inboxes_rx.push(NetReceiver {
-            rx,
-            gate,
-            clock: clock.clone(),
-        });
-    }
-    clock.register();
-    let net_clock = clock.clone();
-    let net_gate = submit_gate.clone();
-    let thread = std::thread::Builder::new()
-        .name("ssp-net".into())
-        .spawn(move || {
-            let stats = net_thread(
-                &config,
-                &monitor,
-                &net_clock,
-                &net_gate,
-                &submit_rx,
-                &shutdown_rx,
-                &inboxes_tx,
-            );
-            net_clock.deregister();
-            stats
-        })
-        .expect("spawn network thread");
-    (
-        NetSender {
-            submit: Some(submit_tx),
-            gate: submit_gate.clone(),
-        },
-        inboxes_rx,
-        NetHandle {
-            shutdown: shutdown_tx,
-            gate: submit_gate,
-            thread: Some(thread),
-        },
-    )
-}
-
-/// The network thread's state: every admitted wire and the min-heap of
-/// pending deliveries.
-struct Scheduler<'a, M> {
-    config: &'a NetConfig,
-    monitor: &'a SynchronyMonitor,
+struct Scheduler {
     rng: StdRng,
     /// Per-link wire counters, for [`LinkScript`] indexing and the
     /// chaos decisions' sequence numbers.
     link_count: HashMap<(usize, usize), u64>,
-    wires: Vec<WireState<M>>,
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
+    wires: Vec<WireState>,
+    /// The counters fixed at admission.
     stats: NetStats,
 }
 
-impl<M: Clone> Scheduler<'_, M> {
-    fn push(&mut self, at: Tick, wire: usize) {
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            wire,
-        });
-        self.seq += 1;
-    }
+#[derive(Debug)]
+struct Shared {
+    config: NetConfig,
+    monitor: Arc<SynchronyMonitor>,
+    clock: Clock,
+    scheduler: Mutex<Scheduler>,
+}
 
-    /// Admits one envelope submitted at `now`: assigns its link
-    /// sequence number, rolls its base delay, reports over-Δ scheduling
-    /// to the watchdog, and schedules its delivery. Under chaos, each
-    /// attempt that loss drops delays the next by its retransmit
-    /// timeout (the final attempt is immune); the first attempt that
-    /// survives lands after the base delay plus its reorder jitter, and
-    /// may be duplicated.
-    fn admit(&mut self, env: NetEnvelope<M>, now: Tick) {
-        let (src, dst, seed) = (env.src, env.dst, self.config.seed);
-        let nth = self
-            .link_count
-            .entry((src.index(), dst.index()))
-            .or_insert(0);
+impl Shared {
+    /// Admits one wire submitted now: assigns its link sequence number,
+    /// rolls its base delay, reports over-Δ scheduling to the watchdog,
+    /// and fixes its arrival. Under chaos, each attempt that loss drops
+    /// delays the next by its retransmit timeout (the final attempt is
+    /// immune); the first attempt that survives lands after the base
+    /// delay plus its reorder jitter, and may be duplicated.
+    fn admit<M>(&self, s: &mut Scheduler, env: NetEnvelope<M>) -> Arrival<M> {
+        let (config, seed) = (&self.config, self.config.seed);
+        let (src, dst) = (env.src, env.dst);
+        let now = self.clock.now();
+        let nth = s.link_count.entry((src.index(), dst.index())).or_insert(0);
         let link_seq = *nth;
         *nth += 1;
-        let base_delay = self
-            .config
-            .delay_for(&env, link_seq as usize, &mut self.rng);
-        self.stats.wires += 1;
-        if self.monitor.is_armed() && base_delay > self.monitor.delta() {
-            self.stats.slow_scheduled += 1;
+        let base_delay = config.delay_for(src, dst, link_seq as usize, &mut s.rng);
+        s.stats.wires += 1;
+        if self.over_delta(base_delay) {
+            s.stats.slow_scheduled += 1;
             self.monitor.record(SynchronyEvent::SlowWireScheduled {
                 src,
                 dst,
@@ -479,151 +344,216 @@ impl<M: Clone> Scheduler<'_, M> {
                 delay: base_delay,
             });
         }
-        let wire = self.wires.len();
-        self.wires.push(WireState {
-            env,
+        let (mut at, mut duplicated) = (now + base_delay, false);
+        if let Some(chaos) = config.chaos() {
+            let (mut sent, mut attempt) = (now, 0);
+            while attempt + 1 < MAX_SEND_ATTEMPTS && chaos.drops(seed, src, dst, link_seq, attempt)
+            {
+                s.stats.chaos_dropped += 1;
+                sent = sent + RTO_INITIAL * (1 << attempt);
+                attempt += 1;
+            }
+            at = sent + base_delay + chaos.reorder_extra(seed, src, dst, link_seq, attempt);
+            duplicated = chaos.duplicates(seed, src, dst, link_seq, attempt);
+            s.stats.chaos_duplicated += u64::from(duplicated);
+        }
+        s.wires.push(WireState {
+            src,
+            dst,
             link_seq,
             submitted: now,
             base_delay,
-            delivered: false,
+            at,
+            duplicated,
+            reported: false,
         });
-        let Some(chaos) = self.config.chaos() else {
-            self.push(now + base_delay, wire);
-            return;
-        };
-        let (mut sent, mut attempt) = (now, 0);
-        while attempt + 1 < MAX_SEND_ATTEMPTS && chaos.drops(seed, src, dst, link_seq, attempt) {
-            self.stats.chaos_dropped += 1;
-            sent = sent + RTO_INITIAL * (1 << attempt);
-            attempt += 1;
-        }
-        let at = sent + base_delay + chaos.reorder_extra(seed, src, dst, link_seq, attempt);
-        self.push(at, wire);
-        if chaos.duplicates(seed, src, dst, link_seq, attempt) {
-            self.stats.chaos_duplicated += 1;
-            self.push(at + DUP_OFFSET, wire);
+        Arrival {
+            at,
+            wire: s.wires.len() - 1,
+            late: self.over_delta(at.saturating_duration_since(now)),
+            env,
         }
     }
 
-    /// Delivers a copy of `wire` at `at`; every copy after the first is
-    /// suppressed.
-    fn deliver(&mut self, at: Tick, wire: usize, inboxes: &[(Sender<NetEnvelope<M>>, Gate)]) {
-        let w = &mut self.wires[wire];
-        if w.delivered {
-            self.stats.dup_suppressed += 1;
-            return;
-        }
-        w.delivered = true;
-        self.stats.delivered += 1;
-        let latency = at.saturating_duration_since(w.submitted);
-        if self.monitor.is_armed() && latency > self.monitor.delta() {
-            self.stats.late_deliveries += 1;
-            self.monitor.record(SynchronyEvent::LateDelivery {
-                src: w.env.src,
-                dst: w.env.dst,
-                latency,
-            });
-        }
-        let (inbox, inbox_gate) = &inboxes[w.env.dst.index()];
-        let _ = inbox.try_send(w.env.clone());
-        inbox_gate.notify();
+    fn over_delta(&self, latency: Duration) -> bool {
+        self.monitor.is_armed() && latency > self.monitor.delta()
     }
 
-    /// The run's counters, with every wire still in flight accounted
-    /// undelivered (and reported to the watchdog when over-Δ).
-    fn finish(mut self) -> NetStats {
-        for w in self.wires.iter().filter(|w| !w.delivered) {
-            self.stats.undelivered += 1;
-            if self.monitor.is_armed() && w.base_delay > self.monitor.delta() {
-                self.monitor.record(SynchronyEvent::UndeliveredAtShutdown {
-                    src: w.env.src,
-                    dst: w.env.dst,
-                    round: Round::new(w.link_seq as u32 + 1),
-                });
-            }
-        }
-        self.stats
+    fn report_late(&self, w: &mut WireState) {
+        w.reported = true;
+        self.monitor.record(SynchronyEvent::LateDelivery {
+            src: w.src,
+            dst: w.dst,
+            latency: w.latency(),
+        });
     }
 }
 
-fn net_thread<M: Clone + Send + 'static>(
-    config: &NetConfig,
-    monitor: &SynchronyMonitor,
-    clock: &Clock,
-    gate: &Gate,
-    submit_rx: &Receiver<NetEnvelope<M>>,
-    shutdown_rx: &Receiver<()>,
-    inboxes_tx: &[(Sender<NetEnvelope<M>>, Gate)],
-) -> NetStats {
-    let mut net = Scheduler {
-        config,
-        monitor,
-        rng: StdRng::seed_from_u64(config.seed),
-        link_count: HashMap::new(),
-        wires: Vec::new(),
-        heap: BinaryHeap::new(),
-        seq: 0,
-        stats: NetStats::default(),
-    };
-    let mut closed = false;
-    loop {
-        // Handle everything due.
-        let now = clock.now();
-        while net.heap.peek().is_some_and(|s| s.at <= now) {
-            let s = net.heap.pop().expect("peeked");
-            net.deliver(s.at, s.wire, inboxes_tx);
+/// A handle for sending into the network.
+#[derive(Debug, Clone)]
+pub struct NetSender<M> {
+    shared: Arc<Shared>,
+    inboxes: Arc<[(Sender<Arrival<M>>, Gate)]>,
+}
+
+impl<M> NetSender<M> {
+    /// Sends `payload` from `src` to `dst`; it arrives after the link's
+    /// delay. Sends to finished processes are dropped silently.
+    pub fn send(&self, src: ProcessId, dst: ProcessId, payload: M) {
+        let (inbox, gate) = &self.inboxes[dst.index()];
+        {
+            // Pushing under the admission lock keeps every inbox in
+            // admission order, so a receiver that has drained its
+            // channel has seen every wire that could land first.
+            let mut s = self.shared.scheduler.lock();
+            let _ = inbox.send(self.shared.admit(&mut s, NetEnvelope { src, dst, payload }));
         }
-        if shutdown_rx.try_recv().is_ok() {
-            return net.finish();
-        }
-        if closed && (net.heap.is_empty() || clock.is_virtual()) {
-            // Every sender gone means every worker has exited. Under
-            // the virtual clock the driver's shutdown signal arrives in
-            // *real* time, which the virtual timeline does not wait
-            // for; advancing through leftover deadlines here would race
-            // it. Stop immediately instead — stranded wires are
-            // accounted undelivered, exactly as the real backend's
-            // prompt shutdown leaves them.
-            return net.finish();
-        }
-        let next_due = net
-            .heap
-            .peek()
-            .map(|s| s.at.saturating_duration_since(clock.now()));
-        if closed {
-            // All senders are gone (real clock): flush remaining
-            // deadlines, polling for shutdown between sleeps.
-            std::thread::sleep(next_due.unwrap_or(IDLE_POLL).min(IDLE_POLL));
-            continue;
-        }
-        let received = match clock.backend() {
-            // Cap the wait at IDLE_POLL so shutdown is noticed promptly.
-            Backend::Real => clock.recv(
-                submit_rx,
-                gate,
-                Some(next_due.unwrap_or(IDLE_POLL).min(IDLE_POLL)),
-            ),
-            // Park until the next scheduled delivery or any gate
-            // notify (a send, a sender drop, or shutdown). A bare park
-            // (not `Clock::recv`) so that a notify with nothing in the
-            // submit channel — the shutdown handle ringing the shared
-            // gate — still brings us back around to re-check the
-            // shutdown channel instead of being silently re-parked.
-            Backend::Virtual => match submit_rx.try_recv() {
-                Ok(env) => Ok(env),
-                Err(TryRecvError::Empty) => {
-                    clock.park_gate(gate, next_due);
-                    Err(RecvTimeoutError::Timeout)
+        gate.notify();
+    }
+}
+
+/// The per-process receiving end: the wires sent to this process, taken
+/// in arrival order once each arrival time has come.
+#[derive(Debug)]
+pub struct NetReceiver<M> {
+    rx: Receiver<Arrival<M>>,
+    gate: Gate,
+    shared: Arc<Shared>,
+    /// Wires already moved off the channel and not yet taken.
+    inbox: BinaryHeap<Arrival<M>>,
+}
+
+impl<M> NetReceiver<M> {
+    /// Takes the next wire whose arrival time has come, waiting up to
+    /// `timeout` on the receiver's clock.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] when nothing arrived in time,
+    /// [`RecvTimeoutError::Disconnected`] once every sender is gone and
+    /// every wire taken.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<NetEnvelope<M>, RecvTimeoutError> {
+        let clock = &self.shared.clock;
+        let deadline = clock.now() + timeout;
+        loop {
+            while let Ok(arrival) = self.rx.try_recv() {
+                self.inbox.push(arrival);
+            }
+            let now = clock.now();
+            let next = self.inbox.peek().map(|a| a.at);
+            if next.is_some_and(|at| at <= now) {
+                let arrival = self.inbox.pop().expect("peeked");
+                if arrival.late {
+                    let mut s = self.shared.scheduler.lock();
+                    self.shared.report_late(&mut s.wires[arrival.wire]);
                 }
-                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
-            },
-        };
-        match received {
-            Ok(env) => net.admit(env, clock.now()),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => closed = true,
+                return Ok(arrival.env);
+            }
+            if now >= deadline {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            let wait = next.map_or(deadline, |at| at.min(deadline));
+            let wait = wait.saturating_duration_since(now);
+            match clock.recv(&self.rx, &self.gate, wait) {
+                Ok(arrival) => self.inbox.push(arrival),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) if next.is_none() => {
+                    return Err(RecvTimeoutError::Disconnected)
+                }
+                // Every sender is gone but a wire is still in flight:
+                // wait for it without spinning on the closed channel.
+                Err(RecvTimeoutError::Disconnected) => clock.sleep(wait),
+            }
         }
     }
+}
+
+/// The network's accounting end: [`Network::finish`] reports the run's
+/// counters.
+#[derive(Debug)]
+pub struct Network {
+    shared: Arc<Shared>,
+}
+
+impl Network {
+    /// The run's transport counters at the current time on its clock,
+    /// in closed form: a wire due by now counts delivered (and late,
+    /// when over Δ) whether or not its receiver took it; any other is
+    /// undelivered, and reported to the watchdog when its delay was
+    /// over Δ. Late deliveries no receiver took are reported here.
+    #[must_use]
+    pub fn finish(self) -> NetStats {
+        let now = self.shared.clock.now();
+        let mut s = self.shared.scheduler.lock();
+        let mut stats = s.stats;
+        for w in &mut s.wires {
+            if w.at > now {
+                stats.undelivered += 1;
+                if self.shared.over_delta(w.base_delay) {
+                    self.shared
+                        .monitor
+                        .record(SynchronyEvent::UndeliveredAtShutdown {
+                            src: w.src,
+                            dst: w.dst,
+                            round: Round::new(w.link_seq as u32 + 1),
+                        });
+                }
+                continue;
+            }
+            stats.delivered += 1;
+            stats.dup_suppressed += u64::from(w.duplicated && w.at + DUP_OFFSET <= now);
+            if self.shared.over_delta(w.latency()) {
+                stats.late_deliveries += 1;
+                if !w.reported {
+                    self.shared.report_late(w);
+                }
+            }
+        }
+        stats
+    }
+}
+
+/// Builds the network on `clock`: one sender handle, the `n`
+/// per-process receivers, and the [`Network`] that reports the run's
+/// counters. It starts no thread: a wire's arrival is fixed when it is
+/// sent. Over-Δ scheduling, late deliveries, and wires still in flight
+/// at finish are reported to `monitor`.
+#[must_use]
+pub fn network<M>(
+    n: usize,
+    config: NetConfig,
+    monitor: Arc<SynchronyMonitor>,
+    clock: Clock,
+) -> (NetSender<M>, Vec<NetReceiver<M>>, Network) {
+    let shared = Arc::new(Shared {
+        scheduler: Mutex::new(Scheduler {
+            rng: StdRng::seed_from_u64(config.seed),
+            link_count: HashMap::new(),
+            wires: Vec::new(),
+            stats: NetStats::default(),
+        }),
+        config,
+        monitor,
+        clock,
+    });
+    let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n)
+        .map(|_| {
+            let (tx, rx) = unbounded();
+            let gate = shared.clock.gate();
+            let receiver = NetReceiver {
+                rx,
+                gate: gate.clone(),
+                shared: Arc::clone(&shared),
+                inbox: BinaryHeap::new(),
+            };
+            ((tx, gate), receiver)
+        })
+        .unzip();
+    let sender = NetSender {
+        shared: Arc::clone(&shared),
+        inboxes: Arc::from(inboxes),
+    };
+    (sender, receivers, Network { shared })
 }
 
 #[cfg(test)]
@@ -631,11 +561,11 @@ mod tests {
     use super::*;
 
     /// The network on the real clock, unwatched.
-    fn spawn_network<M: Clone + Send + 'static>(
+    fn real_network<M>(
         n: usize,
         config: NetConfig,
-    ) -> (NetSender<M>, Vec<NetReceiver<M>>, NetHandle) {
-        spawn_network_watched(n, config, SynchronyMonitor::disarmed(), Clock::real())
+    ) -> (NetSender<M>, Vec<NetReceiver<M>>, Network) {
+        network(n, config, SynchronyMonitor::disarmed(), Clock::real())
     }
     use crate::fd::DegradeMode;
     use std::time::Instant;
@@ -646,7 +576,7 @@ mod tests {
 
     #[test]
     fn messages_arrive_in_link_order_with_zero_delay() {
-        let (tx, rx, _net) = spawn_network::<u32>(2, NetConfig::bounded(Duration::ZERO, 1));
+        let (tx, mut rx, _net) = real_network::<u32>(2, NetConfig::bounded(Duration::ZERO, 1));
         for i in 0..10 {
             tx.send(p(0), p(1), i);
         }
@@ -667,7 +597,7 @@ mod tests {
     #[test]
     fn link_script_holds_messages_back() {
         let config = slow_first_wire(Duration::from_millis(1), 7, Duration::from_millis(150));
-        let (tx, rx, _net) = spawn_network::<u32>(2, config);
+        let (tx, mut rx, _net) = real_network::<u32>(2, config);
         let t0 = Instant::now();
         tx.send(p(0), p(1), 42);
         let env = rx[1].recv_timeout(Duration::from_secs(2)).unwrap();
@@ -678,7 +608,7 @@ mod tests {
     #[test]
     fn bounded_delays_respect_the_bound() {
         let bound = Duration::from_millis(20);
-        let (tx, rx, _net) = spawn_network::<u32>(2, NetConfig::bounded(bound, 3));
+        let (tx, mut rx, _net) = real_network::<u32>(2, NetConfig::bounded(bound, 3));
         for i in 0..20 {
             let t0 = Instant::now();
             tx.send(p(1), p(0), i);
@@ -696,7 +626,7 @@ mod tests {
         script.set(p(0), p(1), 0, Duration::from_millis(120));
         script.set(p(0), p(1), 1, Duration::ZERO);
         let config = NetConfig::bounded(Duration::from_millis(1), 3).with_script(script);
-        let (tx, rx, _net) = spawn_network::<u32>(2, config);
+        let (tx, mut rx, _net) = real_network::<u32>(2, config);
         tx.send(p(0), p(1), 0);
         tx.send(p(0), p(1), 1);
         let first = rx[1].recv_timeout(Duration::from_secs(2)).unwrap();
@@ -716,21 +646,13 @@ mod tests {
     }
 
     #[test]
-    fn network_thread_exits_after_senders_drop() {
-        let (tx, _rx, net) = spawn_network::<u32>(1, NetConfig::bounded(Duration::ZERO, 1));
-        drop(tx);
-        let stats = net.shutdown();
-        assert_eq!(stats.wires, 0);
-    }
-
-    #[test]
     fn reliable_layer_masks_heavy_loss() {
         let config = NetConfig::bounded(Duration::from_millis(1), 11).with_chaos(ChaosConfig {
             loss_pm: 300,
             dup_pm: 0,
             reorder_pm: 0,
         });
-        let (tx, rx, net) = spawn_network::<u32>(2, config);
+        let (tx, mut rx, net) = real_network::<u32>(2, config);
         for i in 0..40 {
             tx.send(p(0), p(1), i);
         }
@@ -743,7 +665,7 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..40).collect::<Vec<_>>());
         drop(tx);
-        let stats = net.shutdown();
+        let stats = net.finish();
         assert_eq!(stats.wires, 40);
         assert_eq!(stats.delivered, 40);
         assert_eq!(stats.undelivered, 0);
@@ -757,7 +679,7 @@ mod tests {
             dup_pm: 1000,
             reorder_pm: 200,
         });
-        let (tx, rx, net) = spawn_network::<u32>(2, config);
+        let (tx, mut rx, net) = real_network::<u32>(2, config);
         for i in 0..20 {
             tx.send(p(0), p(1), i);
         }
@@ -770,7 +692,7 @@ mod tests {
         // Nothing further arrives: every duplicate was suppressed.
         assert!(rx[1].recv_timeout(Duration::from_millis(120)).is_err());
         drop(tx);
-        let stats = net.shutdown();
+        let stats = net.finish();
         assert_eq!(stats.delivered, 20);
         assert_eq!(stats.chaos_duplicated, 20, "dup rate 1.0: one per wire");
         assert!(stats.dup_suppressed >= 20);
@@ -783,7 +705,7 @@ mod tests {
             dup_pm: 0,
             reorder_pm: 0,
         });
-        let (tx, rx, net) = spawn_network::<u32>(2, config);
+        let (tx, mut rx, net) = real_network::<u32>(2, config);
         tx.send(p(0), p(1), 7);
         let t0 = Instant::now();
         let env = rx[1].recv_timeout(Duration::from_secs(5)).unwrap();
@@ -793,7 +715,7 @@ mod tests {
             "delivery within the retransmit budget"
         );
         drop(tx);
-        let stats = net.shutdown();
+        let stats = net.finish();
         assert_eq!(stats.delivered, 1);
         assert_eq!(
             stats.chaos_dropped,
@@ -812,8 +734,8 @@ mod tests {
         });
         config.min_delay = base;
         let clock = Clock::simulated();
-        let (tx, rx, net) =
-            spawn_network_watched::<u32>(2, config, SynchronyMonitor::disarmed(), clock.clone());
+        let (tx, mut rx, net) =
+            network::<u32>(2, config, SynchronyMonitor::disarmed(), clock.clone());
         clock.register();
         let submitted = clock.now();
         tx.send(p(0), p(1), 7);
@@ -823,7 +745,7 @@ mod tests {
         );
         let landed = clock.now();
         drop(tx);
-        let _ = net.shutdown();
+        let _ = net.finish();
         clock.deregister();
         landed.saturating_duration_since(submitted)
     }
@@ -841,10 +763,99 @@ mod tests {
         assert_eq!(simulated_arrival(base, 0), base);
     }
 
+    /// With every sender gone, a receiver still takes the wire in
+    /// flight at its arrival time, then reports the disconnection.
+    #[test]
+    fn a_closed_network_still_delivers_what_is_in_flight() {
+        let clock = Clock::simulated();
+        let config = slow_first_wire(Duration::from_millis(1), 1, Duration::from_millis(50));
+        let (tx, mut rx, _net) =
+            network::<u32>(2, config, SynchronyMonitor::disarmed(), clock.clone());
+        clock.register();
+        tx.send(p(0), p(1), 7);
+        drop(tx);
+        let env = rx[1].recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!(env.payload, 7);
+        assert_eq!(clock.now(), Tick::ZERO + Duration::from_millis(50));
+        let closed = rx[1].recv_timeout(Duration::from_secs(1)).unwrap_err();
+        assert_eq!(closed, RecvTimeoutError::Disconnected);
+        assert_eq!(clock.now(), Tick::ZERO + Duration::from_millis(50));
+        clock.deregister();
+    }
+
+    /// The counters one run reports when `finish` is called after
+    /// `wait` of simulated time, with every wire sent at time zero on
+    /// `p1 → p2` and never read.
+    fn stats_after(
+        config: NetConfig,
+        monitor: Arc<SynchronyMonitor>,
+        wires: u32,
+        wait: Duration,
+    ) -> NetStats {
+        let clock = Clock::simulated();
+        let (tx, _rx, net) = network::<u32>(2, config, monitor, clock.clone());
+        clock.register();
+        for i in 0..wires {
+            tx.send(p(0), p(1), i);
+        }
+        clock.sleep(wait);
+        drop(tx);
+        let stats = net.finish();
+        clock.deregister();
+        stats
+    }
+
+    /// What each `NetStats` counter means at finish: a copy counts once
+    /// it is due, whether or not its receiver took it.
+    #[test]
+    fn stats_count_every_copy_due_by_finish() {
+        let ms = Duration::from_millis;
+        // Due before finish: delivered, though nobody read it.
+        let mut script = LinkScript::new();
+        script.set(p(0), p(1), 0, ms(5));
+        let config = NetConfig::bounded(ms(1), 1).with_script(script);
+        let stats = stats_after(config, SynchronyMonitor::disarmed(), 1, ms(10));
+        assert_eq!((stats.delivered, stats.undelivered), (1, 0));
+
+        // In flight at finish: undelivered, and reported only when its
+        // delay is over Δ.
+        let monitor = SynchronyMonitor::armed(ms(50), DegradeMode::Off);
+        let mut script = LinkScript::new();
+        script.set(p(0), p(1), 0, ms(30));
+        script.set(p(0), p(1), 1, ms(400));
+        let config = NetConfig::bounded(ms(1), 1).with_script(script);
+        let stats = stats_after(config, Arc::clone(&monitor), 2, ms(10));
+        assert_eq!((stats.delivered, stats.undelivered), (0, 2));
+        assert_eq!(stats.slow_scheduled, 1);
+        let stranded = monitor
+            .report()
+            .events
+            .iter()
+            .filter(|e| matches!(e, SynchronyEvent::UndeliveredAtShutdown { .. }))
+            .count();
+        assert_eq!(stranded, 1, "only the over-Δ wire is reported");
+
+        // A chaos duplicate lands `DUP_OFFSET` after the original: it is
+        // suppressed once it is due, and not before.
+        let base = ms(3);
+        let mut config = NetConfig::bounded(base, 1).with_chaos(ChaosConfig {
+            loss_pm: 0,
+            dup_pm: 1000,
+            reorder_pm: 0,
+        });
+        config.min_delay = base;
+        let before = stats_after(config.clone(), SynchronyMonitor::disarmed(), 1, base);
+        let after = stats_after(config, SynchronyMonitor::disarmed(), 1, base + DUP_OFFSET);
+        for stats in [before, after] {
+            assert_eq!((stats.delivered, stats.chaos_duplicated), (1, 1));
+        }
+        assert_eq!((before.dup_suppressed, after.dup_suppressed), (0, 1));
+    }
+
     #[test]
     fn chaos_decisions_are_seed_deterministic() {
         // On the virtual clock: whether an in-flight duplicate lands
-        // before shutdown is a timing race under the real clock, so
+        // before finish is a timing race under the real clock, so
         // exact counter equality is only promised in simulated time.
         let run = || {
             let config = NetConfig::bounded(Duration::from_millis(1), 17).with_chaos(ChaosConfig {
@@ -853,12 +864,8 @@ mod tests {
                 reorder_pm: 100,
             });
             let clock = Clock::simulated();
-            let (tx, rx, net) = spawn_network_watched::<u32>(
-                3,
-                config,
-                SynchronyMonitor::disarmed(),
-                clock.clone(),
-            );
+            let (tx, mut rx, net) =
+                network::<u32>(3, config, SynchronyMonitor::disarmed(), clock.clone());
             clock.register();
             for i in 0..30 {
                 tx.send(p(i % 2), p(2), i as u32);
@@ -867,7 +874,7 @@ mod tests {
                 let _ = rx[2].recv_timeout(Duration::from_secs(5)).unwrap();
             }
             drop(tx);
-            let stats = net.shutdown();
+            let stats = net.finish();
             clock.deregister();
             stats
         };
@@ -881,18 +888,15 @@ mod tests {
     fn watchdog_sees_over_delta_scheduling_and_stranded_wires() {
         let monitor = SynchronyMonitor::armed(Duration::from_millis(50), DegradeMode::Off);
         let config = slow_first_wire(Duration::from_millis(1), 3, Duration::from_millis(400));
-        let (tx, _rx, net) =
-            spawn_network_watched::<u32>(2, config, Arc::clone(&monitor), Clock::real());
+        let (tx, _rx, net) = network::<u32>(2, config, Arc::clone(&monitor), Clock::real());
         tx.send(p(0), p(1), 1);
-        // Give the thread a moment to process the submission, then cut
-        // the run short with the wire still in flight.
-        std::thread::sleep(Duration::from_millis(50));
+        // Cut the run short with the wire still in flight.
         drop(tx);
         let t0 = Instant::now();
-        let stats = net.shutdown();
+        let stats = net.finish();
         assert!(
             t0.elapsed() < Duration::from_millis(200),
-            "shutdown does not wait out the 400ms delay"
+            "finish does not wait out the 400ms delay"
         );
         assert_eq!(stats.slow_scheduled, 1);
         assert_eq!(stats.undelivered, 1);
@@ -912,8 +916,7 @@ mod tests {
     fn late_delivery_is_reported_when_the_wire_lands() {
         let monitor = SynchronyMonitor::armed(Duration::from_millis(30), DegradeMode::Off);
         let config = slow_first_wire(Duration::from_millis(1), 3, Duration::from_millis(80));
-        let (tx, rx, _net) =
-            spawn_network_watched::<u32>(2, config, Arc::clone(&monitor), Clock::real());
+        let (tx, mut rx, _net) = network::<u32>(2, config, Arc::clone(&monitor), Clock::real());
         tx.send(p(0), p(1), 9);
         let env = rx[1].recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(env.payload, 9);

@@ -25,59 +25,41 @@ use crate::adversary::{Adversary, DeliveryChoice, ExecView};
 use crate::automaton::{BoxedAutomaton, StepContext};
 use crate::trace::{Event, Trace};
 
-/// Perfect-detector detection delays for the `SP` executor.
+/// Perfect-detector detection delay for the `SP` executor.
 ///
-/// Observer `p` starts suspecting `q` exactly `delay(p, q)` ticks after
+/// Every observer starts suspecting `q` exactly `delay` ticks after
 /// `q` crashes — never before (strong accuracy by construction) and
 /// always eventually (strong completeness, provided the run lasts long
-/// enough). The unboundedness of these delays is the `SP` adversary's
+/// enough). The unboundedness of this delay is the `SP` adversary's
 /// key power (§3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectionDelays {
-    n: usize,
-    default: u64,
-    per_pair: Vec<Option<u64>>,
+    delay: u64,
 }
 
 impl DetectionDelays {
-    /// Uniform delays: everyone detects every crash `default` ticks
+    /// Uniform delays: everyone detects every crash `delay` ticks
     /// after it happens.
     #[must_use]
-    pub fn uniform(n: usize, default: u64) -> Self {
-        DetectionDelays {
-            n,
-            default,
-            per_pair: vec![None; n * n],
-        }
+    pub fn uniform(delay: u64) -> Self {
+        DetectionDelays { delay }
     }
 
     /// Immediate detection (delay 0) — the least adversarial choice.
     #[must_use]
-    pub fn immediate(n: usize) -> Self {
-        DetectionDelays::uniform(n, 0)
+    pub fn immediate() -> Self {
+        DetectionDelays::uniform(0)
     }
 
-    /// The delay after which `observer` suspects a crashed `target`.
+    /// The suspicion set of every observer at time `now`, given
+    /// realized crash times.
     #[must_use]
-    pub fn delay(&self, observer: ProcessId, target: ProcessId) -> u64 {
-        self.per_pair[observer.index() * self.n + target.index()].unwrap_or(self.default)
-    }
-
-    /// The suspicion set of `observer` at time `now`, given realized
-    /// crash times.
-    #[must_use]
-    pub fn suspects(
-        &self,
-        observer: ProcessId,
-        now: Time,
-        crash_times: &[Option<Time>],
-    ) -> ProcessSet {
+    pub fn suspects(&self, now: Time, crash_times: &[Option<Time>]) -> ProcessSet {
         let mut s = ProcessSet::empty();
         for (i, ct) in crash_times.iter().enumerate() {
             if let Some(ct) = ct {
-                let q = ProcessId::new(i);
-                if now >= *ct + self.delay(observer, q) {
-                    s.insert(q);
+                if now >= *ct + self.delay {
+                    s.insert(ProcessId::new(i));
                 }
             }
         }
@@ -464,7 +446,7 @@ where
                 }
                 // Failure-detector query phase (SP only).
                 let suspects = match &model {
-                    ModelKind::Sp { delays } => delays.suspects(p, time, &crash_times),
+                    ModelKind::Sp { delays } => delays.suspects(time, &crash_times),
                     ModelKind::Fd { history } => history.query(p, time),
                     _ => ProcessSet::empty(),
                 };
@@ -747,7 +729,7 @@ mod tests {
 
     #[test]
     fn sp_query_phase_reports_crashes_after_delay() {
-        let delays = DetectionDelays::uniform(2, 2);
+        let delays = DetectionDelays::uniform(2);
         let mut adv = ScriptedAdversary::new(
             vec![
                 Event::Crash(p(0)), // t=0: crash
@@ -768,7 +750,7 @@ mod tests {
 
     #[test]
     fn sp_never_suspects_alive() {
-        let delays = DetectionDelays::immediate(3);
+        let delays = DetectionDelays::immediate();
         let mut adv = FairAdversary::new(3, 30).with_min_events(30);
         let automata: Vec<BoxedAutomaton<u32, u32>> = (0..3)
             .map(|_| Box::new(IdleAutomaton::new()) as BoxedAutomaton<u32, u32>)

@@ -762,7 +762,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         // network's worst transport delay is a ConfigError, not a hang.
         cfg.drain = Some(std::time::Duration::from_millis(flags.u64_or("drain", 0)?));
     }
-    let mut wcfg = WorkloadConfig::new(flags.usize_or("clients", 16)?);
+    let mut wcfg = WorkloadConfig::new(clients_or(flags, 16)?);
     wcfg.keys =
         u32::try_from(flags.u64_or("keys", 64)?).map_err(|_| "--keys: too large".to_string())?;
     wcfg.skew = flags.f64_or("skew", 1.0)?;
@@ -879,6 +879,15 @@ fn cmd_serve_sharded(
     Ok(())
 }
 
+/// Reads `--clients` with a default; a workload needs at least one
+/// client.
+fn clients_or(flags: &Flags, default: usize) -> Result<usize, String> {
+    match flags.usize_or("clients", default)? {
+        0 => Err("--clients must be at least 1".to_string()),
+        clients => Ok(clients),
+    }
+}
+
 /// Reads a `--<key>-ms` millisecond flag with a default.
 fn ms_or(flags: &Flags, key: &str, default_ms: u64) -> Result<Duration, String> {
     Ok(Duration::from_millis(flags.u64_or(key, default_ms)?))
@@ -899,7 +908,7 @@ fn node_config_from_flags(
     let mut cfg = NodeConfig::new(me, n, listen, peers, flags.u64_or("seed", 1)?);
     cfg.instances = flags.u64_or("instances", 8)?;
     cfg.batch_max = flags.usize_or("batch", 4)?;
-    cfg.clients = flags.usize_or("clients", 8)?;
+    cfg.clients = clients_or(flags, 8)?;
     cfg.epoch = flags.u64_or("epoch", 1)?;
     cfg.heartbeat = ms_or(flags, "hb-ms", 25)?;
     cfg.fd_timeout = ms_or(flags, "fd-timeout-ms", 2000)?;

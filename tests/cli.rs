@@ -456,6 +456,41 @@ fn shard_count_zero_is_rejected() {
     );
 }
 
+/// A workload needs a client: `--clients 0` is a usage error on every
+/// serving entry point, not the workload's construction-time panic.
+#[test]
+fn zero_clients_is_a_usage_error_not_a_panic() {
+    for args in [
+        &["serve", "a1", "rs", "--clients", "0"][..],
+        &["serve", "a1", "rs", "--clients", "0", "--shards", "2"],
+        &["serve-cluster", "--clients", "0", "--instances", "1"],
+        &[
+            "serve",
+            "a1",
+            "rs",
+            "--node",
+            "0",
+            "--listen",
+            "127.0.0.1:0",
+            "--peers",
+            "127.0.0.1:0,127.0.0.1:0,127.0.0.1:0",
+            "--clients",
+            "0",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ssp"))
+            .args(args)
+            .output()
+            .expect("spawn ssp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--clients must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn cross_shard_rate_without_shards_is_rejected() {
     // An explicit rate on the default single-group service is a typed

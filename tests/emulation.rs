@@ -197,7 +197,7 @@ fn rws_on_sp_satisfies_weak_round_synchrony() {
             })
             .collect();
         let mut adv = FairAdversary::new(n, 5_000).with_crash(p(victim), crash_step);
-        let delays = DetectionDelays::uniform(n, 1 + seed % 5);
+        let delays = DetectionDelays::uniform(1 + seed % 5);
         // The canonical observer pipeline replaces the old step-trace
         // scan: the run log carries every send and delivery directly.
         let mut obs = RunLogObserver::new(n);
@@ -302,7 +302,7 @@ fn emulation_budget_shape() {
         .map(|i| Box::new(RwsOnSp::new(spawn(i), p(i), n, horizon)) as _)
         .collect();
     let mut adv = FairAdversary::new(n, 50_000);
-    let sp = ModelKind::sp(DetectionDelays::immediate(n));
+    let sp = ModelKind::sp(DetectionDelays::immediate());
     let rws_steps = run(sp, rws, &mut adv, 60_000)
         .expect("legal SP run")
         .trace
