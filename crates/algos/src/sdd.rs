@@ -247,7 +247,7 @@ mod tests {
     fn outcome_of(result: &ssp_sim::RunResult<bool, bool>, input: bool) -> SddOutcome {
         SddOutcome {
             sender_input: input,
-            sender_initially_dead: result.trace.step_count(p(0)) == 0,
+            sender_initially_dead: ssp_sim::step_count(&result.log, p(0)) == 0,
             receiver_correct: result.pattern.is_correct(p(1)),
             decision: result.outputs[1],
         }
@@ -319,7 +319,7 @@ mod tests {
             )
             .unwrap();
             check_sdd(&outcome_of(&result, input)).unwrap_or_else(|e| {
-                panic!("seed {seed}: {e}\n{}", result.trace);
+                panic!("seed {seed}: {e}\n{}", result.log.to_jsonl());
             });
         }
     }

@@ -1,7 +1,7 @@
 //! Multi-process serving: one OS process per consensus process over
 //! the socket transport, plus the parent-side merge that certifies
 //! real-network executions with the same
-//! [`audit_instance`](ssp_lab::audit_instance) pipeline as in-process
+//! [`audit_instance`] pipeline as in-process
 //! runs.
 //!
 //! The scheme leans on one structural fact: the workload and the

@@ -18,7 +18,7 @@
 //!
 //! Since the sharded refactor this loop lives in
 //! [`shard`](crate::shard) as the **per-group pipeline** of
-//! [`serve_sharded`](crate::serve_sharded): [`serve`] *is* the
+//! [`serve_sharded`]: [`serve`] *is* the
 //! one-group sharded engine, byte-identical in deterministic stats and
 //! run logs to what the standalone loop produced. This module keeps
 //! the per-group vocabulary — [`EngineConfig`], [`EngineCrash`],
@@ -192,7 +192,7 @@ pub(crate) fn instance_runtime(cfg: &EngineConfig, instance: u64, horizon: u32) 
 /// the threaded runtime, with background auditing.
 ///
 /// This is the one-group special case of
-/// [`serve_sharded`](crate::serve_sharded): the identity
+/// [`serve_sharded`]: the identity
 /// [`GroupRouter`](crate::GroupRouter) sends every command to group 0,
 /// whose seed stream is the engine seed verbatim — so the instance
 /// sequence, deterministic stats, and tagged run logs are exactly what

@@ -230,7 +230,7 @@ pub struct ShardedReport<M> {
     /// One full per-group report (stats, audits, tagged run logs,
     /// replicated store), group order. A one-group sharded run's
     /// `groups[0]` is byte-for-byte the unsharded
-    /// [`EngineReport`](crate::EngineReport).
+    /// [`EngineReport`].
     pub groups: Vec<EngineReport<M>>,
     /// First NBAC audit violation across all cross-shard exchanges —
     /// `Some` must fail the serving command, exactly like a consensus

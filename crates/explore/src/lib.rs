@@ -9,7 +9,7 @@
 //! per class:
 //!
 //! * the adversary's freedom is factored into crash skeletons and
-//!   per-wire [`Fate`](space::Fate)s (see [`space`]), visited by a
+//!   per-wire [`Fate`]s (see [`space`]), visited by a
 //!   depth-first walk whose frozen prefix acts as a *sleep set*: a
 //!   non-default fate is only introduced at wires **after** the last
 //!   frozen one, so no fate assignment is reached twice;

@@ -9,9 +9,8 @@
 //! * [`PerfectOracle`] / [`perfect_history`] — generators of
 //!   `P`-compatible histories with adversary-chosen (finite but
 //!   unbounded) detection delays, the heart of the `SP` model;
-//! * [`StepTimeoutDetector`] — the §3 timeout construction that
-//!   implements `P` inside the synchronous model from the `(Φ, Δ)`
-//!   bounds.
+//! * [`detection_bound`] — the §3 bound `Φ+1+Δ` within which a
+//!   timeout detects a crash inside the synchronous model.
 //!
 //! # Examples
 //!
@@ -43,4 +42,4 @@ pub use classes::{
 };
 pub use history::FdHistory;
 pub use oracle::{eventually_perfect_history, perfect_history, strong_history, PerfectOracle};
-pub use timeout::{detection_bound, StepTimeoutDetector};
+pub use timeout::detection_bound;

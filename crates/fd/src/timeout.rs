@@ -1,18 +1,13 @@
-//! Timeout-based perfect failure detection for the synchronous model (§3).
+//! The §3 detection bound for the synchronous model.
 //!
 //! In `SS` the bounds `Φ` (process synchrony) and `Δ` (message
 //! synchrony) make perfect detection easy: *“if `p_i` is supposed to
 //! send a message `m` to `p_j` while `p_j` is taking its `k`-th step,
 //! if `p_j` is aware of that, and if `p_i` crashes and fails in sending
 //! `m`, then `p_j` can detect `p_i`'s crash when taking its
-//! `(k+Φ+1+Δ)`-th step”*. [`StepTimeoutDetector`] implements exactly
-//! this rule over an observer's own step counter; the `SS` executor in
-//! `ssp-sim` drives it, and `ssp-lab` verifies the produced histories
-//! classify as `P`.
-
-use core::fmt;
-
-use ssp_model::{ProcessId, ProcessSet};
+//! `(k+Φ+1+Δ)`-th step”*. [`detection_bound`] is that `Φ+1+Δ`. The
+//! timeout construction that runs in the `SS` executor and is certified
+//! as `P` is `ssp_lab::fd_bridge::HeartbeatProcess`.
 
 /// The detection bound of §3: a crash missed at own-step `k` is
 /// detected by own-step `k + Φ + 1 + Δ`.
@@ -21,186 +16,13 @@ pub fn detection_bound(phi: u64, delta: u64) -> u64 {
     phi + 1 + delta
 }
 
-/// A timeout-based implementation of the perfect failure detector for
-/// one observer in the `SS` model.
-///
-/// The observer registers *expectations* ("peer `q` is supposed to send
-/// me a message around my `k`-th step") and reports messages as they
-/// arrive; [`StepTimeoutDetector::advance_to`] moves the observer's own
-/// step counter forward and promotes overdue expectations to
-/// suspicions.
-///
-/// In `SS`, if `q` is alive it takes a step at least every `Φ+1` of the
-/// observer's steps, and its message arrives within `Δ` further steps —
-/// so an expectation that is `Φ+1+Δ` steps overdue can only mean `q`
-/// crashed, which is why the resulting detector is perfect (never
-/// wrong, eventually complete).
-///
-/// # Examples
-///
-/// ```
-/// use ssp_fd::{detection_bound, StepTimeoutDetector};
-/// use ssp_model::ProcessId;
-///
-/// let (phi, delta) = (2, 3);
-/// let mut det = StepTimeoutDetector::new(4, phi, delta);
-/// let q = ProcessId::new(1);
-/// det.expect(q, 0);                  // q should send around my step 0
-/// det.advance_to(detection_bound(phi, delta) - 1);
-/// assert!(!det.suspects().contains(q)); // not yet overdue
-/// det.advance_to(detection_bound(phi, delta));
-/// assert!(det.suspects().contains(q)); // overdue ⇒ crashed
-/// ```
-#[derive(Debug, Clone)]
-pub struct StepTimeoutDetector {
-    phi: u64,
-    delta: u64,
-    own_step: u64,
-    /// Earliest unmet expectation per peer (own-step at which the
-    /// message was expected).
-    pending: Vec<Option<u64>>,
-    suspects: ProcessSet,
-}
-
-impl StepTimeoutDetector {
-    /// Creates a detector for an observer among `n` processes in an
-    /// `SS` system with bounds `(Φ, Δ) = (phi, delta)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phi == 0` or `delta == 0` (the paper requires
-    /// `Φ ≥ 1`, `Δ ≥ 1`).
-    #[must_use]
-    pub fn new(n: usize, phi: u64, delta: u64) -> Self {
-        assert!(phi >= 1, "SS requires Φ ≥ 1");
-        assert!(delta >= 1, "SS requires Δ ≥ 1");
-        StepTimeoutDetector {
-            phi,
-            delta,
-            own_step: 0,
-            pending: vec![None; n],
-            suspects: ProcessSet::empty(),
-        }
-    }
-
-    /// The observer's current own-step counter.
-    #[must_use]
-    pub fn own_step(&self) -> u64 {
-        self.own_step
-    }
-
-    /// Registers that peer `q` is supposed to send a message around the
-    /// observer's step `k` (only the earliest outstanding expectation
-    /// per peer is tracked — it is the one that times out first).
-    pub fn expect(&mut self, q: ProcessId, k: u64) {
-        let slot = &mut self.pending[q.index()];
-        match slot {
-            Some(existing) if *existing <= k => {}
-            _ => *slot = Some(k),
-        }
-    }
-
-    /// Reports that a message from `q` arrived, clearing its
-    /// outstanding expectation.
-    pub fn heard_from(&mut self, q: ProcessId) {
-        self.pending[q.index()] = None;
-    }
-
-    /// Advances the observer's own step counter to `step` (monotone)
-    /// and returns the peers that became suspected by this advance.
-    pub fn advance_to(&mut self, step: u64) -> ProcessSet {
-        debug_assert!(step >= self.own_step, "own steps only move forward");
-        self.own_step = step.max(self.own_step);
-        let bound = detection_bound(self.phi, self.delta);
-        let mut newly = ProcessSet::empty();
-        for (i, slot) in self.pending.iter_mut().enumerate() {
-            if let Some(k) = *slot {
-                if self.own_step >= k + bound {
-                    let q = ProcessId::new(i);
-                    if self.suspects.insert(q) {
-                        newly.insert(q);
-                    }
-                    *slot = None;
-                }
-            }
-        }
-        newly
-    }
-
-    /// The current suspicion set (monotone: `P`'s suspicions here are
-    /// never retracted, since they are never wrong).
-    #[must_use]
-    pub fn suspects(&self) -> ProcessSet {
-        self.suspects
-    }
-}
-
-impl fmt::Display for StepTimeoutDetector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "timeout-P(Φ={}, Δ={}) @own-step {}: suspects {}",
-            self.phi, self.delta, self.own_step, self.suspects
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(i: usize) -> ProcessId {
-        ProcessId::new(i)
-    }
 
     #[test]
     fn bound_matches_paper_formula() {
         assert_eq!(detection_bound(1, 1), 3);
         assert_eq!(detection_bound(2, 5), 8);
-    }
-
-    #[test]
-    fn message_arrival_cancels_expectation() {
-        let mut det = StepTimeoutDetector::new(3, 1, 1);
-        det.expect(p(1), 0);
-        det.heard_from(p(1));
-        det.advance_to(100);
-        assert!(det.suspects().is_empty());
-    }
-
-    #[test]
-    fn overdue_expectation_triggers_suspicion_exactly_at_bound() {
-        let mut det = StepTimeoutDetector::new(3, 2, 3);
-        det.expect(p(2), 10);
-        assert!(det.advance_to(10 + detection_bound(2, 3) - 1).is_empty());
-        let newly = det.advance_to(10 + detection_bound(2, 3));
-        assert!(newly.contains(p(2)));
-        // Second advance does not re-report.
-        assert!(det.advance_to(100).is_empty());
-        assert!(det.suspects().contains(p(2)));
-    }
-
-    #[test]
-    fn earliest_expectation_wins() {
-        let mut det = StepTimeoutDetector::new(2, 1, 1);
-        det.expect(p(1), 5);
-        det.expect(p(1), 2); // earlier: replaces
-        det.expect(p(1), 9); // later: ignored
-        let newly = det.advance_to(2 + detection_bound(1, 1));
-        assert!(newly.contains(p(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "Φ ≥ 1")]
-    fn rejects_zero_phi() {
-        let _ = StepTimeoutDetector::new(2, 0, 1);
-    }
-
-    #[test]
-    fn display_shows_parameters() {
-        let det = StepTimeoutDetector::new(2, 1, 4);
-        let s = det.to_string();
-        assert!(s.contains("Φ=1"));
-        assert!(s.contains("Δ=4"));
     }
 }

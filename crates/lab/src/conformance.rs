@@ -7,8 +7,8 @@
 //! 1. **admissibility** — [`RunTrace::validate`] (complete logs,
 //!    message integrity, detector accuracy, Lemma 4.1 for pending
 //!    messages) plus the step-level validators of `ssp-sim`
-//!    ([`validate_basic`], [`validate_perfect_fd`]) on the step-trace
-//!    view of `RunTrace::step_log`;
+//!    ([`validate_basic`], [`validate_perfect_fd`]) on the step-level
+//!    log [`RunTrace::step_log`] exports;
 //! 2. **replay** — the derived [`CrashSchedule`]/[`PendingChoice`]
 //!    adversary is re-executed through `ssp_rounds::run_rws_observed`,
 //!    and the two canonical run logs, projected onto their shared
@@ -26,6 +26,9 @@
 //!
 //! [`CrashSchedule`]: ssp_rounds::CrashSchedule
 //! [`PendingChoice`]: ssp_rounds::PendingChoice
+//! [`RunTrace`]: ssp_runtime::RunTrace
+//! [`RunTrace::validate`]: ssp_runtime::RunTrace::validate
+//! [`RunTrace::step_log`]: ssp_runtime::RunTrace::step_log
 
 use core::fmt;
 use std::ops::Range;
@@ -33,7 +36,7 @@ use std::ops::Range;
 use ssp_model::{InitialConfig, ProcessId, Round, RunEvent, RunLogObserver, Value};
 use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundModel, RoundProcess};
 use ssp_runtime::{FaultPlan, RunTraceError, RuntimeBuilder, ThreadedOutcome};
-use ssp_sim::{validate_basic, validate_perfect_fd, Trace, TraceViolation};
+use ssp_sim::{validate_basic, validate_perfect_fd, TraceViolation};
 
 use crate::checker::ValidityMode;
 use crate::verifier::Verifier;
@@ -191,7 +194,7 @@ where
         });
     }
     trace.validate().map_err(Divergence::Inadmissible)?;
-    let steps = Trace::from_run_log(&trace.step_log().map_err(Divergence::Inadmissible)?);
+    let steps = trace.step_log().map_err(Divergence::Inadmissible)?;
     validate_basic(&steps).map_err(Divergence::StepModel)?;
     validate_perfect_fd(&steps).map_err(Divergence::StepModel)?;
 

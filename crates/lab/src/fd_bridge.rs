@@ -20,10 +20,10 @@
 //! checkers of `ssp-fd` can certify the result as `P`.
 
 use ssp_fd::FdHistory;
-use ssp_model::{FailurePattern, ProcessId, ProcessSet, Time};
+use ssp_model::{FailurePattern, ProcessId, ProcessSet, RunEvent, Time};
 use ssp_sim::{
     run, Adversary, BoxedAutomaton, FairAdversary, ModelKind, RandomAdversary, StepAutomaton,
-    StepContext, TraceEvent,
+    StepContext,
 };
 
 /// The silence bound, in observer own-steps: `(Φ+1)·(n−1) + Δ`.
@@ -75,6 +75,25 @@ impl HeartbeatProcess {
     pub fn retractions(&self) -> u64 {
         self.retractions
     }
+
+    /// The receive and timeout phases of the observer's step
+    /// `own_step`, in which the heartbeats of `heard` arrived.
+    fn hear(&mut self, heard: ProcessSet, own_step: u64) {
+        for q in heard.iter() {
+            self.last_heard[q.index()] = own_step;
+            if self.suspects.remove(q) {
+                // False suspicion: adapt.
+                self.retractions += 1;
+                self.bound[q.index()] = self.bound[q.index()].saturating_mul(2);
+            }
+        }
+        for i in 0..self.n {
+            let q = ProcessId::new(i);
+            if q != self.me && own_step.saturating_sub(self.last_heard[i]) > self.bound[i] {
+                self.suspects.insert(q);
+            }
+        }
+    }
 }
 
 impl StepAutomaton for HeartbeatProcess {
@@ -83,21 +102,7 @@ impl StepAutomaton for HeartbeatProcess {
     type Output = ();
 
     fn step(&mut self, ctx: StepContext<'_, ()>) -> Option<(ProcessId, ())> {
-        for env in ctx.received {
-            let src = env.src.index();
-            self.last_heard[src] = ctx.own_step;
-            if self.suspects.remove(env.src) {
-                // False suspicion: adapt.
-                self.retractions += 1;
-                self.bound[src] = self.bound[src].saturating_mul(2);
-            }
-        }
-        for i in 0..self.n {
-            let q = ProcessId::new(i);
-            if q != self.me && ctx.own_step.saturating_sub(self.last_heard[i]) > self.bound[i] {
-                self.suspects.insert(q);
-            }
-        }
+        self.hear(ctx.received.iter().map(|e| e.src).collect(), ctx.own_step);
         // Cycle heartbeats over the n−1 peers.
         if self.n <= 1 {
             return None;
@@ -131,7 +136,7 @@ pub struct HeartbeatExperiment {
 /// Runs `n` heartbeat processes with initial silence bound `bound`
 /// under `model` and `adversary`, then rebuilds each observer's
 /// suspicion history on the global clock by replaying the heartbeat
-/// logic over the recorded deliveries.
+/// logic over the senders each recorded step heard from.
 ///
 /// # Panics
 ///
@@ -151,19 +156,21 @@ pub(crate) fn run_heartbeats(
     let mut shadows: Vec<HeartbeatProcess> = spawn().collect();
     let mut history = FdHistory::new(n);
     let mut horizon = Time::ZERO;
-    for ev in result.trace.events() {
-        if let TraceEvent::Step(s) = ev {
-            let shadow = &mut shadows[s.process.index()];
+    for ev in result.log.events() {
+        if let RunEvent::Close {
+            process: Some(p),
+            stamp: Some(stamp),
+            heard,
+            ..
+        } = ev
+        {
+            let shadow = &mut shadows[p.index()];
             let before = shadow.suspects();
-            let _ = shadow.step(StepContext {
-                received: &s.received,
-                suspects: ProcessSet::empty(),
-                own_step: s.own_step,
-            });
+            shadow.hear(heard.rows()[0], stamp.own_step);
             if shadow.suspects() != before {
-                history.set(s.process, s.time, shadow.suspects());
+                history.set(*p, stamp.time, shadow.suspects());
             }
-            horizon = horizon.max(s.time);
+            horizon = horizon.max(stamp.time);
         }
     }
     HeartbeatExperiment {

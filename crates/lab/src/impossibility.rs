@@ -14,17 +14,17 @@
 //!    decides `d0`.
 //! 3. Choose the sender's input `b = ¬d0`. In `r'` the sender took a
 //!    step, so Validity forces the decision `b ≠ d0` — contradiction,
-//!    exhibited as a concrete violating trace.
+//!    exhibited as a concrete violating run.
 //!
 //! Every candidate loses: either it never decides in `r0`
 //! (Termination violation) or the spliced run breaks Validity.
 
 use core::fmt;
 
-use ssp_model::{check_sdd, ProcessId, SddOutcome, SddViolation};
+use ssp_model::{check_sdd, ProcessId, RunLog, SddOutcome, SddViolation};
 use ssp_sim::{
-    run, Adversary, BoxedAutomaton, Choice, DeliveryChoice, DetectionDelays, Event, ExecView,
-    ModelKind, ScriptedAdversary, Trace,
+    run, step_count, Adversary, BoxedAutomaton, Choice, DeliveryChoice, DetectionDelays, Event,
+    ExecView, ModelKind, ScriptedAdversary,
 };
 
 fn sender_id() -> ProcessId {
@@ -57,11 +57,9 @@ pub trait SddCandidate {
 pub enum SddRefutation<M> {
     /// The receiver failed to decide within the step cap in `r0`, where
     /// it is correct and the detector reported the crash at once —
-    /// a Termination violation.
-    Termination {
-        /// The non-deciding run.
-        trace: Trace<M>,
-    },
+    /// a Termination violation. The non-deciding run is the report's
+    /// `base_run`.
+    Termination,
     /// The spliced run decided against the sender's input.
     Validity {
         /// The sender's input in the spliced run.
@@ -69,7 +67,7 @@ pub enum SddRefutation<M> {
         /// What the receiver (wrongly) decided.
         decided: bool,
         /// The spliced, violating run.
-        trace: Trace<M>,
+        log: RunLog<M>,
     },
 }
 
@@ -79,14 +77,14 @@ pub struct RefutationReport<M> {
     /// The candidate's name.
     pub candidate: String,
     /// The base run `r0` (sender initially dead).
-    pub base_run: Trace<M>,
+    pub base_run: RunLog<M>,
     /// What the receiver decided in `r0`, if anything.
     pub base_decision: Option<bool>,
     /// The defeat.
     pub refutation: SddRefutation<M>,
 }
 
-impl<M: Clone + fmt::Debug + PartialEq> fmt::Display for RefutationReport<M> {
+impl<M> fmt::Display for RefutationReport<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -94,7 +92,7 @@ impl<M: Clone + fmt::Debug + PartialEq> fmt::Display for RefutationReport<M> {
             self.candidate
         )?;
         match &self.refutation {
-            SddRefutation::Termination { .. } => writeln!(
+            SddRefutation::Termination => writeln!(
                 f,
                 "  r0 (sender initially dead, suspected at once): receiver never decides — Termination violated"
             ),
@@ -141,7 +139,7 @@ impl<M> Adversary<M> for InitiallyDeadAdversary {
 /// Executes the Theorem 3.1 surgery against a candidate.
 ///
 /// Always succeeds in refuting: returns either a Termination or a
-/// Validity refutation with full traces.
+/// Validity refutation with full run logs.
 ///
 /// # Panics
 ///
@@ -169,17 +167,15 @@ pub fn refute<C: SddCandidate>(candidate: &C, receiver_step_cap: u64) -> Refutat
     let Some(d0) = base_decision else {
         return RefutationReport {
             candidate: candidate.name().to_string(),
-            base_run: r0.trace,
+            base_run: r0.log,
             base_decision: None,
-            refutation: SddRefutation::Termination {
-                trace: Trace::new(2),
-            },
+            refutation: SddRefutation::Termination,
         };
     };
 
     // --- r': prepend a sender step, withhold its message, replay. ---
     let input = !d0; // Validity will demand ¬d0; the receiver will say d0.
-    let receiver_steps = r0.trace.step_count(receiver_id());
+    let receiver_steps = step_count(&r0.log, receiver_id());
     let mut events = vec![Event::Step(sender_id()), Event::Crash(sender_id())];
     let mut deliveries = vec![DeliveryChoice::Nothing]; // the sender's step
     for _ in 0..receiver_steps {
@@ -210,7 +206,7 @@ pub fn refute<C: SddCandidate>(candidate: &C, receiver_step_cap: u64) -> Refutat
     // Certify the violation with the specification checker.
     let outcome = SddOutcome {
         sender_input: input,
-        sender_initially_dead: spliced.trace.step_count(sender_id()) == 0,
+        sender_initially_dead: step_count(&spliced.log, sender_id()) == 0,
         receiver_correct: spliced.pattern.is_correct(receiver_id()),
         decision: Some(decided),
     };
@@ -222,12 +218,12 @@ pub fn refute<C: SddCandidate>(candidate: &C, receiver_step_cap: u64) -> Refutat
 
     RefutationReport {
         candidate: candidate.name().to_string(),
-        base_run: r0.trace,
+        base_run: r0.log,
         base_decision,
         refutation: SddRefutation::Validity {
             input,
             decided,
-            trace: spliced.trace,
+            log: spliced.log,
         },
     }
 }
@@ -293,15 +289,11 @@ mod tests {
             SddRefutation::Validity {
                 input,
                 decided,
-                trace,
+                log,
             } => {
                 assert!(*input);
                 assert!(!(*decided));
-                assert_eq!(
-                    trace.step_count(ProcessId::new(0)),
-                    1,
-                    "sender stepped once"
-                );
+                assert_eq!(step_count(log, ProcessId::new(0)), 1, "sender stepped once");
             }
             other => panic!("expected validity refutation, got {other:?}"),
         }
@@ -358,10 +350,7 @@ mod tests {
         }
 
         let report = refute(&WaitForever, 200);
-        assert!(matches!(
-            report.refutation,
-            SddRefutation::Termination { .. }
-        ));
+        assert!(matches!(report.refutation, SddRefutation::Termination));
         assert!(report.to_string().contains("Termination violated"));
     }
 }

@@ -14,7 +14,7 @@
 
 use ssp_model::{process::all_processes, ProcessId, ProcessSet};
 use ssp_sim::{
-    run, BoxedAutomaton, DeliveryChoice, Event, ModelKind, RunResult, ScriptedAdversary,
+    run, step_count, BoxedAutomaton, DeliveryChoice, Event, ModelKind, RunResult, ScriptedAdversary,
 };
 
 /// The bounded space of step-level runs to explore.
@@ -143,7 +143,7 @@ fn dfs<M, O, G, F>(
         if !schedulable.contains(p) {
             continue;
         }
-        if state.trace.step_count(p) >= space.step_caps[p.index()] {
+        if step_count(&state.log, p) >= space.step_caps[p.index()] {
             continue;
         }
         // A step is only *interesting* if the process is not already
@@ -217,17 +217,20 @@ mod tests {
                 let leaves = explore_step_runs(factory, &sdd_space(phi, delta), |state| {
                     // Only leaves where the receiver survived and
                     // exhausted its budget are obligated to decide.
-                    let receiver_done = state.trace.step_count(p(1)) >= phi + 1 + delta;
+                    let receiver_done = step_count(&state.log, p(1)) >= phi + 1 + delta;
                     let outcome = SddOutcome {
                         sender_input: input,
-                        sender_initially_dead: state.trace.step_count(p(0)) == 0,
+                        sender_initially_dead: step_count(&state.log, p(0)) == 0,
                         receiver_correct: state.pattern.is_correct(p(1)),
                         decision: state.outputs[1],
                     };
                     if state.pattern.is_correct(p(1)) && receiver_done {
                         checked += 1;
                         if let Err(e) = check_sdd(&outcome) {
-                            panic!("Φ={phi} Δ={delta} input={input}: {e}\n{}", state.trace);
+                            panic!(
+                                "Φ={phi} Δ={delta} input={input}: {e}\n{}",
+                                state.log.to_jsonl()
+                            );
                         }
                     } else if let Some(d) = outcome.decision {
                         // Even partial runs must never violate validity.
@@ -235,7 +238,7 @@ mod tests {
                         assert!(
                             outcome.sender_initially_dead || d == input,
                             "Φ={phi} Δ={delta}: premature wrong decision\n{}",
-                            state.trace
+                            state.log.to_jsonl()
                         );
                     }
                     false
@@ -257,7 +260,7 @@ mod tests {
             ]
         };
         explore_step_runs(factory, &sdd_space(1, 1), |state| {
-            ssp_sim::validate_ss(&state.trace, 1, 1).expect("legal SS trace");
+            ssp_sim::validate_ss(&state.log, 1, 1).expect("legal SS run");
             false
         });
     }
@@ -305,7 +308,7 @@ mod sp_tests {
         let leaves = explore_step_runs(factory, &space, |state| {
             let outcome = SddOutcome {
                 sender_input: input,
-                sender_initially_dead: state.trace.step_count(p(0)) == 0,
+                sender_initially_dead: step_count(&state.log, p(0)) == 0,
                 receiver_correct: state.pattern.is_correct(p(1)),
                 decision: state.outputs[1],
             };
@@ -349,7 +352,7 @@ mod sp_tests {
         explore_step_runs(factory, &space, |state| {
             let outcome = SddOutcome {
                 sender_input: input,
-                sender_initially_dead: state.trace.step_count(p(0)) == 0,
+                sender_initially_dead: step_count(&state.log, p(0)) == 0,
                 receiver_correct: state.pattern.is_correct(p(1)),
                 decision: state.outputs[1],
             };

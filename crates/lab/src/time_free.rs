@@ -3,7 +3,7 @@
 //! A problem is *time-free* when its verdict on a run depends only on
 //! each process's sequence of steps `S_i` — not on how those sequences
 //! interleave or when they happen. This module makes the notion
-//! testable: [`reorder_preserving_views`] takes a recorded trace and
+//! testable: [`reorder_preserving_views`] takes a recorded run log and
 //! produces a *different* global schedule with identical per-process
 //! projections (same deliveries at the same own-steps, causality
 //! respected). Replaying it must yield identical outputs for any
@@ -16,62 +16,80 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ssp_model::{ProcessId, StepIndex};
-use ssp_sim::{DeliveryChoice, Event, Trace, TraceEvent};
+use ssp_model::{ProcessId, RunEvent, RunLog, StepIndex};
+use ssp_sim::{DeliveryChoice, Event};
 
 /// One queued per-process event awaiting placement.
 #[derive(Debug, Clone)]
 enum Pending {
-    /// A step with its original delivery keys.
-    Step { keys: Vec<(ProcessId, StepIndex)> },
+    /// A step: the sends it received, as `(src, ordinal among src's
+    /// sends)`, and the ordinal of its own send, if it sends.
+    Step {
+        keys: Vec<(ProcessId, usize)>,
+        send: Option<usize>,
+    },
     /// A crash.
     Crash,
 }
 
 /// Produces a new schedule + delivery script with the same per-process
-/// projections as `trace` but a (generally) different interleaving,
-/// chosen pseudo-randomly from the causally valid ones.
+/// projections as the step-level `log` but a (generally) different
+/// interleaving, chosen pseudo-randomly from the causally valid ones.
 ///
 /// The result can be replayed with
 /// [`ScriptedAdversary::new`](ssp_sim::ScriptedAdversary): determinism
 /// of the automata then forces identical outputs — the §2.7 invariance.
 ///
-/// Only meaningful for `ModelKind::Async` traces: `SS` constraints and
+/// Only meaningful for `ModelKind::Async` runs: `SS` constraints and
 /// `SP` detector values are time-sensitive by design.
 ///
 /// # Panics
 ///
-/// Panics if the trace is internally inconsistent (a delivery without
+/// Panics if the log is internally inconsistent (a delivery without
 /// a matching send).
 #[must_use]
-pub fn reorder_preserving_views<M>(trace: &Trace<M>, seed: u64) -> (Vec<Event>, Vec<DeliveryChoice>)
-where
-    M: Clone + core::fmt::Debug + PartialEq,
-{
-    let n = trace.universe_size();
+pub fn reorder_preserving_views<M>(
+    log: &RunLog<M>,
+    seed: u64,
+) -> (Vec<Event>, Vec<DeliveryChoice>) {
+    let n = log.universe_size();
     // Original send ordinals: (src, original sent_at) → per-src ordinal.
     let mut send_ordinal: HashMap<(ProcessId, StepIndex), usize> = HashMap::new();
     let mut sends_seen = vec![0usize; n];
-    // Per-process queues of pending events, with per-step send flags.
-    let mut queues: Vec<Vec<(Pending, bool)>> = vec![Vec::new(); n];
-    for ev in trace.events() {
+    // Per-process queues of pending events.
+    let mut queues: Vec<Vec<Pending>> = vec![Vec::new(); n];
+    // The current step's received sends and its own send's ordinal.
+    let mut keys = Vec::new();
+    let mut send = None;
+    for ev in log.events() {
         match ev {
-            TraceEvent::Step(s) => {
-                let sends = s.sent.is_some();
-                if let Some(env) = &s.sent {
-                    send_ordinal.insert((env.src, env.sent_at), sends_seen[env.src.index()]);
-                    sends_seen[env.src.index()] += 1;
-                }
-                queues[s.process.index()].push((
-                    Pending::Step {
-                        keys: s.received.iter().map(|e| (e.src, e.sent_at)).collect(),
-                    },
-                    sends,
-                ));
+            RunEvent::Deliver {
+                src,
+                sent_at: Some(at),
+                ..
+            } => {
+                let ordinal = send_ordinal
+                    .get(&(*src, *at))
+                    .expect("delivery without matching send");
+                keys.push((*src, *ordinal));
             }
-            TraceEvent::Crash { process, .. } => {
-                queues[process.index()].push((Pending::Crash, false));
+            RunEvent::Send {
+                src, at: Some(at), ..
+            } => {
+                send_ordinal.insert((*src, *at), sends_seen[src.index()]);
+                send = Some(sends_seen[src.index()]);
+                sends_seen[src.index()] += 1;
             }
+            RunEvent::Close {
+                process: Some(p),
+                stamp: Some(_),
+                ..
+            } => queues[p.index()].push(Pending::Step {
+                keys: std::mem::take(&mut keys),
+                send: send.take(),
+            }),
+            RunEvent::Crash { process, .. } => queues[process.index()].push(Pending::Crash),
+            _ => {}
         }
     }
 
@@ -79,54 +97,38 @@ where
     let mut heads = vec![0usize; n];
     // (src, ordinal) → new global step index of that send.
     let mut placed_send: HashMap<(ProcessId, usize), u64> = HashMap::new();
-    let mut emitted_sends = vec![0usize; n];
     let mut new_events = Vec::new();
     let mut new_deliveries = Vec::new();
-    let mut new_global_step = 0u64;
     let total: usize = queues.iter().map(Vec::len).sum();
 
     while new_events.len() < total {
         // Collect eligible process heads.
-        let mut eligible: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let Some((pending, _)) = queues[i].get(heads[i]) else {
-                continue;
-            };
-            let ok = match pending {
-                Pending::Crash => true,
-                Pending::Step { keys } => keys.iter().all(|key| {
-                    let ordinal = send_ordinal
-                        .get(&(key.0, key.1))
-                        .expect("delivery without matching send");
-                    placed_send.contains_key(&(key.0, *ordinal))
-                }),
-            };
-            if ok {
-                eligible.push(i);
-            }
-        }
-        assert!(!eligible.is_empty(), "causal deadlock: inconsistent trace");
+        let eligible: Vec<usize> = (0..n)
+            .filter(|&i| match queues[i].get(heads[i]) {
+                None => false,
+                Some(Pending::Crash) => true,
+                Some(Pending::Step { keys, .. }) => {
+                    keys.iter().all(|key| placed_send.contains_key(key))
+                }
+            })
+            .collect();
+        assert!(!eligible.is_empty(), "causal deadlock: inconsistent log");
         let i = eligible[rng.gen_range(0..eligible.len())];
         let p = ProcessId::new(i);
-        let (pending, sends) = queues[i][heads[i]].clone();
+        let pending = queues[i][heads[i]].clone();
         heads[i] += 1;
         match pending {
             Pending::Crash => new_events.push(Event::Crash(p)),
-            Pending::Step { keys } => {
+            Pending::Step { keys, send } => {
                 let remapped: Vec<(ProcessId, StepIndex)> = keys
                     .iter()
-                    .map(|key| {
-                        let ordinal = send_ordinal[&(key.0, key.1)];
-                        (key.0, StepIndex::new(placed_send[&(key.0, ordinal)]))
-                    })
+                    .map(|key| (key.0, StepIndex::new(placed_send[key])))
                     .collect();
-                if sends {
-                    placed_send.insert((p, emitted_sends[i]), new_global_step);
-                    emitted_sends[i] += 1;
+                if let Some(ordinal) = send {
+                    placed_send.insert((p, ordinal), new_deliveries.len() as u64);
                 }
                 new_events.push(Event::Step(p));
                 new_deliveries.push(DeliveryChoice::Keys(remapped));
-                new_global_step += 1;
             }
         }
     }
@@ -138,8 +140,8 @@ mod tests {
     use super::*;
     use ssp_model::ProcessId;
     use ssp_sim::{
-        run, BoxedAutomaton, ModelKind, RandomAdversary, ScriptedAdversary, StepAutomaton,
-        StepContext,
+        local_view, run, schedule, BoxedAutomaton, ModelKind, RandomAdversary, ScriptedAdversary,
+        StepAutomaton, StepContext,
     };
 
     /// Ping-pong counter: replies to every message with its value + 1,
@@ -204,7 +206,7 @@ mod tests {
             let mut adv = RandomAdversary::new(2, 150, seed).with_deliver_all_probability(0.6);
             let original = run(ModelKind::Async, system(), &mut adv, 10_000).unwrap();
             for reseed in [7u64, 21, 99] {
-                let (events, deliveries) = reorder_preserving_views(&original.trace, reseed);
+                let (events, deliveries) = reorder_preserving_views(&original.log, reseed);
                 let mut scripted = ScriptedAdversary::new(events, deliveries);
                 let replayed = run(ModelKind::Async, system(), &mut scripted, 10_000).unwrap();
                 assert_eq!(
@@ -214,8 +216,8 @@ mod tests {
                 for i in 0..2 {
                     let p = ProcessId::new(i);
                     assert_eq!(
-                        replayed.trace.local_view(p),
-                        original.trace.local_view(p),
+                        local_view(&replayed.log, p),
+                        local_view(&original.log, p),
                         "seed {seed} reseed {reseed}: local views must be preserved"
                     );
                 }
@@ -229,8 +231,8 @@ mod tests {
         let original = run(ModelKind::Async, system(), &mut adv, 10_000).unwrap();
         let mut changed = false;
         for reseed in 0..10u64 {
-            let (events, _) = reorder_preserving_views(&original.trace, reseed);
-            if events != original.trace.schedule() {
+            let (events, _) = reorder_preserving_views(&original.log, reseed);
+            if events != schedule(&original.log) {
                 changed = true;
             }
         }

@@ -28,9 +28,9 @@
 //! * **Symmetry reduction** ([`Symmetry`]): sweep only canonical orbit
 //!   representatives under monotone value relabeling
 //!   ([`Symmetry::Values`], sound for
-//!   [`ValueSymmetric`](ssp_rounds::ValueSymmetric) algorithms) or
+//!   [`ValueSymmetric`] algorithms) or
 //!   additionally under process permutation ([`Symmetry::Full`], sound
-//!   for [`SymmetricAlgorithm`](ssp_rounds::SymmetricAlgorithm)s). The
+//!   for [`SymmetricAlgorithm`]s). The
 //!   builder enforces soundness at compile time: the `symmetry` setter
 //!   is only available for marked algorithms. Every representative
 //!   carries its exact orbit size, so [`Verification::represented`]
@@ -67,12 +67,12 @@ pub enum Symmetry {
     /// No reduction: visit every run (the historical behaviour).
     Off,
     /// Quotient initial configurations by monotone value relabeling.
-    /// Sound for [`ValueSymmetric`](ssp_rounds::ValueSymmetric)
+    /// Sound for [`ValueSymmetric`]
     /// algorithms.
     Values,
     /// Additionally quotient crash schedules and pending choices by
     /// process permutations fixing the configuration. Sound for
-    /// [`SymmetricAlgorithm`](ssp_rounds::SymmetricAlgorithm)s.
+    /// [`SymmetricAlgorithm`]s.
     Full,
 }
 
@@ -180,7 +180,7 @@ where
     }
 
     /// Enables the symmetry reduction. Only available for algorithms
-    /// marked [`SymmetricAlgorithm`](ssp_rounds::SymmetricAlgorithm) —
+    /// marked [`SymmetricAlgorithm`] —
     /// the marker is the soundness proof obligation; see
     /// [`symmetry_values`](Self::symmetry_values) for algorithms that
     /// are only value-symmetric.
@@ -196,7 +196,7 @@ where
     /// Enables the value-relabeling reduction only (initial
     /// configurations quotiented by monotone relabeling; schedules and
     /// pending choices swept in full). Sound for any
-    /// [`ValueSymmetric`](ssp_rounds::ValueSymmetric) algorithm — in
+    /// [`ValueSymmetric`] algorithm — in
     /// particular `A1`, which is value- but not process-symmetric.
     #[must_use]
     pub fn symmetry_values(mut self) -> Self

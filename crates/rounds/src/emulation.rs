@@ -372,7 +372,7 @@ mod tests {
                 "process {i} must decide the global minimum at round 1"
             );
         }
-        ssp_sim::validate_ss(&result.trace, phi, delta).unwrap();
+        ssp_sim::validate_ss(&result.log, phi, delta).unwrap();
     }
 
     #[test]

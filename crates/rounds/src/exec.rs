@@ -9,7 +9,7 @@
 //!
 //! Every executor emits the canonical event IR through an
 //! [`Observer`]: the plain entry points use
-//! [`NullObserver`](ssp_model::NullObserver) (the tracing
+//! [`NullObserver`] (the tracing
 //! monomorphizes away entirely), and the `_observed` variants accept
 //! any sink — a [`RunLogObserver`](ssp_model::RunLogObserver) keeps
 //! the whole [`RunLog`](ssp_model::RunLog), whose lockstep `Close`

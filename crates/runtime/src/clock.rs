@@ -327,15 +327,6 @@ impl Clock {
         }
     }
 
-    /// Which backend this clock realizes.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        match &self.inner {
-            ClockInner::Real { .. } => Backend::Real,
-            ClockInner::Virtual { .. } => Backend::Virtual,
-        }
-    }
-
     /// The current time on this clock.
     #[must_use]
     pub fn now(&self) -> Tick {
@@ -495,7 +486,6 @@ mod tests {
         clock.sleep(Duration::from_millis(2));
         let b = clock.now();
         assert!(b.saturating_duration_since(a) >= Duration::from_millis(2));
-        assert_eq!(clock.backend(), Backend::Real);
     }
 
     #[test]

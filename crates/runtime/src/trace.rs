@@ -1,5 +1,5 @@
 //! Canonical records of threaded runs, replayable against the round
-//! models and exportable as `ssp-sim` step traces.
+//! models and exportable as step-level run logs.
 //!
 //! Every [`crate::RuntimeBuilder`] execution assembles a [`RunTrace`]
 //! from the per-worker logs: what each process sent (including
@@ -15,9 +15,9 @@
 //!   ([`RunTrace::run_log`]), whose lockstep `Close` events carry the
 //!   observed delivery matrices and whose projection onto delivery
 //!   events diffs directly against the replay's log;
-//! * an `ssp-sim` step [`Trace`] (via [`RunTrace::step_log`] and
-//!   [`Trace::from_run_log`]), checkable by the §2 validators
-//!   (`validate_basic`, `validate_perfect_fd`).
+//! * a step-level [`RunLog`] ([`RunTrace::step_log`]), checkable by
+//!   the §2 validators of `ssp-sim` (`validate_basic`,
+//!   `validate_perfect_fd`).
 //!
 //! [`RunTrace::validate`] certifies internal admissibility: complete
 //! logs, message integrity across matching send/receive cells, no
@@ -463,9 +463,8 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
     /// still in flight (messages to correct processes are received
     /// *eventually* — pending just means "after its round").
     ///
-    /// The [`Trace`] view of the result satisfies
-    /// `ssp_sim::validate_basic` and `ssp_sim::validate_perfect_fd`
-    /// for every admissible run.
+    /// The result satisfies `ssp_sim::validate_basic` and
+    /// `ssp_sim::validate_perfect_fd` for every admissible run.
     ///
     /// # Errors
     ///
@@ -725,7 +724,6 @@ impl<M: Clone + fmt::Debug + PartialEq> fmt::Display for RunTrace<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssp_sim::Trace;
 
     fn obs(
         sent: Vec<Option<Option<u64>>>,
@@ -787,10 +785,10 @@ mod tests {
         t.validate().unwrap();
         assert!(t.pending().is_empty());
         assert_eq!(t.schedule().fault_count(), 0);
-        let steps = Trace::from_run_log(&t.step_log().unwrap());
+        let steps = t.step_log().unwrap();
         ssp_sim::validate_basic(&steps).unwrap();
         // 1 send + 1 recv per process.
-        assert_eq!(steps.len(), 4);
+        assert_eq!(ssp_sim::schedule(&steps).len(), 4);
     }
 
     #[test]
@@ -802,7 +800,7 @@ mod tests {
             pending.triples(),
             &[(Round::FIRST, ProcessId::new(0), ProcessId::new(1))]
         );
-        let steps = Trace::from_run_log(&t.step_log().unwrap());
+        let steps = t.step_log().unwrap();
         // The pending wire is flushed to the correct receiver at the end.
         ssp_sim::validate_basic(&steps).unwrap();
     }

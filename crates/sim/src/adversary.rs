@@ -13,9 +13,33 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ssp_model::{Buffer, ProcessId, ProcessSet, StepIndex, Time};
+use core::fmt;
 
-use crate::trace::Event;
+use ssp_model::{Buffer, ProcessId, ProcessSet, RunLog, StepIndex, Time};
+
+use crate::steps::{delivery_script, schedule};
+
+/// A scheduling event: either a process takes a step or it crashes.
+///
+/// The global clock ticks once per event; the *global step index*
+/// (`S`'s positions, which `Δ` is stated in terms of) counts only
+/// steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Event {
+    /// The process takes its next atomic step.
+    Step(ProcessId),
+    /// The process crashes (takes no further steps).
+    Crash(ProcessId),
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Event::Step(p) => write!(f, "step({p})"),
+            Event::Crash(p) => write!(f, "crash({p})"),
+        }
+    }
+}
 
 /// Read-only executor state exposed to adversaries.
 #[derive(Debug)]
@@ -203,7 +227,7 @@ impl<M> Adversary<M> for FairAdversary {
 /// Useful with `proptest`/fuzzing to explore many interleavings
 /// reproducibly. Note: random subsets make *eventual delivery* only
 /// probabilistic; pair with a horizon long enough or check
-/// [`crate::Trace::undelivered_to`] afterwards.
+/// [`validate_basic`](crate::validate_basic) afterwards.
 #[derive(Debug)]
 pub struct RandomAdversary {
     rng: StdRng,
@@ -280,10 +304,10 @@ impl<M> Adversary<M> for RandomAdversary {
 
 /// Replays an explicit event script with per-step delivery choices.
 ///
-/// This is the run-surgery tool: record a trace, edit its
-/// [`crate::Trace::schedule`] / [`crate::Trace::delivery_script`], and
-/// replay. The script may be shorter than needed deliveries: missing
-/// delivery entries default to [`DeliveryChoice::Nothing`].
+/// This is the run-surgery tool: record a run, edit its
+/// [`schedule`] and delivery choices, and replay. The
+/// script may be shorter than needed deliveries: missing delivery
+/// entries default to [`DeliveryChoice::Nothing`].
 #[derive(Debug, Clone)]
 pub struct ScriptedAdversary {
     events: Vec<Event>,
@@ -305,12 +329,11 @@ impl ScriptedAdversary {
         }
     }
 
-    /// Builds a script from recorded schedule + delivery keys, as
-    /// produced by [`crate::Trace::schedule`] and
-    /// [`crate::Trace::delivery_script`].
+    /// Replays a recorded step-level run exactly: its schedule, and at
+    /// each step the delivery keys `(src, sent_at)` it received.
     #[must_use]
-    pub fn replay(events: Vec<Event>, keys: Vec<Vec<(ProcessId, StepIndex)>>) -> Self {
-        ScriptedAdversary::new(events, keys.into_iter().map(DeliveryChoice::Keys).collect())
+    pub fn replay_log<M>(log: &RunLog<M>) -> Self {
+        ScriptedAdversary::new(schedule(log), delivery_script(log))
     }
 
     /// Appends an event with its delivery choice.

@@ -17,13 +17,12 @@
 use core::fmt;
 
 use ssp_model::events::{DeliveryMatrix, Observer, RunEvent, RunLogObserver, StepStamp};
-use ssp_model::{Buffer, Envelope, FailurePattern, ProcessId, ProcessSet, StepIndex, Time};
+use ssp_model::{Buffer, Envelope, FailurePattern, ProcessId, ProcessSet, RunLog, StepIndex, Time};
 
 use ssp_fd::FdHistory;
 
-use crate::adversary::{Adversary, DeliveryChoice, ExecView};
+use crate::adversary::{Adversary, DeliveryChoice, Event, ExecView};
 use crate::automaton::{BoxedAutomaton, StepContext};
-use crate::trace::{Event, Trace};
 
 /// Perfect-detector detection delay for the `SP` executor.
 ///
@@ -201,8 +200,9 @@ impl std::error::Error for SimError {}
 /// Everything a finished run produces.
 #[derive(Debug)]
 pub struct RunResult<M, O> {
-    /// The full event trace.
-    pub trace: Trace<M>,
+    /// The step-level run log the executor recorded (see
+    /// [`crate::steps`] for its shape).
+    pub log: RunLog<M>,
     /// Final outputs, one per process.
     pub outputs: Vec<Option<O>>,
     /// The realized failure pattern.
@@ -225,10 +225,10 @@ impl<M, O> RunResult<M, O> {
     }
 }
 
-/// Everything a finished run produces *except* the trace — what
+/// Everything a finished run produces *except* the log — what
 /// [`run_observed`] returns when the caller supplies its own event
 /// sink (possibly a [`NullObserver`](ssp_model::NullObserver), in
-/// which case no trace exists anywhere).
+/// which case no log exists anywhere).
 #[derive(Debug)]
 pub struct RunOutputs<M, O> {
     /// Final outputs, one per process.
@@ -266,7 +266,7 @@ pub struct RunOutputs<M, O> {
 ///     .collect();
 /// let mut adversary = FairAdversary::new(2, 4);
 /// let result = run(ModelKind::Async, automata, &mut adversary, 1_000)?;
-/// assert_eq!(result.trace.len(), 4);
+/// assert_eq!(ssp_sim::schedule(&result.log).len(), 4);
 /// # Ok::<(), ssp_sim::SimError>(())
 /// ```
 pub fn run<M, O>(
@@ -282,7 +282,7 @@ where
     let mut obs: RunLogObserver<M> = RunLogObserver::new(automata.len());
     let outs = run_core(model, automata, adversary, event_cap, &mut obs)?;
     Ok(RunResult {
-        trace: Trace::from_run_log(&obs.into_log()),
+        log: obs.into_log(),
         outputs: outs.outputs,
         pattern: outs.pattern,
         final_alive: outs.final_alive,
@@ -292,7 +292,7 @@ where
 }
 
 /// Like [`run`], emitting the canonical event stream into any
-/// [`Observer`] sink instead of accumulating a [`Trace`]. With a
+/// [`Observer`] sink instead of accumulating a [`RunLog`]. With a
 /// [`NullObserver`](ssp_model::NullObserver) the tracing compiles
 /// away entirely.
 ///
@@ -575,7 +575,8 @@ mod tests {
     use super::*;
     use crate::adversary::{Choice, FairAdversary, ScriptedAdversary};
     use crate::automaton::{IdleAutomaton, StepAutomaton};
-    use crate::trace::TraceEvent;
+    use crate::steps::local_view;
+    use crate::validate::validate_basic;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -633,8 +634,7 @@ mod tests {
         let result = run(ModelKind::Async, ping_pair(), &mut adv, 1_000).unwrap();
         assert_eq!(result.outputs, vec![Some(101), Some(100)]);
         assert!(result.pattern.faulty().is_empty());
-        assert!(result.trace.undelivered_to(p(0)).is_empty());
-        assert!(result.trace.undelivered_to(p(1)).is_empty());
+        validate_basic(&result.log).expect("every message delivered");
     }
 
     #[test]
@@ -722,9 +722,9 @@ mod tests {
         let result = run(ModelKind::ss(1, 2), ping_pair(), &mut adv, 100).unwrap();
         // p2 received p1's message (forced) → output set.
         assert_eq!(result.outputs[1], Some(100));
-        let view = result.trace.local_view(p(1));
-        assert!(view[0].received.is_empty(), "not yet due at first step");
-        assert_eq!(view[1].received, vec![(p(0), 100)], "forced at second step");
+        let view = local_view(&result.log, p(1));
+        assert!(view[0].0.is_empty(), "not yet due at first step");
+        assert_eq!(view[1].0, vec![(p(0), 100)], "forced at second step");
     }
 
     #[test]
@@ -743,9 +743,9 @@ mod tests {
             Box::new(IdleAutomaton::new()),
         ];
         let result = run(ModelKind::sp(delays), automata, &mut adv, 100).unwrap();
-        let view = result.trace.local_view(p(1));
-        assert!(view[0].suspects.is_empty());
-        assert!(view[1].suspects.contains(p(0)));
+        let view = local_view(&result.log, p(1));
+        assert!(view[0].1.is_empty());
+        assert!(view[1].1.contains(p(0)));
     }
 
     #[test]
@@ -756,11 +756,14 @@ mod tests {
             .map(|_| Box::new(IdleAutomaton::new()) as BoxedAutomaton<u32, u32>)
             .collect();
         let result = run(ModelKind::sp(delays), automata, &mut adv, 100).unwrap();
-        for ev in result.trace.events() {
-            if let TraceEvent::Step(s) = ev {
-                assert!(s.suspects.is_empty(), "no crash ⇒ no suspicion");
-            }
-        }
+        assert!(
+            !result
+                .log
+                .events()
+                .iter()
+                .any(|ev| matches!(ev, RunEvent::Suspect { .. })),
+            "no crash ⇒ no suspicion"
+        );
     }
 
     #[test]
@@ -795,11 +798,10 @@ mod tests {
     fn replay_reproduces_trace() {
         let mut adv = FairAdversary::new(2, 100);
         let original = run(ModelKind::Async, ping_pair(), &mut adv, 1_000).unwrap();
-        let mut replay =
-            ScriptedAdversary::replay(original.trace.schedule(), original.trace.delivery_script());
+        let mut replay = ScriptedAdversary::replay_log(&original.log);
         let replayed = run(ModelKind::Async, ping_pair(), &mut replay, 1_000).unwrap();
         assert_eq!(replayed.outputs, original.outputs);
-        assert_eq!(replayed.trace.events(), original.trace.events());
+        assert_eq!(replayed.log, original.log);
     }
 }
 
@@ -808,7 +810,7 @@ mod dls_tests {
     use super::*;
     use crate::adversary::{DeliveryChoice, FairAdversary, ScriptedAdversary};
     use crate::automaton::{BoxedAutomaton, IdleAutomaton};
-    use crate::trace::Event;
+    use crate::steps::local_view;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -881,11 +883,11 @@ mod dls_tests {
         let automata: Vec<BoxedAutomaton<u32, u32>> =
             vec![Box::new(Talker), Box::new(IdleAutomaton::new())];
         let result = run(ModelKind::dls(5, 2, 3), automata, &mut adv, 100).unwrap();
-        let views = result.trace.local_view(p(1));
-        assert!(views[0].received.is_empty());
-        assert!(views[1].received.is_empty());
-        assert!(views[2].received.is_empty());
-        assert_eq!(views[3].received, vec![(p(0), 7)], "forced at index 6");
+        let views = local_view(&result.log, p(1));
+        assert!(views[0].0.is_empty());
+        assert!(views[1].0.is_empty());
+        assert!(views[2].0.is_empty());
+        assert_eq!(views[3].0, vec![(p(0), 7)], "forced at index 6");
     }
 
     #[test]
@@ -894,6 +896,6 @@ mod dls_tests {
         let a = run(ModelKind::dls(2, 2, 0), idle_pair(), &mut adv, 100).unwrap();
         let mut adv = FairAdversary::new(2, 30);
         let b = run(ModelKind::ss(2, 2), idle_pair(), &mut adv, 100).unwrap();
-        assert_eq!(a.trace.events(), b.trace.events());
+        assert_eq!(a.log, b.log);
     }
 }

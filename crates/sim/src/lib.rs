@@ -21,7 +21,9 @@
 //! Scheduling is adversarial: [`FairAdversary`] (round-robin),
 //! [`RandomAdversary`] (seeded exploration) and [`ScriptedAdversary`]
 //! (exact replay — the run-surgery tool behind Theorem 3.1) all drive
-//! the same engine, [`run`], which produces a complete [`Trace`].
+//! the same engine, [`run`], which returns the step-level
+//! [`RunLog`](ssp_model::RunLog) it recorded. The §2 validators and
+//! the queries of [`steps`] read that log.
 //!
 //! # Examples
 //!
@@ -33,7 +35,7 @@
 //!     .collect();
 //! let mut adversary = FairAdversary::new(3, 30).with_min_events(6);
 //! let result = run(ModelKind::ss(1, 1), automata, &mut adversary, 1_000)?;
-//! ssp_sim::validate_ss(&result.trace, 1, 1).expect("executor respects SS");
+//! ssp_sim::validate_ss(&result.log, 1, 1).expect("executor respects SS");
 //! # Ok::<(), ssp_sim::SimError>(())
 //! ```
 
@@ -44,14 +46,14 @@
 pub mod adversary;
 pub mod automaton;
 pub mod exec;
-pub mod trace;
+pub mod steps;
 pub mod validate;
 
 pub use adversary::{
-    Adversary, ChainAdversary, Choice, DeliveryChoice, ExecView, FairAdversary, RandomAdversary,
-    ScriptedAdversary,
+    Adversary, ChainAdversary, Choice, DeliveryChoice, Event, ExecView, FairAdversary,
+    RandomAdversary, ScriptedAdversary,
 };
 pub use automaton::{BoxedAutomaton, IdleAutomaton, RoundRobinSender, StepAutomaton, StepContext};
 pub use exec::{run, run_observed, DetectionDelays, ModelKind, RunOutputs, RunResult, SimError};
-pub use trace::{Event, LocalObservation, StepRecord, Trace, TraceEvent};
+pub use steps::{local_view, schedule, step_count};
 pub use validate::{validate_basic, validate_perfect_fd, validate_ss, TraceViolation};

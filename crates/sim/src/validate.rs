@@ -1,18 +1,20 @@
-//! Post-hoc validators for traces.
+//! Post-hoc validators for step-level run logs.
 //!
 //! The executor enforces the model online; these independent checkers
-//! re-verify finished traces against the definitions of §2.3–§2.4,
-//! so that tests can cross-check the executor itself and that traces
-//! imported from elsewhere (e.g. hand-written counterexample runs) can
-//! be certified.
+//! re-verify finished runs against the definitions of §2.3–§2.4, so
+//! that tests can cross-check the executor itself and that runs
+//! recorded elsewhere (the threaded runtime's step export,
+//! hand-written counterexample runs) can be certified. Each scans the
+//! [`RunLog`]'s `Crash`, `Deliver`/`Suspect`/`Send` and step-ending
+//! `Close` events.
 
 use core::fmt;
 
-use ssp_model::{ProcessId, StepIndex};
+use ssp_model::{ProcessId, RunEvent, RunLog, StepIndex};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::steps::step_end;
 
-/// A violation found by the trace validators.
+/// A violation found by the step-level run validators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceViolation {
     /// A process took a step at or after its crash event.
@@ -42,7 +44,7 @@ pub enum TraceViolation {
         step: StepIndex,
     },
     /// A message sent to a process that never crashed was still
-    /// undelivered at the end of the trace.
+    /// undelivered at the end of the run.
     UndeliveredToCorrect {
         /// The correct destination.
         process: ProcessId,
@@ -102,38 +104,50 @@ impl std::error::Error for TraceViolation {}
 
 /// Checks the basic asynchronous-model conditions: crashed processes
 /// take no further steps, and every message addressed to a process
-/// that never crashes is delivered by the end of the trace.
+/// that never crashes is delivered by the end of the log.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
-pub fn validate_basic<M>(trace: &Trace<M>) -> Result<(), TraceViolation>
-where
-    M: Clone + fmt::Debug + PartialEq,
-{
-    let n = trace.universe_size();
+pub fn validate_basic<M>(log: &RunLog<M>) -> Result<(), TraceViolation> {
+    let n = log.universe_size();
     let mut crashed = vec![false; n];
-    for ev in trace.events() {
+    // (src, dst, sent_at) of every send and every delivery.
+    let mut sent: Vec<(ProcessId, ProcessId, StepIndex)> = Vec::new();
+    let mut delivered: Vec<(ProcessId, ProcessId, StepIndex)> = Vec::new();
+    for ev in log.events() {
         match ev {
-            TraceEvent::Crash { process, .. } => crashed[process.index()] = true,
-            TraceEvent::Step(s) => {
-                if crashed[s.process.index()] {
-                    return Err(TraceViolation::StepAfterCrash { process: s.process });
+            RunEvent::Crash { process, .. } => crashed[process.index()] = true,
+            RunEvent::Send {
+                src,
+                dst,
+                at: Some(at),
+                ..
+            } => sent.push((*src, *dst, *at)),
+            RunEvent::Deliver {
+                src,
+                dst,
+                sent_at: Some(at),
+                ..
+            } => delivered.push((*src, *dst, *at)),
+            ev => {
+                if let Some((process, _)) = step_end(ev).filter(|(p, _)| crashed[p.index()]) {
+                    return Err(TraceViolation::StepAfterCrash { process });
                 }
             }
         }
     }
-    let pattern = trace.failure_pattern();
-    for i in 0..n {
-        let p = ProcessId::new(i);
-        if pattern.is_correct(p) {
-            if let Some(env) = trace.undelivered_to(p).first() {
-                return Err(TraceViolation::UndeliveredToCorrect {
-                    process: p,
-                    src: env.src,
-                    sent_at: env.sent_at,
-                });
-            }
+    for i in (0..n).filter(|&i| !crashed[i]) {
+        let process = ProcessId::new(i);
+        if let Some(&(src, _, sent_at)) = sent
+            .iter()
+            .find(|s| s.1 == process && !delivered.contains(s))
+        {
+            return Err(TraceViolation::UndeliveredToCorrect {
+                process,
+                src,
+                sent_at,
+            });
         }
     }
     Ok(())
@@ -141,30 +155,37 @@ where
 
 /// Checks the accuracy half of the perfect detector `P` (§2.6): no
 /// step's suspicion set contains a process that was still alive at
-/// that point of the trace.
+/// that point of the log.
 ///
 /// (Completeness — crashed processes being *eventually* suspected — is
-/// a liveness property with no finite-trace refutation; finite traces
-/// can only certify accuracy.)
+/// a liveness property with no finite-run refutation; finite logs can
+/// only certify accuracy.)
 ///
 /// # Errors
 ///
 /// Returns the first inaccurate suspicion found.
-pub fn validate_perfect_fd<M>(trace: &Trace<M>) -> Result<(), TraceViolation>
-where
-    M: Clone + fmt::Debug + PartialEq,
-{
-    let n = trace.universe_size();
-    let mut crashed = vec![false; n];
-    for ev in trace.events() {
+pub fn validate_perfect_fd<M>(log: &RunLog<M>) -> Result<(), TraceViolation> {
+    let mut crashed = vec![false; log.universe_size()];
+    // The current step's first wrongly suspected process.
+    let mut inaccurate = None;
+    for ev in log.events() {
         match ev {
-            TraceEvent::Crash { process, .. } => crashed[process.index()] = true,
-            TraceEvent::Step(s) => {
-                if let Some(suspect) = s.suspects.iter().find(|q| !crashed[q.index()]) {
+            RunEvent::Crash { process, .. } => crashed[process.index()] = true,
+            RunEvent::Suspect {
+                observer,
+                suspected,
+            } => {
+                inaccurate = suspected
+                    .iter()
+                    .find(|q| !crashed[q.index()])
+                    .map(|suspect| (*observer, suspect));
+            }
+            ev => {
+                if let (Some((_, stamp)), Some((observer, suspect))) = (step_end(ev), inaccurate) {
                     return Err(TraceViolation::InaccurateSuspicion {
-                        observer: s.process,
+                        observer,
                         suspect,
-                        step: s.global_step,
+                        step: stamp.global_step,
                     });
                 }
             }
@@ -173,7 +194,7 @@ where
     Ok(())
 }
 
-/// Checks the two `SS` synchrony conditions of §2.4 on a finished trace.
+/// Checks the two `SS` synchrony conditions of §2.4 on a finished run.
 ///
 /// *Process synchrony*: for every pair of alive processes, between two
 /// consecutive steps of one, the other takes at most `Φ` steps.
@@ -185,22 +206,35 @@ where
 ///
 /// Returns the first violation found. Run [`validate_basic`] separately
 /// for the model-independent conditions.
-pub fn validate_ss<M>(trace: &Trace<M>, phi: u64, delta: u64) -> Result<(), TraceViolation>
-where
-    M: Clone + fmt::Debug + PartialEq,
-{
-    let n = trace.universe_size();
+pub fn validate_ss<M>(log: &RunLog<M>, phi: u64, delta: u64) -> Result<(), TraceViolation> {
+    let n = log.universe_size();
     // since[p][q]: steps p has taken since q's last step.
     let mut since = vec![0u64; n * n];
     let mut crashed = vec![false; n];
     // Outstanding sends per destination: (src, sent_at).
     let mut outstanding: Vec<Vec<(ProcessId, StepIndex)>> = vec![Vec::new(); n];
+    // The current step's deliveries and send.
+    let mut received: Vec<(ProcessId, StepIndex)> = Vec::new();
+    let mut sent: Option<(ProcessId, ProcessId, StepIndex)> = None;
 
-    for ev in trace.events() {
+    for ev in log.events() {
         match ev {
-            TraceEvent::Crash { process, .. } => crashed[process.index()] = true,
-            TraceEvent::Step(s) => {
-                let p = s.process;
+            RunEvent::Crash { process, .. } => crashed[process.index()] = true,
+            RunEvent::Deliver {
+                src,
+                sent_at: Some(at),
+                ..
+            } => received.push((*src, *at)),
+            RunEvent::Send {
+                src,
+                dst,
+                at: Some(at),
+                ..
+            } => sent = Some((*src, *dst, *at)),
+            ev => {
+                let Some((p, stamp)) = step_end(ev) else {
+                    continue;
+                };
                 // Process synchrony.
                 for q in 0..n {
                     if q != p.index() && !crashed[q] && since[p.index() * n + q] >= phi {
@@ -216,25 +250,24 @@ where
                         since[q * n + p.index()] = 0;
                     }
                 }
-                // Message synchrony: everything overdue must be in `received`.
-                let received: Vec<(ProcessId, StepIndex)> =
-                    s.received.iter().map(|e| (e.src, e.sent_at)).collect();
-                outstanding[p.index()]
-                    .retain(|&(src, sent_at)| !received.contains(&(src, sent_at)));
-                if let Some(&(src, sent_at)) = outstanding[p.index()]
-                    .iter()
-                    .find(|&&(_, sent_at)| sent_at.position() + delta <= s.global_step.position())
+                // Message synchrony: everything overdue must be received.
+                outstanding[p.index()].retain(|key| !received.contains(key));
+                received.clear();
+                if let Some(&(src, sent_at)) =
+                    outstanding[p.index()].iter().find(|&&(_, sent_at)| {
+                        sent_at.position() + delta <= stamp.global_step.position()
+                    })
                 {
                     return Err(TraceViolation::MessageSynchrony {
                         process: p,
                         src,
                         sent_at,
-                        step: s.global_step,
+                        step: stamp.global_step,
                     });
                 }
                 // Record this step's send.
-                if let Some(env) = &s.sent {
-                    outstanding[env.dst.index()].push((env.src, env.sent_at));
+                if let Some((src, dst, at)) = sent.take() {
+                    outstanding[dst.index()].push((src, at));
                 }
             }
         }
@@ -245,14 +278,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Event;
     use crate::adversary::{DeliveryChoice, FairAdversary, ScriptedAdversary};
     use crate::automaton::{BoxedAutomaton, IdleAutomaton, StepAutomaton, StepContext};
     use crate::exec::{run, ModelKind};
-    use crate::trace::Event;
-
-    fn p(i: usize) -> ProcessId {
-        ProcessId::new(i)
-    }
+    use crate::steps::tests::{close, crash, deliver, log_of, p, send};
+    use ssp_model::ProcessSet;
 
     #[derive(Debug)]
     struct Chatter {
@@ -281,7 +312,7 @@ mod tests {
     fn executor_ss_runs_pass_both_validators() {
         let mut adv = FairAdversary::new(2, 40).with_min_events(40);
         let result = run(ModelKind::ss(1, 2), chatters(), &mut adv, 1_000).unwrap();
-        validate_ss(&result.trace, 1, 2).unwrap();
+        validate_ss(&result.log, 1, 2).unwrap();
         // Chatters keep sending until the end; the last sends are
         // legitimately still in flight, so prune: deliver-all fair runs
         // only leave the final messages. We check the validator's
@@ -292,7 +323,7 @@ mod tests {
         ];
         let mut adv2 = FairAdversary::new(2, 10).with_min_events(10);
         let r2 = run(ModelKind::ss(1, 2), idle, &mut adv2, 1_000).unwrap();
-        validate_basic(&r2.trace).unwrap();
+        validate_basic(&r2.log).unwrap();
     }
 
     #[test]
@@ -308,7 +339,7 @@ mod tests {
             Box::new(IdleAutomaton::new()),
         ];
         let result = run(ModelKind::Async, idle, &mut adv, 100).unwrap();
-        let err = validate_ss(&result.trace, 1, 1).unwrap_err();
+        let err = validate_ss(&result.log, 1, 1).unwrap_err();
         assert!(matches!(err, TraceViolation::ProcessSynchrony { .. }));
     }
 
@@ -325,7 +356,7 @@ mod tests {
             vec![DeliveryChoice::Nothing; 4],
         );
         let result = run(ModelKind::Async, chatters(), &mut adv, 100).unwrap();
-        let err = validate_ss(&result.trace, 10, 2).unwrap_err();
+        let err = validate_ss(&result.log, 10, 2).unwrap_err();
         assert!(matches!(err, TraceViolation::MessageSynchrony { .. }));
     }
 
@@ -336,7 +367,7 @@ mod tests {
             vec![DeliveryChoice::Nothing; 2],
         );
         let result = run(ModelKind::Async, chatters(), &mut adv, 100).unwrap();
-        let err = validate_basic(&result.trace).unwrap_err();
+        let err = validate_basic(&result.log).unwrap_err();
         assert!(matches!(err, TraceViolation::UndeliveredToCorrect { .. }));
     }
 
@@ -352,42 +383,23 @@ mod tests {
         assert!(v.to_string().contains("suspected live p1"));
     }
 
+    fn suspect(observer: usize, suspected: usize) -> RunEvent<u32> {
+        RunEvent::Suspect {
+            observer: p(observer),
+            suspected: ProcessSet::singleton(p(suspected)),
+        }
+    }
+
     #[test]
     fn perfect_fd_accepts_post_crash_suspicion() {
-        use crate::trace::StepRecord;
-        use ssp_model::{ProcessSet, Time};
-        let mut t: Trace<u32> = Trace::new(2);
-        t.push(TraceEvent::Crash {
-            process: p(0),
-            time: Time::new(0),
-        });
-        t.push(TraceEvent::Step(StepRecord {
-            process: p(1),
-            time: Time::new(1),
-            global_step: StepIndex::new(0),
-            own_step: 0,
-            received: vec![],
-            suspects: ProcessSet::singleton(p(0)),
-            sent: None,
-        }));
-        validate_perfect_fd(&t).unwrap();
+        let log = log_of(2, vec![crash(0, 0), suspect(1, 0), close(1, 1, 0, 0)]);
+        validate_perfect_fd(&log).unwrap();
     }
 
     #[test]
     fn perfect_fd_rejects_premature_suspicion() {
-        use crate::trace::StepRecord;
-        use ssp_model::{ProcessSet, Time};
-        let mut t: Trace<u32> = Trace::new(2);
-        t.push(TraceEvent::Step(StepRecord {
-            process: p(1),
-            time: Time::new(0),
-            global_step: StepIndex::new(0),
-            own_step: 0,
-            received: vec![],
-            suspects: ProcessSet::singleton(p(0)),
-            sent: None,
-        }));
-        let err = validate_perfect_fd(&t).unwrap_err();
+        let log = log_of(2, vec![suspect(1, 0), close(1, 0, 0, 0)]);
+        let err = validate_perfect_fd(&log).unwrap_err();
         assert_eq!(
             err,
             TraceViolation::InaccurateSuspicion {
@@ -396,5 +408,43 @@ mod tests {
                 step: StepIndex::new(0),
             }
         );
+    }
+
+    #[test]
+    fn basic_rejects_a_step_after_crash() {
+        let log = log_of(2, vec![crash(0, 0), close(0, 1, 0, 0)]);
+        assert_eq!(
+            validate_basic(&log),
+            Err(TraceViolation::StepAfterCrash { process: p(0) })
+        );
+    }
+
+    #[test]
+    fn basic_finds_the_message_a_correct_process_never_received() {
+        // p1 sends 7 to p2, which then steps without it.
+        let undelivered = log_of(
+            2,
+            vec![send(0, 1, 0, 7), close(0, 0, 0, 0), close(1, 1, 1, 0)],
+        );
+        assert_eq!(
+            validate_basic(&undelivered),
+            Err(TraceViolation::UndeliveredToCorrect {
+                process: p(1),
+                src: p(0),
+                sent_at: StepIndex::new(0),
+            })
+        );
+        // Delivered after the sender's crash: nothing is missing.
+        let delivered = log_of(
+            2,
+            vec![
+                send(0, 1, 0, 7),
+                close(0, 0, 0, 0),
+                crash(0, 1),
+                deliver(0, 1, 0, 7),
+                close(1, 2, 1, 0),
+            ],
+        );
+        validate_basic(&delivered).unwrap();
     }
 }

@@ -1159,9 +1159,13 @@ fn cmd_load_inproc(flags: &Flags) -> Result<(), String> {
     cfg.validate()
         .map_err(|e| format!("invalid runtime configuration: {e}"))?;
     let mut load = InprocLoadConfig::new(flags.u64_or("seed", 1)?);
-    load.clients = flags.usize_or("clients", 4)?;
-    load.requests_per_client = u32::try_from(flags.u64_or("requests-per-client", 8)?)
-        .map_err(|_| "--requests-per-client: too large".to_string())?;
+    load.clients = clients_or(flags, 4)?;
+    load.requests_per_client = match flags.u64_or("requests-per-client", 8)? {
+        0 => return Err("--requests-per-client must be at least 1".to_string()),
+        requests => {
+            u32::try_from(requests).map_err(|_| "--requests-per-client: too large".to_string())?
+        }
+    };
     load.cross_rate = flags.f64_or("cross-rate", 0.0)?;
     if load.cross_rate > 0.0 && cfg.shards < 2 {
         return Err("--cross-rate needs --shards ≥ 2 (a single group leaves no \

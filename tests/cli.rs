@@ -457,11 +457,13 @@ fn shard_count_zero_is_rejected() {
 }
 
 /// A workload needs a client: `--clients 0` is a usage error on every
-/// serving entry point, not the workload's construction-time panic.
+/// serving entry point, not the workload's construction-time panic nor
+/// an empty run reported as a success.
 #[test]
 fn zero_clients_is_a_usage_error_not_a_panic() {
     for args in [
         &["serve", "a1", "rs", "--clients", "0"][..],
+        &["load", "--inproc", "a1", "rs", "--clients", "0"],
         &["serve", "a1", "rs", "--clients", "0", "--shards", "2"],
         &["serve-cluster", "--clients", "0", "--instances", "1"],
         &[
@@ -489,6 +491,13 @@ fn zero_clients_is_a_usage_error_not_a_panic() {
             "{args:?}: {stderr}"
         );
     }
+    // …and a client needs a request.
+    let (ok, _, stderr) = ssp(&["load", "--inproc", "a1", "rs", "--requests-per-client", "0"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("--requests-per-client must be at least 1"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -17,7 +17,8 @@ use ssp::rounds::{
     RoundCrash, RsOnSs, RwsOnSp,
 };
 use ssp::sim::{
-    run, run_observed, BoxedAutomaton, DetectionDelays, FairAdversary, ModelKind, RandomAdversary,
+    run, run_observed, schedule, BoxedAutomaton, DetectionDelays, FairAdversary, ModelKind,
+    RandomAdversary,
 };
 
 fn p(i: usize) -> ProcessId {
@@ -294,19 +295,18 @@ fn emulation_budget_shape() {
         .collect();
     let events = cumulative_round_budget(1, 1, n, horizon) * n as u64 + 64;
     let mut adv = FairAdversary::new(n, events);
-    let rs_steps = run(ModelKind::ss(1, 1), rs, &mut adv, events + 10)
-        .expect("legal SS run")
-        .trace
-        .len();
+    let rs_steps = schedule(
+        &run(ModelKind::ss(1, 1), rs, &mut adv, events + 10)
+            .expect("legal SS run")
+            .log,
+    )
+    .len();
     let rws: Vec<BoxedAutomaton<EmuMsg<_>, (u64, Round)>> = (0..n)
         .map(|i| Box::new(RwsOnSp::new(spawn(i), p(i), n, horizon)) as _)
         .collect();
     let mut adv = FairAdversary::new(n, 50_000);
     let sp = ModelKind::sp(DetectionDelays::immediate());
-    let rws_steps = run(sp, rws, &mut adv, 60_000)
-        .expect("legal SP run")
-        .trace
-        .len();
+    let rws_steps = schedule(&run(sp, rws, &mut adv, 60_000).expect("legal SP run").log).len();
     assert!(
         rws_steps < rs_steps,
         "RWS-on-SP {rws_steps} vs RS-on-SS {rs_steps}"

@@ -18,7 +18,7 @@ use ssp::fd::FdHistory;
 use ssp::lab::{explore_runs, LatencyAggregator, RoundModel};
 use ssp::model::{ProcessId, Time};
 use ssp::rounds::RoundAlgorithm;
-use ssp::sim::{run, BoxedAutomaton, FairAdversary, ModelKind};
+use ssp::sim::{run, schedule, BoxedAutomaton, FairAdversary, ModelKind};
 
 fn aggregate<A: RoundAlgorithm<u64>>(algo: &A, n: usize, t: usize) -> LatencyAggregator<u64> {
     let mut agg = LatencyAggregator::new();
@@ -93,7 +93,7 @@ fn ct_steps_to_decide(n: usize, suspected: usize) -> usize {
         result.outputs.iter().all(Option::is_some),
         "n={n}, {suspected} suspected: all must decide"
     );
-    result.trace.len()
+    schedule(&result.log).len()
 }
 
 #[test]

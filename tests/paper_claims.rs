@@ -14,7 +14,7 @@ use ssp::lab::{
 use ssp::model::spec::ConsensusViolation;
 use ssp::model::{check_sdd, check_uniform_consensus_strong, InitialConfig, ProcessId, SddOutcome};
 use ssp::rounds::{run_rs, CrashSchedule, RoundAlgorithm};
-use ssp::sim::{run, BoxedAutomaton, FairAdversary, ModelKind, RandomAdversary};
+use ssp::sim::{run, step_count, BoxedAutomaton, FairAdversary, ModelKind, RandomAdversary};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -79,7 +79,7 @@ fn e1_sdd_solvable_in_ss() {
                     .expect("legal SS run");
                     let outcome = SddOutcome {
                         sender_input: input,
-                        sender_initially_dead: result.trace.step_count(p(0)) == 0,
+                        sender_initially_dead: step_count(&result.log, p(0)) == 0,
                         receiver_correct: result.pattern.is_correct(p(1)),
                         decision: result.outputs[1],
                     };
@@ -302,6 +302,6 @@ fn ss_runs_pass_independent_validation() {
     ];
     let mut adv = FairAdversary::new(2, 100);
     let result = run(ModelKind::ss(phi, delta), automata, &mut adv, 1_000).unwrap();
-    ssp::sim::validate_ss(&result.trace, phi, delta).unwrap();
-    ssp::sim::validate_basic(&result.trace).unwrap();
+    ssp::sim::validate_ss(&result.log, phi, delta).unwrap();
+    ssp::sim::validate_basic(&result.log).unwrap();
 }

@@ -220,12 +220,9 @@ mod sim_props {
             };
             let mut adv = RandomAdversary::new(3, 60, seed);
             let original = run(ModelKind::Async, automata(), &mut adv, 1_000).unwrap();
-            let mut replay = ScriptedAdversary::replay(
-                original.trace.schedule(),
-                original.trace.delivery_script(),
-            );
+            let mut replay = ScriptedAdversary::replay_log(&original.log);
             let replayed = run(ModelKind::Async, automata(), &mut replay, 1_000).unwrap();
-            prop_assert_eq!(replayed.trace.events(), original.trace.events());
+            prop_assert_eq!(replayed.log, original.log);
         }
 
         /// The SS executor never emits a trace the independent SS
@@ -236,7 +233,7 @@ mod sim_props {
                 (0..3).map(|_| Box::new(IdleAutomaton::new()) as _).collect();
             let mut adv = RandomAdversary::new(3, 80, seed);
             let result = run(ModelKind::ss(phi, delta), automata, &mut adv, 1_000).unwrap();
-            prop_assert!(ssp::sim::validate_ss(&result.trace, phi, delta).is_ok());
+            prop_assert!(ssp::sim::validate_ss(&result.log, phi, delta).is_ok());
         }
     }
 }

@@ -8,7 +8,7 @@ use ssp::lab::{check_threaded_run, fuzz_runtime, shrink_plan, ValidityMode};
 use ssp::model::InitialConfig;
 use ssp::rounds::RoundModel;
 use ssp::runtime::{FaultPlan, RuntimeBuilder, SECTION_5_3_SEED};
-use ssp::sim::{validate_basic, validate_perfect_fd, Trace};
+use ssp::sim::{validate_basic, validate_perfect_fd};
 
 #[test]
 fn a1_rws_seed_sweep_conforms_and_finds_the_paper_violation() {
@@ -78,8 +78,8 @@ fn section_5_3_trace_passes_every_validator_individually() {
     // The canonical record is admissible in RWS...
     result.trace.validate().expect("admissible RWS trace");
     // ...its step-level run log satisfies the §2 validators...
-    let steps = Trace::from_run_log(&result.trace.step_log().expect("schedulable"));
-    validate_basic(&steps).expect("well-formed step trace");
+    let steps = result.trace.step_log().expect("schedulable");
+    validate_basic(&steps).expect("well-formed step log");
     validate_perfect_fd(&steps).expect("strong accuracy holds");
     // ...and the full certification (replay + outcome comparison)
     // confirms the uniform-agreement violation is real.
