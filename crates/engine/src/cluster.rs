@@ -1117,9 +1117,16 @@ pub struct ClusterConfig {
     pub gateway: Option<GatewaySpec>,
 }
 
-fn free_loopback_addr() -> io::Result<String> {
-    let l = std::net::TcpListener::bind("127.0.0.1:0")?;
-    Ok(l.local_addr()?.to_string())
+/// `n` distinct free loopback addresses: every probe listener stays
+/// bound until the set is complete, so no port is drawn twice.
+fn free_loopback_addrs(n: usize) -> io::Result<Vec<String>> {
+    let probes = (0..n)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<Vec<_>>>()?;
+    probes
+        .iter()
+        .map(|l| Ok(l.local_addr()?.to_string()))
+        .collect()
 }
 
 /// Spawns `n` node processes of `bin` (`ssp serve a1 rs --node i ...`),
@@ -1134,9 +1141,7 @@ fn free_loopback_addr() -> io::Result<String> {
 pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<ClusterReport> {
     let n = cfg.node.n;
     std::fs::create_dir_all(dir)?;
-    let addrs: Vec<String> = (0..n)
-        .map(|_| free_loopback_addr())
-        .collect::<io::Result<_>>()?;
+    let addrs = free_loopback_addrs(n)?;
 
     let report_path = |i: usize| -> PathBuf { dir.join(format!("node{i}.log")) };
     let mut children = Vec::with_capacity(n);
@@ -1333,7 +1338,7 @@ mod tests {
     /// every node on its own thread, then merge and audit.
     #[test]
     fn loopback_cluster_decides_and_audits_clean() {
-        let addrs: Vec<String> = (0..3).map(|_| free_loopback_addr().unwrap()).collect();
+        let addrs = free_loopback_addrs(3).unwrap();
         let mk = |i: usize| {
             let mut c = NodeConfig::new(i, 3, addrs[i].clone(), addrs.clone(), 42);
             c.instances = 3;

@@ -5,10 +5,9 @@
 //! The bridge works on the [`RunTrace`] every threaded run records:
 //!
 //! 1. **admissibility** — [`RunTrace::validate`] (complete logs,
-//!    message integrity, detector accuracy, Lemma 4.1 for pending
-//!    messages) plus the step-level validators of `ssp-sim`
-//!    ([`validate_basic`], [`validate_perfect_fd`]) on the step-level
-//!    log [`RunTrace::step_log`] exports;
+//!    message integrity, detector accuracy, no pending message under
+//!    `RS` and Lemma 4.1 for every pending message under `RWS`), and at
+//!    most `t` crashes;
 //! 2. **replay** — the derived [`CrashSchedule`]/[`PendingChoice`]
 //!    adversary is re-executed through `ssp_rounds::run_rws_observed`,
 //!    and the two canonical run logs, projected onto their shared
@@ -20,6 +19,10 @@
 //!    must report a violation too (the recorded run *is* in its
 //!    space).
 //!
+//! [`check_threaded_run`] and [`audit_instance`] share one
+//! certification path; the audit skips only the replay, and only for
+//! traces in which some process retired early.
+//!
 //! [`fuzz_runtime`] sweeps seed-derived [`FaultPlan`]s through all
 //! three, and [`shrink_plan`] greedily minimizes any failing plan —
 //! the engine behind the `ssp runtime-fuzz` subcommand.
@@ -28,15 +31,13 @@
 //! [`PendingChoice`]: ssp_rounds::PendingChoice
 //! [`RunTrace`]: ssp_runtime::RunTrace
 //! [`RunTrace::validate`]: ssp_runtime::RunTrace::validate
-//! [`RunTrace::step_log`]: ssp_runtime::RunTrace::step_log
 
 use core::fmt;
 use std::ops::Range;
 
 use ssp_model::{InitialConfig, ProcessId, Round, RunEvent, RunLogObserver, Value};
-use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundModel, RoundProcess};
+use ssp_rounds::{run_rws_observed, RoundAlgorithm, RoundModel, RoundProcess, ScheduleError};
 use ssp_runtime::{FaultPlan, RunTraceError, RuntimeBuilder, ThreadedOutcome};
-use ssp_sim::{validate_basic, validate_perfect_fd, TraceViolation};
 
 use crate::checker::ValidityMode;
 use crate::verifier::Verifier;
@@ -48,8 +49,6 @@ use crate::verifier::Verifier;
 pub enum Divergence {
     /// The recorded trace is not an admissible run of its model.
     Inadmissible(RunTraceError),
-    /// The exported step trace fails a §2 validator.
-    StepModel(TraceViolation),
     /// Replaying the derived adversary delivered different messages.
     DeliveryMismatch {
         /// The first round whose delivery matrices differ.
@@ -74,7 +73,6 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Divergence::Inadmissible(e) => write!(f, "inadmissible trace: {e}"),
-            Divergence::StepModel(v) => write!(f, "step-trace violation: {v}"),
             Divergence::DeliveryMismatch { round } => {
                 write!(f, "replay delivered different messages in {round}")
             }
@@ -148,17 +146,12 @@ pub struct RunReport {
 }
 
 /// Certifies one threaded run against the round models: trace
-/// admissibility, step-trace validity, and tick-for-tick replay
+/// admissibility, the fault bound `t`, and tick-for-tick replay
 /// agreement (deliveries and outcomes).
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`] found.
-///
-/// # Panics
-///
-/// Panics if the recorded crash schedule exceeds the fault bound `t`
-/// (the replay executor rejects such schedules).
 pub fn check_threaded_run<V, A>(
     algo: &A,
     config: &InitialConfig<V>,
@@ -170,39 +163,101 @@ where
     V: Value,
     A: RoundAlgorithm<V>,
 {
+    let (verdict, violation, certified) = certify(algo, config, t, result, mode, true);
+    certified?;
+    let pending = if verdict == RunVerdict::Aborted {
+        0
+    } else {
+        result.trace.pending().len()
+    };
+    Ok(RunReport {
+        violation,
+        pending,
+        verdict,
+    })
+}
+
+/// The one certification path behind [`check_threaded_run`] and
+/// [`audit_instance`]: the run's verdict, the spec violation it
+/// exhibited, and whether it conforms.
+///
+/// An aborted run certifies nothing and is judged on nothing. A run the
+/// watchdog flagged (Δ violated, degradation off) kept claiming `RS` on
+/// a network that broke the claim: its outcome is judged but never
+/// certified — this is §5.3 smuggled into "RS", and its trace is
+/// typically inadmissible. Neither is a divergence: both are the
+/// configured behavior. Every other run must validate, stay within the
+/// fault bound and, when `replay` is set, agree with its tick-for-tick
+/// replay.
+fn certify<V, A>(
+    algo: &A,
+    config: &InitialConfig<V>,
+    t: usize,
+    result: &ThreadedOutcome<V, <A::Process as RoundProcess>::Msg>,
+    mode: ValidityMode,
+    replay: bool,
+) -> (RunVerdict, Option<String>, Result<(), Divergence>)
+where
+    V: Value,
+    A: RoundAlgorithm<V>,
+{
     let trace = &result.trace;
     if trace.aborted {
-        // The watchdog stopped the run mid-flight: the logs are
-        // deliberately cut short and certify nothing. Not a divergence
-        // — aborting on a violated bound is the configured behavior.
-        return Ok(RunReport {
-            violation: None,
-            pending: 0,
-            verdict: RunVerdict::Aborted,
-        });
+        return (RunVerdict::Aborted, None, Ok(()));
     }
-    if result.synchrony.flagged() {
-        // Δ was violated and degradation was off: the run kept
-        // claiming RS on a network that broke the claim. Whatever it
-        // produced must be flagged, never certified — this is §5.3
-        // smuggled into "RS", and its trace is typically inadmissible
-        // (pending messages under round synchrony).
-        return Ok(RunReport {
-            violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
-            pending: trace.pending().len(),
-            verdict: RunVerdict::SynchronyViolation,
-        });
-    }
-    trace.validate().map_err(Divergence::Inadmissible)?;
-    let steps = trace.step_log().map_err(Divergence::Inadmissible)?;
-    validate_basic(&steps).map_err(Divergence::StepModel)?;
-    validate_perfect_fd(&steps).map_err(Divergence::StepModel)?;
+    let verdict = if result.synchrony.flagged() {
+        RunVerdict::SynchronyViolation
+    } else {
+        match trace.degraded_at {
+            Some(at) => RunVerdict::DegradedRws { at },
+            None if trace.model == RoundModel::Rs => RunVerdict::Rs,
+            None => RunVerdict::Rws,
+        }
+    };
+    let violation = mode.check(&result.outcome).err().map(|e| e.to_string());
+    let certified = if verdict.is_certified() {
+        conforms(algo, config, t, result, replay)
+    } else {
+        Ok(())
+    };
+    (verdict, violation, certified)
+}
 
-    let schedule = trace.schedule();
-    let pending = trace.pending();
+/// Admissibility, the fault bound, and (if `replay`) agreement with
+/// the round-model replay of the adversary the run realized.
+fn conforms<V, A>(
+    algo: &A,
+    config: &InitialConfig<V>,
+    t: usize,
+    result: &ThreadedOutcome<V, <A::Process as RoundProcess>::Msg>,
+    replay: bool,
+) -> Result<(), Divergence>
+where
+    V: Value,
+    A: RoundAlgorithm<V>,
+{
+    let trace = &result.trace;
+    trace.validate().map_err(Divergence::Inadmissible)?;
+    let faults = trace.crashes.iter().flatten().count();
+    if faults > t {
+        return Err(Divergence::Inadmissible(RunTraceError::Schedule(
+            ScheduleError::TooManyCrashes { faults, bound: t },
+        )));
+    }
+    if !replay {
+        return Ok(());
+    }
+
     let mut replay_obs = RunLogObserver::new(config.n());
-    let replay_outcome = run_rws_observed(algo, config, t, &schedule, &pending, &mut replay_obs)
-        .map_err(|e| Divergence::Inadmissible(RunTraceError::Pending(e)))?;
+    let replay_outcome = run_rws_observed(
+        algo,
+        config,
+        t,
+        &trace.schedule(),
+        &trace.pending(),
+        &mut replay_obs,
+    )
+    .map_err(|e| Divergence::Inadmissible(RunTraceError::Pending(e)))?;
 
     // Log-diff conformance: both logs projected onto their shared
     // delivery core (deliveries, withholds, crashes, lockstep closes)
@@ -234,16 +289,7 @@ where
             });
         }
     }
-
-    Ok(RunReport {
-        violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
-        pending: pending.len(),
-        verdict: match trace.degraded_at {
-            Some(at) => RunVerdict::DegradedRws { at },
-            None if trace.model == RoundModel::Rs => RunVerdict::Rs,
-            None => RunVerdict::Rws,
-        },
-    })
+    Ok(())
 }
 
 /// One repeated-consensus instance, audited after the fact by the
@@ -274,14 +320,15 @@ impl InstanceAudit {
 
 /// Audits one consensus instance of a repeated-consensus engine run.
 ///
-/// Full-horizon instances go through [`check_threaded_run`] — trace
-/// admissibility, step-model validation, and tick-for-tick replay.
+/// Full-horizon instances get everything [`check_threaded_run`] checks:
+/// trace admissibility, the fault bound, and tick-for-tick replay.
 /// Instances where some process *retired* (the early-close fast path:
 /// burst the remaining sends, skip the remaining receives) cannot be
 /// replayed event-for-event — their logs legitimately stop short — so
-/// they are audited at the spec level instead: the trace must still
-/// validate ([`RunTrace::validate`] knows about retired rounds) and
-/// the outcome must satisfy the consensus spec.
+/// they skip the replay: the trace must still validate
+/// ([`RunTrace::validate`] knows about retired rounds) and stay within
+/// the fault bound, and the outcome is judged against the consensus
+/// spec.
 ///
 /// The instance need not have run in-process: `ssp serve-cluster`
 /// merges per-node socket reports into the same
@@ -290,7 +337,8 @@ impl InstanceAudit {
 /// also certifies **real-network executions** — multi-process runs
 /// over TCP, including `kill -9` crashes and online Δ-guard
 /// degradations (`ssp_engine::cluster::merge_reports`,
-/// `tests/socket_cluster.rs`).
+/// `tests/socket_cluster.rs`). A report that shows more than `t`
+/// crashes is a divergence, not a panic.
 ///
 /// [`RunTrace::validate`]: ssp_runtime::RunTrace::validate
 pub fn audit_instance<V, A>(
@@ -305,63 +353,14 @@ where
     V: Value,
     A: RoundAlgorithm<V>,
 {
-    let trace = &result.trace;
-    let retired = trace.retired.iter().any(Option::is_some);
-    if !retired {
-        return match check_threaded_run(algo, config, t, result, mode) {
-            Ok(run) => InstanceAudit {
-                instance,
-                verdict: run.verdict,
-                violation: run.violation,
-                divergence: None,
-                retired,
-            },
-            Err(d) => InstanceAudit {
-                instance,
-                verdict: verdict_of(trace, &result.synchrony),
-                violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
-                divergence: Some(d.to_string()),
-                retired,
-            },
-        };
-    }
-    if trace.aborted {
-        return InstanceAudit {
-            instance,
-            verdict: RunVerdict::Aborted,
-            violation: None,
-            divergence: None,
-            retired,
-        };
-    }
-    let divergence = if result.synchrony.flagged() {
-        None // flagged runs certify nothing; their traces may not validate
-    } else {
-        trace.validate().err().map(|e| e.to_string())
-    };
+    let retired = result.trace.retired.iter().any(Option::is_some);
+    let (verdict, violation, certified) = certify(algo, config, t, result, mode, !retired);
     InstanceAudit {
         instance,
-        verdict: verdict_of(trace, &result.synchrony),
-        violation: mode.check(&result.outcome).err().map(|e| e.to_string()),
-        divergence,
+        verdict,
+        violation,
+        divergence: certified.err().map(|d| d.to_string()),
         retired,
-    }
-}
-
-fn verdict_of<M>(
-    trace: &ssp_runtime::RunTrace<M>,
-    synchrony: &ssp_runtime::SynchronyReport,
-) -> RunVerdict {
-    if trace.aborted {
-        RunVerdict::Aborted
-    } else if synchrony.flagged() {
-        RunVerdict::SynchronyViolation
-    } else {
-        match trace.degraded_at {
-            Some(at) => RunVerdict::DegradedRws { at },
-            None if trace.model == RoundModel::Rs => RunVerdict::Rs,
-            None => RunVerdict::Rws,
-        }
     }
 }
 
@@ -538,6 +537,7 @@ where
 mod tests {
     use super::*;
     use ssp_algos::{FloodSet, FloodSetWs, A1};
+    use ssp_rounds::{CrashSchedule, PendingChoice};
     use ssp_runtime::{ChaosConfig, DegradeMode, SECTION_5_3_SEED};
 
     #[test]
@@ -691,7 +691,42 @@ mod tests {
     }
 
     #[test]
+    fn more_crashes_than_t_is_a_divergence_not_a_panic() {
+        let config = InitialConfig::new(vec![10u64, 11, 12]);
+        let horizon = RoundAlgorithm::<u64>::round_horizon(&A1, 3, 1);
+        let plan = FaultPlan::from_adversary(
+            &CrashSchedule::none(3),
+            &PendingChoice::none(),
+            1,
+            horizon,
+            RoundModel::Rs,
+        );
+        let mut result = RuntimeBuilder::new(&A1, &config).plan(plan).run().unwrap();
+        // What a merged set of node reports can claim: two processes
+        // crashed after the last round, against the bound t = 1.
+        let after = Round::new(horizon + 1);
+        result.trace.crashes[1] = Some(after);
+        result.trace.crashes[2] = Some(after);
+        let audit = audit_instance(&A1, &config, 1, &result, ValidityMode::Uniform, 0);
+        assert_eq!(
+            audit.divergence.as_deref(),
+            Some("inadmissible trace: crash schedule exceeds the fault bound t=1 (2 crashes)")
+        );
+        assert_eq!(audit.verdict, RunVerdict::Rs);
+        assert!(!audit.is_clean());
+    }
+
+    #[test]
     fn divergence_displays() {
+        let d = Divergence::Inadmissible(RunTraceError::FalseSuspicion {
+            observer: ProcessId::new(2),
+            suspect: ProcessId::new(0),
+            round: Round::new(2),
+        });
+        assert_eq!(
+            d.to_string(),
+            "inadmissible trace: p3 closed round 2 without p1's wire, but p1 never crashed"
+        );
         let d = Divergence::DeliveryMismatch {
             round: Round::FIRST,
         };

@@ -512,8 +512,7 @@ pub struct ThreadedOutcome<V, M> {
     pub elapsed: Duration,
     /// The canonical record of the run: what every process sent and
     /// had received when each round closed, plus crash rounds —
-    /// replayable through the round models and exportable as an
-    /// `ssp-sim` step trace.
+    /// replayable through the round models.
     pub trace: RunTrace<M>,
     /// Everything the synchrony watchdog saw: violations, degradation,
     /// abort.

@@ -32,9 +32,9 @@
 //! Determinism comes from the fault-injection plane: a seed-derived
 //! [`FaultPlan`] scripts crashes (including mid-broadcast cut-offs),
 //! per-link delivery delays ([`LinkScript`]) and oracle suspicion
-//! timing, and every run records a [`RunTrace`] that can be replayed
-//! through the round models and validated by `ssp-sim`'s checkers —
-//! see `ssp-lab`'s conformance module for the full bridge.
+//! timing, and every run records a [`RunTrace`] that can be validated
+//! and replayed through the round models — see `ssp-lab`'s
+//! conformance module for the full bridge.
 //!
 //! On top of the scripted faults sits the **chaos plane**
 //! ([`ChaosConfig`]): seed-deterministic message loss, duplication,

@@ -1,23 +1,26 @@
 //! Canonical records of threaded runs, replayable against the round
-//! models and exportable as step-level run logs.
+//! models.
 //!
 //! Every [`crate::RuntimeBuilder`] execution assembles a [`RunTrace`]
 //! from the per-worker logs: what each process sent (including
 //! explicit null wires), what it had received when each of its rounds
 //! closed, and where it crashed. From that single artifact the
-//! conformance layer derives all three views the checker stack
+//! conformance layer derives the two views the checker stack
 //! understands:
 //!
 //! * a [`CrashSchedule`] + [`PendingChoice`] pair — the round-model
 //!   adversary that *this* wall-clock run realized, replayable
 //!   tick-for-tick through `ssp_rounds::run_rws_observed`;
-//! * the canonical round-level [`RunLog`] itself
-//!   ([`RunTrace::run_log`]), whose lockstep `Close` events carry the
-//!   observed delivery matrices and whose projection onto delivery
-//!   events diffs directly against the replay's log;
-//! * a step-level [`RunLog`] ([`RunTrace::step_log`]), checkable by
-//!   the §2 validators of `ssp-sim` (`validate_basic`,
-//!   `validate_perfect_fd`).
+//! * the canonical round-level [`RunLog`] ([`RunTrace::run_log`]),
+//!   whose lockstep `Close` events carry the observed delivery
+//!   matrices and whose projection onto delivery events diffs
+//!   directly against the replay's log.
+//!
+//! The round-level log is a lossy view: it records a `Deliver` only for
+//! a payload, never for an explicit null wire, and it does not record
+//! which destinations a crashing process reached in its crash round.
+//! [`RunTrace::schedule`] and [`RunTrace::validate`] need both, so the
+//! trace, not its log, is the recorded artifact.
 //!
 //! [`RunTrace::validate`] certifies internal admissibility: complete
 //! logs, message integrity across matching send/receive cells, no
@@ -30,12 +33,12 @@
 //! never validates.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
-use ssp_model::events::{DeliveryMatrix, StepStamp};
-use ssp_model::{ProcessId, ProcessSet, Round, RunEvent, RunLog, StepIndex, Time};
+use ssp_model::events::DeliveryMatrix;
+use ssp_model::{ProcessId, ProcessSet, Round, RunEvent, RunLog};
 use ssp_rounds::{
     validate_pending, CrashSchedule, PendingChoice, PendingError, RoundCrash, RoundModel,
+    ScheduleError,
 };
 
 /// One process's observation of one round.
@@ -104,12 +107,9 @@ pub enum RunTraceError {
     },
     /// The pending messages violate weak round synchrony (Lemma 4.1).
     Pending(PendingError),
-    /// No event order realizes the recorded observations (only
-    /// possible for hand-built traces; real runs are acyclic).
-    Unschedulable {
-        /// A process whose next event could never be enabled.
-        process: ProcessId,
-    },
+    /// The crash schedule cannot drive a round-model run, e.g. more
+    /// processes crashed than the fault bound `t` allows.
+    Schedule(ScheduleError),
     /// The watchdog aborted the run: the logs are deliberately cut
     /// short and certify nothing.
     AbortedRun,
@@ -154,9 +154,7 @@ impl fmt::Display for RunTraceError {
                 "pending {sender}→{receiver} at {round} under RS (round synchrony forbids it)"
             ),
             RunTraceError::Pending(e) => write!(f, "{e}"),
-            RunTraceError::Unschedulable { process } => {
-                write!(f, "no event order realizes the trace ({process} is stuck)")
-            }
+            RunTraceError::Schedule(e) => write!(f, "{e}"),
             RunTraceError::AbortedRun => {
                 write!(
                     f,
@@ -246,24 +244,34 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
     #[must_use]
     pub fn pending(&self) -> PendingChoice {
         let mut pending = PendingChoice::none();
-        for (q, log) in self.logs.iter().enumerate() {
-            for (ri, obs) in log.iter().enumerate() {
-                let Some(row) = &obs.received else { continue };
-                let round = Round::new(ri as u32 + 1);
-                for (p, cell) in row.iter().enumerate() {
-                    if p == q || cell.is_some() {
-                        continue;
-                    }
-                    let emitted = self.logs[p]
-                        .get(ri)
-                        .is_some_and(|sobs| sobs.sent[q].is_some());
-                    if emitted {
-                        pending.withhold(round, ProcessId::new(p), ProcessId::new(q));
-                    }
-                }
+        let rounds = self.logs.iter().map(Vec::len).max().unwrap_or(0);
+        for ri in 0..rounds {
+            for (src, dst) in self.withheld(ri) {
+                pending.withhold(Round::new(ri as u32 + 1), src, dst);
             }
         }
         pending
+    }
+
+    /// The `(sender, receiver)` pairs of round index `ri` whose wire was
+    /// emitted but is absent from the receiver's closed row, in
+    /// receiver-major order.
+    fn withheld(&self, ri: usize) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
+        self.logs.iter().enumerate().flat_map(move |(q, log)| {
+            let row = log.get(ri).and_then(|obs| obs.received.as_ref());
+            row.into_iter().flat_map(move |row| {
+                row.iter()
+                    .enumerate()
+                    .filter(move |&(p, cell)| {
+                        p != q
+                            && cell.is_none()
+                            && self.logs[p]
+                                .get(ri)
+                                .is_some_and(|sobs| sobs.sent[q].is_some())
+                    })
+                    .map(move |(p, _)| (ProcessId::new(p), ProcessId::new(q)))
+            })
+        })
     }
 
     /// The canonical round-level [`RunLog`] of this run, in the exact
@@ -311,24 +319,8 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
                     }
                 }
             }
-            for (q, qlog) in self.logs.iter().enumerate() {
-                let row = qlog.get(ri).and_then(|obs| obs.received.as_ref());
-                let Some(row) = row else { continue };
-                for (p, cell) in row.iter().enumerate() {
-                    if p == q || cell.is_some() {
-                        continue;
-                    }
-                    let emitted = self.logs[p]
-                        .get(ri)
-                        .is_some_and(|sobs| sobs.sent[q].is_some());
-                    if emitted {
-                        log.push(RunEvent::Withhold {
-                            round,
-                            src: ProcessId::new(p),
-                            dst: ProcessId::new(q),
-                        });
-                    }
-                }
+            for (src, dst) in self.withheld(ri) {
+                log.push(RunEvent::Withhold { round, src, dst });
             }
             log.push(RunEvent::Close {
                 round: Some(round),
@@ -357,6 +349,13 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
         log
     }
 
+    /// Whether the run still holds its `RS` claim: executed under `RS`
+    /// and never degraded.
+    #[must_use]
+    pub fn effective_rs(&self) -> bool {
+        self.model == RoundModel::Rs && self.degraded_at.is_none()
+    }
+
     /// Certifies that the trace is an admissible run of its model.
     ///
     /// Checks, in order: log shapes against crash rounds; round
@@ -367,13 +366,6 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
     /// crashed); and the pending-message discipline — none under `RS`,
     /// Lemma 4.1 under `RWS`.
     ///
-    /// Whether the run still holds its `RS` claim: executed under `RS`
-    /// and never degraded.
-    #[must_use]
-    pub fn effective_rs(&self) -> bool {
-        self.model == RoundModel::Rs && self.degraded_at.is_none()
-    }
-
     /// # Errors
     ///
     /// Returns the first inadmissibility found.
@@ -453,272 +445,6 @@ impl<M: Clone + fmt::Debug + PartialEq> RunTrace<M> {
         }
         Ok(())
     }
-
-    /// Exports the run as a canonical *step-level* [`RunLog`]: one
-    /// `Send`+`Close` step per emitted wire (payload `None` is an
-    /// explicit null wire), one receive step per closed round
-    /// (`Deliver`s, a `Suspect` reading for the wires given up on, a
-    /// stamped `Close`), crash events in a realizable order, and a
-    /// final flush step per correct process delivering whatever was
-    /// still in flight (messages to correct processes are received
-    /// *eventually* — pending just means "after its round").
-    ///
-    /// The result satisfies `ssp_sim::validate_basic` and
-    /// `ssp_sim::validate_perfect_fd` for every admissible run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunTraceError::Unschedulable`] if no event order
-    /// realizes the logs (impossible for traces recorded from real
-    /// runs).
-    pub fn step_log(&self) -> Result<RunLog<Option<M>>, RunTraceError> {
-        enum Ev {
-            /// Send the round-`r` wire to `dst`.
-            Send {
-                r: usize,
-                dst: usize,
-            },
-            /// Close round `r` (deliver its row, suspect the missing).
-            Recv {
-                r: usize,
-            },
-            Crash,
-        }
-        let n = self.n;
-        let mut queues: Vec<Vec<Ev>> = Vec::with_capacity(n);
-        for p in 0..n {
-            let mut q = Vec::new();
-            for (ri, obs) in self.logs[p].iter().enumerate() {
-                for dst in 0..n {
-                    if dst != p && obs.sent[dst].is_some() {
-                        q.push(Ev::Send { r: ri, dst });
-                    }
-                }
-                if obs.received.is_some() {
-                    q.push(Ev::Recv { r: ri });
-                }
-            }
-            if self.crashes[p].is_some() {
-                q.push(Ev::Crash);
-            }
-            queues.push(q);
-        }
-
-        let mut log: RunLog<Option<M>> = RunLog::new(n);
-        let mut time = 0u64;
-        let mut gstep = 0u64;
-        let mut own = vec![0u64; n];
-        let mut next = vec![0usize; n];
-        let mut crashed = vec![false; n];
-        // (round, src, dst) → the send step's index and payload.
-        let mut wires: BTreeMap<(usize, usize, usize), (StepIndex, Option<M>)> = BTreeMap::new();
-        let mut delivered: Vec<(usize, usize, usize)> = Vec::new();
-
-        loop {
-            let mut progressed = false;
-            for p in 0..n {
-                while next[p] < queues[p].len() {
-                    let ready = match &queues[p][next[p]] {
-                        Ev::Send { .. } | Ev::Crash => true,
-                        Ev::Recv { r } => {
-                            let row = self.logs[p][*r].received.as_ref().expect("Recv queued");
-                            (0..n).all(|src| {
-                                src == p
-                                    || if row[src].is_some() {
-                                        wires.contains_key(&(*r, src, p))
-                                    } else {
-                                        crashed[src]
-                                    }
-                            })
-                        }
-                    };
-                    if !ready {
-                        break;
-                    }
-                    match &queues[p][next[p]] {
-                        Ev::Send { r, dst } => {
-                            let round = Round::new(*r as u32 + 1);
-                            let payload = self.logs[p][*r].sent[*dst]
-                                .clone()
-                                .expect("Send queued for emitted wire");
-                            let sent_at = StepIndex::new(gstep);
-                            wires.insert((*r, p, *dst), (sent_at, payload.clone()));
-                            log.push(RunEvent::Send {
-                                src: ProcessId::new(p),
-                                dst: ProcessId::new(*dst),
-                                round: Some(round),
-                                at: Some(sent_at),
-                                payload: Some(payload),
-                            });
-                            log.push(RunEvent::Close {
-                                round: Some(round),
-                                process: Some(ProcessId::new(p)),
-                                stamp: Some(StepStamp {
-                                    time: Time::new(time),
-                                    global_step: StepIndex::new(gstep),
-                                    own_step: own[p],
-                                }),
-                                heard: DeliveryMatrix::step(ProcessSet::empty()),
-                            });
-                            gstep += 1;
-                            own[p] += 1;
-                        }
-                        Ev::Recv { r } => {
-                            let round = Round::new(*r as u32 + 1);
-                            let row = self.logs[p][*r].received.as_ref().expect("Recv queued");
-                            let mut heard = ProcessSet::empty();
-                            let mut suspects = ProcessSet::empty();
-                            for src in 0..n {
-                                if src == p {
-                                    continue;
-                                }
-                                if row[src].is_some() {
-                                    let (sent_at, payload) = wires[&(*r, src, p)].clone();
-                                    delivered.push((*r, src, p));
-                                    heard.insert(ProcessId::new(src));
-                                    log.push(RunEvent::Deliver {
-                                        src: ProcessId::new(src),
-                                        dst: ProcessId::new(p),
-                                        round: Some(round),
-                                        sent_at: Some(sent_at),
-                                        payload: Some(payload),
-                                    });
-                                } else {
-                                    suspects.insert(ProcessId::new(src));
-                                }
-                            }
-                            if !suspects.is_empty() {
-                                log.push(RunEvent::Suspect {
-                                    observer: ProcessId::new(p),
-                                    suspected: suspects,
-                                });
-                            }
-                            log.push(RunEvent::Close {
-                                round: Some(round),
-                                process: Some(ProcessId::new(p)),
-                                stamp: Some(StepStamp {
-                                    time: Time::new(time),
-                                    global_step: StepIndex::new(gstep),
-                                    own_step: own[p],
-                                }),
-                                heard: DeliveryMatrix::step(heard),
-                            });
-                            gstep += 1;
-                            own[p] += 1;
-                        }
-                        Ev::Crash => {
-                            log.push(RunEvent::Crash {
-                                process: ProcessId::new(p),
-                                round: self.crashes[p],
-                                time: Some(Time::new(time)),
-                            });
-                            crashed[p] = true;
-                        }
-                    }
-                    time += 1;
-                    next[p] += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        if let Some(p) = (0..n).find(|&p| next[p] < queues[p].len()) {
-            return Err(RunTraceError::Unschedulable {
-                process: ProcessId::new(p),
-            });
-        }
-
-        // Flush: deliver everything still in flight to correct
-        // processes in one final step each.
-        let all_crashed: ProcessSet = (0..n)
-            .filter(|&p| self.crashes[p].is_some())
-            .map(ProcessId::new)
-            .collect();
-        for (p, crash) in self.crashes.iter().enumerate() {
-            if crash.is_some() {
-                continue;
-            }
-            let outstanding: Vec<(usize, usize, StepIndex, Option<M>)> = wires
-                .iter()
-                .filter(|(&(r, src, dst), _)| dst == p && !delivered.contains(&(r, src, dst)))
-                .map(|(&(r, src, _), (sent_at, payload))| (r, src, *sent_at, payload.clone()))
-                .collect();
-            if outstanding.is_empty() {
-                continue;
-            }
-            let mut heard = ProcessSet::empty();
-            for (r, src, sent_at, payload) in outstanding {
-                heard.insert(ProcessId::new(src));
-                log.push(RunEvent::Deliver {
-                    src: ProcessId::new(src),
-                    dst: ProcessId::new(p),
-                    round: Some(Round::new(r as u32 + 1)),
-                    sent_at: Some(sent_at),
-                    payload: Some(payload),
-                });
-            }
-            if !all_crashed.is_empty() {
-                log.push(RunEvent::Suspect {
-                    observer: ProcessId::new(p),
-                    suspected: all_crashed,
-                });
-            }
-            log.push(RunEvent::Close {
-                round: None,
-                process: Some(ProcessId::new(p)),
-                stamp: Some(StepStamp {
-                    time: Time::new(time),
-                    global_step: StepIndex::new(gstep),
-                    own_step: own[p],
-                }),
-                heard: DeliveryMatrix::step(heard),
-            });
-            time += 1;
-            gstep += 1;
-            own[p] += 1;
-        }
-        Ok(log)
-    }
-}
-
-impl<M: Clone + fmt::Debug + PartialEq> fmt::Display for RunTrace<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let retired = self.retired.iter().filter(|r| r.is_some()).count();
-        writeln!(
-            f,
-            "run trace (n={} horizon={} model={}{}{}{})",
-            self.n,
-            self.horizon,
-            self.model,
-            match self.degraded_at {
-                Some(r) => format!(" degraded@{r}"),
-                None => String::new(),
-            },
-            if retired > 0 {
-                format!(" retired={retired}")
-            } else {
-                String::new()
-            },
-            if self.aborted { " ABORTED" } else { "" },
-        )?;
-        writeln!(f, "  {}", self.schedule())?;
-        let pending = self.pending();
-        if pending.is_empty() {
-            writeln!(f, "  pending[none]")?;
-        } else {
-            write!(f, "  pending[")?;
-            for (i, (r, s, q)) in pending.triples().iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{s}→{q}@{r}")?;
-            }
-            writeln!(f, "]")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -780,15 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn clean_trace_validates_and_exports() {
+    fn clean_trace_validates() {
         let t = clean_trace();
         t.validate().unwrap();
         assert!(t.pending().is_empty());
         assert_eq!(t.schedule().fault_count(), 0);
-        let steps = t.step_log().unwrap();
-        ssp_sim::validate_basic(&steps).unwrap();
-        // 1 send + 1 recv per process.
-        assert_eq!(ssp_sim::schedule(&steps).len(), 4);
     }
 
     #[test]
@@ -800,9 +522,6 @@ mod tests {
             pending.triples(),
             &[(Round::FIRST, ProcessId::new(0), ProcessId::new(1))]
         );
-        let steps = t.step_log().unwrap();
-        // The pending wire is flushed to the correct receiver at the end.
-        ssp_sim::validate_basic(&steps).unwrap();
     }
 
     #[test]
@@ -817,7 +536,6 @@ mod tests {
         // …but fine at/after the owner's retire round.
         t.retired[0] = Some(Round::FIRST);
         t.validate().unwrap();
-        assert!(t.to_string().contains("retired=1"), "{t}");
     }
 
     #[test]
@@ -839,8 +557,6 @@ mod tests {
         t.degraded_at = Some(Round::FIRST);
         assert!(!t.effective_rs());
         t.validate().unwrap();
-        let s = t.to_string();
-        assert!(s.contains("degraded@round 1"), "{s}");
     }
 
     #[test]
@@ -848,7 +564,6 @@ mod tests {
         let mut t = clean_trace();
         t.aborted = true;
         assert!(matches!(t.validate(), Err(RunTraceError::AbortedRun)));
-        assert!(t.to_string().contains("ABORTED"));
     }
 
     #[test]
@@ -913,13 +628,6 @@ mod tests {
         let mut t = clean_trace();
         t.aborted = true;
         assert_eq!(t.run_log().events().last(), Some(&RunEvent::Abort));
-    }
-
-    #[test]
-    fn display_summarizes_schedule_and_pending() {
-        let s = pending_trace().to_string();
-        assert!(s.contains("RWS"), "{s}");
-        assert!(s.contains("pending[p1→p2@round 1]"), "{s}");
     }
 
     #[test]

@@ -335,29 +335,6 @@ impl ScriptedAdversary {
     pub fn replay_log<M>(log: &RunLog<M>) -> Self {
         ScriptedAdversary::new(schedule(log), delivery_script(log))
     }
-
-    /// Appends an event with its delivery choice.
-    pub fn push(&mut self, event: Event, delivery: DeliveryChoice) {
-        if matches!(event, Event::Step(_)) {
-            // Keep the deliveries list aligned with step events.
-            let step_index = self
-                .events
-                .iter()
-                .filter(|e| matches!(e, Event::Step(_)))
-                .count();
-            while self.deliveries.len() < step_index {
-                self.deliveries.push(DeliveryChoice::Nothing);
-            }
-            self.deliveries.push(delivery);
-        }
-        self.events.push(event);
-    }
-
-    /// Whether the whole script has been consumed.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.event_cursor >= self.events.len()
-    }
 }
 
 impl<M> Adversary<M> for ScriptedAdversary {
@@ -509,32 +486,7 @@ mod tests {
             Adversary::<u32>::next(&mut adv, &view),
             Some(Choice::crash(p0))
         );
-        assert!(adv.exhausted());
         assert_eq!(Adversary::<u32>::next(&mut adv, &view), None);
-    }
-
-    #[test]
-    fn scripted_push_keeps_alignment() {
-        let p0 = ProcessId::new(0);
-        let p1 = ProcessId::new(1);
-        let mut adv = ScriptedAdversary::new(vec![], vec![]);
-        adv.push(Event::Crash(p1), DeliveryChoice::Nothing);
-        adv.push(Event::Step(p0), DeliveryChoice::All);
-        let counts = [0u64, 0];
-        let buffers: Vec<Buffer<u32>> = vec![Buffer::new(), Buffer::new()];
-        let decided = [false, false];
-        let view = view_fixture(&counts, &buffers, &decided, ProcessSet::full(2));
-        assert_eq!(
-            Adversary::<u32>::next(&mut adv, &view),
-            Some(Choice::crash(p1))
-        );
-        assert_eq!(
-            Adversary::<u32>::next(&mut adv, &view),
-            Some(Choice {
-                event: Event::Step(p0),
-                delivery: DeliveryChoice::All
-            })
-        );
     }
 
     #[test]

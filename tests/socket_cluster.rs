@@ -380,12 +380,15 @@ fn survivors_pay_the_drain_once_per_suspicion() {
 }
 
 /// Loopback addresses for `n` nodes: bind port 0, keep the number.
+/// Every probe listener stays bound until the set is complete, so the
+/// ports are distinct.
 fn free_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("local addr").to_string()
-        })
+    let probes: Vec<std::net::TcpListener> = (0..n)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    probes
+        .iter()
+        .map(|l| l.local_addr().expect("local addr").to_string())
         .collect()
 }
 
@@ -393,19 +396,71 @@ fn report_path(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("node{i}.log"))
 }
 
-/// Spawns one `ssp serve a1 rs --node` process per address.
+fn stderr_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("node{i}.err"))
+}
+
+/// Spawns `n` `ssp serve a1 rs --node` processes on fresh loopback
+/// ports. A probed port is free only until its listener drops, so a
+/// test running in parallel can take it before the node binds it: when
+/// a node exits early with `Address already in use`, the whole set is
+/// killed and relaunched on fresh ports, at most three times in all.
+fn launch_nodes(n: usize, dir: &Path, args: &[&str]) -> Vec<Child> {
+    for _ in 0..3 {
+        let mut nodes = spawn_nodes(&free_addrs(n), dir, args);
+        if !lost_a_port(&mut nodes, dir) {
+            return nodes;
+        }
+        for node in &mut nodes {
+            let _ = node.kill();
+            let _ = node.wait();
+        }
+    }
+    panic!("3 launches in a row lost a port to another process");
+}
+
+/// Spawns one node per address, each writing its stderr next to its
+/// report.
 fn spawn_nodes(addrs: &[String], dir: &Path, args: &[&str]) -> Vec<Child> {
     (0..addrs.len())
         .map(|i| {
+            let stderr = std::fs::File::create(stderr_path(dir, i)).expect("stderr file");
             Command::new(env!("CARGO_BIN_EXE_ssp"))
                 .args(["serve", "a1", "rs", "--node", &i.to_string()])
                 .args(["--listen", &addrs[i], "--peers", &addrs.join(",")])
                 .args(["--report", report_path(dir, i).to_str().unwrap()])
                 .args(args)
+                .stderr(stderr)
                 .spawn()
                 .expect("spawn node")
         })
         .collect()
+}
+
+/// Waits until every node has written a report line or exited, and
+/// tells whether one failed because its port was already taken.
+fn lost_a_port(nodes: &mut [Child], dir: &Path) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut settled = true;
+        for (i, node) in nodes.iter_mut().enumerate() {
+            match node.try_wait().expect("poll node") {
+                Some(status) if !status.success() => {
+                    return std::fs::read_to_string(stderr_path(dir, i))
+                        .unwrap_or_default()
+                        .contains("Address already in use");
+                }
+                Some(_) => {}
+                None => {
+                    settled &= std::fs::metadata(report_path(dir, i)).is_ok_and(|m| m.len() > 0);
+                }
+            }
+        }
+        if settled || Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn signal(child: &Child, sig: &str) {
@@ -432,9 +487,8 @@ fn row<'a>(report: &'a str, tag: &str, k: u64, r: u32) -> Option<Vec<&'a str>> {
 #[test]
 fn a_failure_free_node_report_keeps_its_line_order() {
     let dir = scratch("grammar");
-    let addrs = free_addrs(3);
-    let mut nodes = spawn_nodes(
-        &addrs,
+    let mut nodes = launch_nodes(
+        3,
         &dir,
         &[
             "--instances",
@@ -487,9 +541,8 @@ fn a_failure_free_node_report_keeps_its_line_order() {
 fn a_stopped_peer_surfaces_as_pending_and_flagged_never_certified() {
     const INSTANCES: u64 = 30;
     let dir = scratch("stop");
-    let addrs = free_addrs(3);
-    let mut nodes = spawn_nodes(
-        &addrs,
+    let mut nodes = launch_nodes(
+        3,
         &dir,
         &[
             "--instances",
