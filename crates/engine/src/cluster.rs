@@ -22,9 +22,15 @@
 //! construction says it must. The drain is anchored at the suspicion,
 //! not at the round: a missing wire is declared absent once its sender
 //! has been silent for `fd_timeout + drain`, so each silence pays the
-//! drain once and a long-dead peer costs later rounds nothing. A peer
-//! that speaks again is trusted again, and a fresh silence pays a
-//! fresh drain. Each node appends its observations to a
+//! drain once and a long-dead peer costs later rounds nothing. Both
+//! derive from the one timing assumption a node is granted, Δ
+//! ([`NodeConfig::derive_timing`]), and the Δ guard is armed by
+//! default to check it online. A peer that speaks again was never
+//! crashed: it is trusted again, and a wire of it that arrives after
+//! its instance's summary flags that instance (an `L` line), so the
+//! merge never certifies it `RS`. No node opens instance 0 before it
+//! has heard from every peer, so a late start is not read as a crash.
+//! Each node appends its observations to a
 //! line-oriented report file; the parent tails those files, replays
 //! the proposer deterministically, reconstructs one canonical
 //! [`RunTrace`] per instance (crash rounds for killed nodes are
@@ -40,10 +46,11 @@ use ssp_algos::{A1Msg, A1};
 use ssp_lab::{audit_instance, InstanceAudit, ValidityMode};
 use ssp_model::{ConsensusOutcome, InitialConfig, ProcessId, ProcessOutcome, Round, TaggedRunLog};
 use ssp_rounds::{RoundAlgorithm, RoundModel, RoundProcess};
+use ssp_runtime::fd::STALL_SLACK;
 use ssp_runtime::{
-    Collected, DegradeMode, FdModule, GatewayListener, GatewayStats, NetStats, RoundCore, RoundIo,
-    RoundObs, RunTrace, SocketConfig, SocketFaults, SocketNet, SynchronyMonitor, SynchronyReport,
-    ThreadedOutcome, TimeoutFd, TransportStats, Wire,
+    Collected, ConfigError, DegradeMode, FdModule, GatewayListener, GatewayStats, NetStats,
+    RoundCore, RoundIo, RoundObs, RunTrace, SocketConfig, SocketFaults, SocketNet,
+    SynchronyMonitor, SynchronyReport, ThreadedOutcome, TimeoutFd, TransportStats, Wire,
 };
 
 use crate::command::{
@@ -78,17 +85,22 @@ pub struct NodeConfig {
     /// Heartbeat interval.
     pub heartbeat: Duration,
     /// PFD timeout: silence longer than this is the *only* thing that
-    /// makes a peer suspect.
+    /// makes a peer suspect. Derived as `heartbeat + Δ + STALL_SLACK`
+    /// ([`derive_timing`](Self::derive_timing)); it must exceed
+    /// `heartbeat + Δ` ([`validate`](Self::validate)).
     pub fd_timeout: Duration,
-    /// Claimed one-way bound Δ for the online guard (`None` = guard
-    /// disarmed).
+    /// Claimed one-way bound Δ: armed at [`DEFAULT_DELTA`] by default,
+    /// so the online guard checks every data frame against it (`None`
+    /// = guard disarmed; the timing rules then still assume
+    /// [`DEFAULT_DELTA`]).
     pub delta: Option<Duration>,
     /// What a measured Δ violation does to the run.
     pub degrade: DegradeMode,
     /// `RS` drain: how long a sender must have been *suspected* before
     /// a round closes without its wire. Anchored at the suspicion (the
     /// sender silent for `fd_timeout + drain`), not at the round, so it
-    /// is paid once per silence rather than once per round.
+    /// is paid once per silence rather than once per round. Derived as
+    /// Δ + 1 ms, the least whole-millisecond drain that exceeds Δ.
     pub drain: Duration,
     /// Per-round give-up deadline (liveness backstop).
     pub round_timeout: Duration,
@@ -102,11 +114,19 @@ pub struct NodeConfig {
     pub faults: Option<SocketFaults>,
 }
 
+/// The one-way bound Δ a node claims by default. Loopback frames
+/// take well under a millisecond; Δ leaves room for a loaded host's
+/// scheduling delays, and the armed guard flags any frame beyond it.
+pub const DEFAULT_DELTA: Duration = Duration::from_millis(100);
+
 impl NodeConfig {
-    /// Loopback-friendly defaults around a 2 s PFD timeout.
+    /// Loopback-friendly defaults: 25 ms heartbeats, the Δ guard armed
+    /// at [`DEFAULT_DELTA`] (flag-only), and the PFD timeout and drain
+    /// derived from them ([`derive_timing`](Self::derive_timing)):
+    /// 175 ms and 101 ms.
     #[must_use]
     pub fn new(me: usize, n: usize, listen: String, peers: Vec<String>, seed: u64) -> Self {
-        NodeConfig {
+        let mut cfg = NodeConfig {
             me,
             n,
             listen,
@@ -117,14 +137,48 @@ impl NodeConfig {
             clients: 8,
             epoch: 1,
             heartbeat: Duration::from_millis(25),
-            fd_timeout: Duration::from_millis(2000),
-            delta: None,
+            fd_timeout: Duration::ZERO,
+            delta: Some(DEFAULT_DELTA),
             degrade: DegradeMode::Off,
-            drain: Duration::from_millis(150),
+            drain: Duration::ZERO,
             round_timeout: Duration::from_secs(10),
             instance_gap: Duration::ZERO,
             faults: None,
-        }
+        };
+        cfg.derive_timing();
+        cfg
+    }
+
+    /// Δ as the timing rules read it.
+    fn claimed_delta(&self) -> Duration {
+        self.delta.unwrap_or(DEFAULT_DELTA)
+    }
+
+    /// Derives the PFD timeout and the drain from the heartbeat and Δ,
+    /// §3's timeout construction on a real clock. A live peer's silence,
+    /// as the board measures it, is at most one heartbeat gap, plus
+    /// that beat's one-way delay (≤ Δ), plus an observer stall the
+    /// running clock still counts (≤ [`STALL_SLACK`]): that sum is the
+    /// timeout. A wire in bound arrives within Δ, so the drain is the
+    /// least whole-millisecond value past Δ.
+    pub fn derive_timing(&mut self) {
+        let delta = self.claimed_delta();
+        self.fd_timeout = self.heartbeat + delta + STALL_SLACK;
+        self.drain = delta + Duration::from_millis(1);
+    }
+
+    /// Checks the timing against the rules the in-process runtime
+    /// enforces: the PFD timeout must exceed `heartbeat + Δ`, and the
+    /// drain must exceed Δ.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::FdTimeoutTooShort`] or
+    /// [`ConfigError::DrainTooShort`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let delta = self.claimed_delta();
+        ConfigError::check_fd_timeout(self.fd_timeout, self.heartbeat + delta)?;
+        ConfigError::check_drain(self.drain, delta)
     }
 }
 
@@ -295,7 +349,10 @@ fn row(cells: &[Option<Option<A1Msg<Batch>>>]) -> String {
 /// L k r src              guard armed: a wire of instance k, round r,
 ///                        from src arrived after instance k's summary
 ///                        (the merge flags instance k in hindsight)
-/// T r rt b d du l s c    final transport counters
+/// T r rt b d du l s c md ms
+///                        final transport counters; md and ms are the
+///                        largest one-way delay and the longest silence
+///                        of a peer that spoke again, microseconds
 /// W ad de bu re          gateway counters: admitted, deduped,
 ///                        busy-rejected, redirects (gateway runs only;
 ///                        re-written each instance, last line wins, so
@@ -365,6 +422,14 @@ pub fn serve_node_with(
     };
     let mut gw_admitted = 0u64;
     let mut gw_deduped = 0u64;
+
+    // Start-up gate: until a peer's first frame arrives, its silence
+    // may be a late start, which instance 0 would read as a crash. A
+    // peer still unheard after `round_timeout` is left to the PFD.
+    let gate = Instant::now() + cfg.round_timeout;
+    while !net.heard_from_all() && Instant::now() < gate {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     'instances: for k in 0..cfg.instances {
         if k > 0 && !cfg.instance_gap.is_zero() {
@@ -536,7 +601,7 @@ pub fn serve_node_with(
     let t = net.stats();
     writeln!(
         out,
-        "T {} {} {} {} {} {} {} {}",
+        "T {} {} {} {} {} {} {} {} {} {}",
         t.reconnects,
         t.retransmits,
         t.backoff_micros,
@@ -545,6 +610,8 @@ pub fn serve_node_with(
         t.late_frames,
         t.stale_epoch_drops,
         t.corrupt_drops,
+        t.max_delay_micros,
+        t.max_silence_micros,
     )?;
     if let Some(listener) = listener {
         write_gateway_line(out, &listener, gw_admitted, gw_deduped)?;
@@ -739,8 +806,8 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
                 );
             }
             "T" => {
-                let vals: Vec<u64> = (1..=8).filter_map(num).collect();
-                if let [rc, rt, bo, de, du, la, st, co] = vals[..] {
+                let vals: Vec<u64> = (1..=10).filter_map(num).collect();
+                if let [rc, rt, bo, de, du, la, st, co, md, ms] = vals[..] {
                     log.transport = TransportStats {
                         reconnects: rc,
                         retransmits: rt,
@@ -750,6 +817,8 @@ fn parse_node_report(text: &str, n: usize) -> NodeLog {
                         late_frames: la,
                         stale_epoch_drops: st,
                         corrupt_drops: co,
+                        max_delay_micros: md,
+                        max_silence_micros: ms,
                     };
                 }
             }
@@ -1042,6 +1111,8 @@ pub fn merge_reports(cfg: &NodeConfig, reports: &[String]) -> io::Result<Cluster
             late_frames: acc.late_frames + t.late_frames,
             stale_epoch_drops: acc.stale_epoch_drops + t.stale_epoch_drops,
             corrupt_drops: acc.corrupt_drops + t.corrupt_drops,
+            max_delay_micros: acc.max_delay_micros.max(t.max_delay_micros),
+            max_silence_micros: acc.max_silence_micros.max(t.max_silence_micros),
         }
     }));
     stats.gateway = nodes
@@ -1180,12 +1251,8 @@ pub fn run_cluster(bin: &Path, cfg: &ClusterConfig, dir: &Path) -> io::Result<Cl
             .arg(cfg.node.instance_gap.as_millis().to_string());
         if let Some(delta) = cfg.node.delta {
             cmd.arg("--delta-ms").arg(delta.as_millis().to_string());
-            cmd.arg("--degrade").arg(match cfg.node.degrade {
-                DegradeMode::Off => "off",
-                DegradeMode::Rws => "rws",
-                DegradeMode::Abort => "abort",
-            });
         }
+        cmd.arg("--degrade").arg(cfg.node.degrade.to_string());
         if let Some(f) = &cfg.node.faults {
             cmd.arg("--proxy-seed").arg(f.seed.to_string());
             cmd.arg("--proxy-delay-ms")

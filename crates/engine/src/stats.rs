@@ -490,7 +490,8 @@ impl fmt::Display for EngineStats {
                 f,
                 "\n  transport: {} delivered, {} dup-suppressed, {} retransmits, \
                  {} reconnects ({:.1} ms backoff), {} late frames, \
-                 {} stale-epoch drops, {} corrupt drops",
+                 {} stale-epoch drops, {} corrupt drops; \
+                 max one-way delay {:.1} ms, longest live silence {:.1} ms",
                 t.delivered,
                 t.dup_suppressed,
                 t.retransmits,
@@ -499,6 +500,8 @@ impl fmt::Display for EngineStats {
                 t.late_frames,
                 t.stale_epoch_drops,
                 t.corrupt_drops,
+                t.max_delay_micros as f64 / 1e3,
+                t.max_silence_micros as f64 / 1e3,
             )?;
         }
         if let Some(g) = &self.gateway {
@@ -536,6 +539,8 @@ mod tests {
         s.transport = Some(TransportStats {
             reconnects: 3,
             retransmits: 9,
+            max_delay_micros: 1_500,
+            max_silence_micros: 31_300,
             ..TransportStats::default()
         });
         s.gateway = Some(GatewayStats {
@@ -552,6 +557,10 @@ mod tests {
         assert!(
             format!("{s}").contains("transport: "),
             "transport counters belong in the human report"
+        );
+        assert!(
+            format!("{s}").contains("max one-way delay 1.5 ms, longest live silence 31.3 ms"),
+            "the detector's margin belongs in the human report: {s}"
         );
         assert!(
             format!("{s}").contains("gateway: 12 admitted, 2 deduped"),

@@ -308,6 +308,34 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+impl ConfigError {
+    /// The `RS` drain rule both backends enforce: `drain` must exceed
+    /// `required`, the longest delay of a wire in bound.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::DrainTooShort`] when it does not.
+    pub fn check_drain(drain: Duration, required: Duration) -> Result<(), ConfigError> {
+        if drain <= required {
+            return Err(ConfigError::DrainTooShort { drain, required });
+        }
+        Ok(())
+    }
+
+    /// The timeout detector's rule both backends enforce: `timeout`
+    /// must exceed `required`, the longest silence of a live process.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::FdTimeoutTooShort`] when it does not.
+    pub fn check_fd_timeout(timeout: Duration, required: Duration) -> Result<(), ConfigError> {
+        if timeout <= required {
+            return Err(ConfigError::FdTimeoutTooShort { timeout, required });
+        }
+        Ok(())
+    }
+}
+
 /// Full configuration of a threaded execution.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -460,16 +488,10 @@ impl RuntimeConfig {
             });
         }
         if let SyncPolicy::Rs { drain } = self.policy {
-            let required = self.net.worst_transport_delay();
-            if drain <= required {
-                return Err(ConfigError::DrainTooShort { drain, required });
-            }
+            ConfigError::check_drain(drain, self.net.worst_transport_delay())?;
         }
         if let FdFlavor::Timeout { timeout } = self.fd {
-            let required = self.net.max_delay + FD_TIMEOUT_MARGIN;
-            if timeout <= required {
-                return Err(ConfigError::FdTimeoutTooShort { timeout, required });
-            }
+            ConfigError::check_fd_timeout(timeout, self.net.max_delay + FD_TIMEOUT_MARGIN)?;
         }
         if let Some(script) = &self.notify_script {
             if script.len() != n || script.iter().any(|row| row.len() != n) {

@@ -169,6 +169,8 @@ struct SharedStats {
     late_frames: AtomicU64,
     stale_epoch_drops: AtomicU64,
     corrupt_drops: AtomicU64,
+    max_delay_micros: AtomicU64,
+    max_silence_micros: AtomicU64,
 }
 
 impl SharedStats {
@@ -182,6 +184,8 @@ impl SharedStats {
             late_frames: self.late_frames.load(Ordering::Relaxed),
             stale_epoch_drops: self.stale_epoch_drops.load(Ordering::Relaxed),
             corrupt_drops: self.corrupt_drops.load(Ordering::Relaxed),
+            max_delay_micros: self.max_delay_micros.load(Ordering::Relaxed),
+            max_silence_micros: self.max_silence_micros.load(Ordering::Relaxed),
         }
     }
 }
@@ -197,6 +201,8 @@ struct Core {
     faults: Option<SocketFaults>,
     shutdown: AtomicBool,
     board: Arc<HeartbeatBoard>,
+    /// Per peer: has any frame of it arrived yet?
+    heard: Vec<AtomicBool>,
     stats: SharedStats,
     /// The current instance's synchrony guard (swapped by
     /// `begin_instance`) and which instance it guards.
@@ -225,6 +231,27 @@ struct Core {
 impl Core {
     fn monitor(&self) -> Arc<SynchronyMonitor> {
         Arc::clone(&self.monitor.lock())
+    }
+
+    /// Marks `src` on the board. The silence this frame ends counts
+    /// toward `max_silence_micros`, unless it is `src`'s first frame.
+    fn hear(&self, src: ProcessId) {
+        let silence = self.board.staleness(src);
+        if self.heard[src.index()].swap(true, Ordering::Relaxed) {
+            self.stats
+                .max_silence_micros
+                .fetch_max(silence.as_micros() as u64, Ordering::Relaxed);
+        }
+        self.board.mark(src);
+    }
+
+    /// Records the one-way delay of a frame stamped `sent_micros`.
+    fn delay_since(&self, sent_micros: u64) -> Duration {
+        let micros = unix_micros().saturating_sub(sent_micros);
+        self.stats
+            .max_delay_micros
+            .fetch_max(micros, Ordering::Relaxed);
+        Duration::from_micros(micros)
     }
 }
 
@@ -287,6 +314,7 @@ impl SocketNet {
             faults: config.faults,
             shutdown: AtomicBool::new(false),
             board: HeartbeatBoard::new(config.n, Clock::real()),
+            heard: (0..config.n).map(|_| AtomicBool::new(false)).collect(),
             stats: SharedStats::default(),
             monitor: Mutex::new(SynchronyMonitor::disarmed()),
             guarded_instance: AtomicU64::new(NO_ABORT),
@@ -337,6 +365,17 @@ impl SocketNet {
     #[must_use]
     pub fn board(&self) -> Arc<HeartbeatBoard> {
         Arc::clone(&self.core.board)
+    }
+
+    /// Whether a frame of every peer has arrived: before it has, a
+    /// peer's silence may be its late start, not a crash.
+    #[must_use]
+    pub fn heard_from_all(&self) -> bool {
+        self.core
+            .heard
+            .iter()
+            .enumerate()
+            .all(|(j, heard)| j == self.core.me.index() || heard.load(Ordering::Relaxed))
     }
 
     /// Arms a fresh synchrony monitor for `instance` (or a disarmed
@@ -580,7 +619,7 @@ fn reader(core: &Arc<Core>, stream: TcpStream) {
         }
         Err(_) => return,
     };
-    core.board.mark(src);
+    core.hear(src);
     loop {
         match fr.next(&core.shutdown) {
             Ok(Frame::Data {
@@ -608,14 +647,14 @@ fn reader(core: &Arc<Core>, stream: TcpStream) {
                     core.stats.stale_epoch_drops.fetch_add(1, Ordering::Relaxed);
                     return;
                 };
-                core.board.mark(src);
+                core.hear(src);
                 // Ack every copy — a lost ack cannot strand the sender.
                 let _ = core.sups[src.index()].send(SupCmd::SendAck { seq });
                 if !fresh {
                     core.stats.dup_suppressed.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let latency = Duration::from_micros(unix_micros().saturating_sub(sent_micros));
+                let latency = core.delay_since(sent_micros);
                 if instance == core.guarded_instance.load(Ordering::SeqCst) {
                     if let Some(delta) = core.delta {
                         if latency > delta {
@@ -636,15 +675,18 @@ fn reader(core: &Arc<Core>, stream: TcpStream) {
                     payload,
                 });
             }
-            Ok(Frame::Heartbeat { .. }) => core.board.mark(src),
+            Ok(Frame::Heartbeat { sent_micros }) => {
+                core.delay_since(sent_micros);
+                core.hear(src);
+            }
             Ok(Frame::Ack { seq }) => {
                 let _ = core.sups[src.index()].send(SupCmd::Acked { seq });
             }
             Ok(Frame::Abort { instance }) => {
-                core.board.mark(src);
+                core.hear(src);
                 let _ = core.remote_abort.fetch_min(instance, Ordering::SeqCst);
             }
-            Ok(Frame::Hello { .. }) => {}
+            Ok(Frame::Hello { .. }) => core.hear(src),
             Ok(
                 Frame::Submit { .. }
                 | Frame::ClientAck { .. }

@@ -496,6 +496,13 @@ pub struct TransportStats {
     pub stale_epoch_drops: u64,
     /// Connections dropped on a corrupt frame.
     pub corrupt_drops: u64,
+    /// Largest one-way delay measured on a stamped frame (data or
+    /// heartbeat), microseconds: what Δ must cover.
+    pub max_delay_micros: u64,
+    /// Longest silence, on the observer's running clock, of a peer
+    /// that later spoke again, microseconds: what the PFD timeout must
+    /// cover. A peer's first frame ends no silence.
+    pub max_silence_micros: u64,
 }
 
 /// Gateway admission counters. Like [`TransportStats`], these depend

@@ -12,8 +12,6 @@
 //! cargo run --release --example socket_cluster
 //! ```
 
-use std::time::Duration;
-
 use ssp::engine::{merge_reports, serve_node, NodeConfig};
 use ssp::runtime::DegradeMode;
 
@@ -50,7 +48,6 @@ fn main() {
         move |i: usize| {
             let mut c = NodeConfig::new(i, 3, addrs[i].clone(), addrs.clone(), 42);
             c.instances = 4;
-            c.fd_timeout = Duration::from_secs(5);
             c
         }
     };
@@ -71,14 +68,12 @@ fn main() {
     }
 
     println!();
-    println!("== same cluster, armed guard: Δ = 5s holds on loopback ==");
+    println!("== same cluster, guard degrading to RWS: Δ = 100 ms holds on loopback ==");
     let armed = {
         let addrs: Vec<String> = (0..3).map(|_| free_addr()).collect();
         move |i: usize| {
             let mut c = NodeConfig::new(i, 3, addrs[i].clone(), addrs.clone(), 42);
             c.instances = 4;
-            c.fd_timeout = Duration::from_secs(5);
-            c.delta = Some(Duration::from_secs(5));
             c.degrade = DegradeMode::Rws;
             c
         }

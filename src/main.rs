@@ -11,8 +11,8 @@
 //! ssp runtime-fuzz [<algo> <rs|rws>] [--seed-range A..B] [-n N] [-t T] [--backend virtual|real]
 //! ssp trace-dump [<algo> <rs|rws>] [--seed S] [--backend virtual|real] [--out F] | --diff F1 F2
 //! ssp serve     <algo> [rs|rws] [--clients K] [--instances I] [--seed S] [--backend virtual|real] [--chaos ...]
-//! ssp serve     a1 rs --node I --listen ADDR --peers A0,A1,.. [--report F] [--fd-timeout-ms MS] [--delta-ms MS]
-//! ssp serve-cluster [-n N] [--instances I] [--seed S] [--kill9 NODE] [--kill-at K] [--proxy-delay-ms MS] [--degrade M]
+//! ssp serve     a1 rs --node I --listen ADDR --peers A0,A1,.. [--report F] [--hb-ms MS] [--delta-ms MS]
+//! ssp serve-cluster [-n N] [--instances I] [--seed S] [--kill9 NODE] [--kill-at K] [--hb-ms MS] [--delta-ms MS]
 //! ssp explore   [<algo> <rs|rws>] [--n N] [--t T] [--inputs v1,v2,..] [--sym off|full] [--limit K]
 //! ```
 //!
@@ -889,15 +889,20 @@ fn clients_or(flags: &Flags, default: usize) -> Result<usize, String> {
 }
 
 /// Reads a `--<key>-ms` millisecond flag with a default.
-fn ms_or(flags: &Flags, key: &str, default_ms: u64) -> Result<Duration, String> {
+fn ms_or(flags: &Flags, key: &str, default: Duration) -> Result<Duration, String> {
+    let default_ms = u64::try_from(default.as_millis()).unwrap_or(u64::MAX);
     Ok(Duration::from_millis(flags.u64_or(key, default_ms)?))
 }
 
 /// Fills a [`NodeConfig`]'s shared knobs (sizes, timing, guard, socket
 /// faults) from the flags — used identically by `serve --node` and
 /// `serve-cluster` so a node launched by hand matches one launched by
-/// the parent. Any `--proxy-*` delay, drop rate or reset turns on the
-/// faults each node applies to its own outgoing data frames.
+/// the parent. Every default is [`NodeConfig::new`]'s. `--hb-ms` and
+/// `--delta-ms` re-derive the PFD timeout and the drain, which
+/// `--fd-timeout-ms` and `--drain` then override; timings that cannot
+/// make a perfect detector are rejected. Any `--proxy-*` delay, drop
+/// rate or reset turns on the faults each node applies to its own
+/// outgoing data frames.
 fn node_config_from_flags(
     flags: &Flags,
     me: usize,
@@ -906,19 +911,21 @@ fn node_config_from_flags(
     peers: Vec<String>,
 ) -> Result<NodeConfig, String> {
     let mut cfg = NodeConfig::new(me, n, listen, peers, flags.u64_or("seed", 1)?);
-    cfg.instances = flags.u64_or("instances", 8)?;
-    cfg.batch_max = flags.usize_or("batch", 4)?;
-    cfg.clients = clients_or(flags, 8)?;
-    cfg.epoch = flags.u64_or("epoch", 1)?;
-    cfg.heartbeat = ms_or(flags, "hb-ms", 25)?;
-    cfg.fd_timeout = ms_or(flags, "fd-timeout-ms", 2000)?;
-    cfg.drain = ms_or(flags, "drain", 150)?;
-    cfg.round_timeout = ms_or(flags, "round-timeout-ms", 10_000)?;
-    cfg.instance_gap = ms_or(flags, "gap-ms", 0)?;
+    cfg.instances = flags.u64_or("instances", cfg.instances)?;
+    cfg.batch_max = flags.usize_or("batch", cfg.batch_max)?;
+    cfg.clients = clients_or(flags, cfg.clients)?;
+    cfg.epoch = flags.u64_or("epoch", cfg.epoch)?;
+    cfg.heartbeat = ms_or(flags, "hb-ms", cfg.heartbeat)?;
     if flags.is_set("delta-ms") {
-        cfg.delta = Some(ms_or(flags, "delta-ms", 0)?);
-        cfg.degrade = parse_degrade(flags)?;
+        cfg.delta = Some(ms_or(flags, "delta-ms", Duration::ZERO)?);
     }
+    cfg.degrade = parse_degrade(flags)?;
+    cfg.derive_timing();
+    cfg.fd_timeout = ms_or(flags, "fd-timeout-ms", cfg.fd_timeout)?;
+    cfg.drain = ms_or(flags, "drain", cfg.drain)?;
+    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.round_timeout = ms_or(flags, "round-timeout-ms", cfg.round_timeout)?;
+    cfg.instance_gap = ms_or(flags, "gap-ms", cfg.instance_gap)?;
     if ["proxy-delay-ms", "proxy-drop-rate", "proxy-reset-after"]
         .iter()
         .any(|key| flags.is_set(key))
@@ -930,7 +937,7 @@ fn node_config_from_flags(
         cfg.faults = Some(SocketFaults {
             seed: flags.u64_or("proxy-seed", cfg.seed)?,
             delay_pm: u32::from(flags.rate_pm_or("proxy-delay-rate", 1000)?),
-            delay: ms_or(flags, "proxy-delay-ms", 0)?,
+            delay: ms_or(flags, "proxy-delay-ms", Duration::ZERO)?,
             drop_pm: u32::from(flags.rate_pm_or("proxy-drop-rate", 0)?),
             reset_after,
         });
@@ -1112,7 +1119,7 @@ fn cmd_load(flags: &Flags) -> Result<(), String> {
         .collect();
     let mut cfg = LoadConfig::new(targets, flags.u64_or("seed", 1)?);
     cfg.requests = flags.u64_or("requests", 32)?;
-    cfg.deadline = ms_or(flags, "deadline-ms", 10_000)?;
+    cfg.deadline = ms_or(flags, "deadline-ms", cfg.deadline)?;
     if flags.is_set("rate") {
         cfg.mode = LoadMode::Open {
             rate: flags.f64_or("rate", 0.0)?,
@@ -1320,18 +1327,18 @@ const SERVE_USAGE: &str = "usage: ssp serve <algo> [rs|rws] [-n N] [-t T] [--cli
                            [--logs-out FILE]";
 const SERVE_NODE_USAGE: &str = "usage: ssp serve a1 rs --node I --listen ADDR --peers A0,A1,.. \
                                 [--report FILE] [-n N] [--instances I] [--seed S] [--batch B] \
-                                [--clients K] [--epoch E] [--hb-ms MS] [--fd-timeout-ms MS] \
-                                [--delta-ms MS] [--degrade=rws|abort|off] [--drain MS] \
+                                [--clients K] [--epoch E] [--hb-ms MS] [--delta-ms MS] \
+                                [--degrade=rws|abort|off] [--fd-timeout-ms MS] [--drain MS] \
                                 [--round-timeout-ms MS] [--gap-ms MS] [--gateway-listen ADDR] \
                                 [--gateway-queue N] [--proxy-delay-ms MS] [--proxy-delay-rate P] \
                                 [--proxy-drop-rate P] [--proxy-reset-after K] [--proxy-seed S]";
 const SERVE_CLUSTER_USAGE: &str = "usage: ssp serve-cluster [-n N] [--instances I] [--seed S] \
                                    [--batch B] [--clients K] [--kill9 NODE] [--kill-at K] \
-                                   [--delta-ms MS] [--degrade=rws|abort|off] \
+                                   [--hb-ms MS] [--delta-ms MS] [--degrade=rws|abort|off] \
+                                   [--fd-timeout-ms MS] [--drain MS] \
                                    [--proxy-delay-ms MS] [--proxy-delay-rate P] \
                                    [--proxy-drop-rate P] [--proxy-reset-after K] \
-                                   [--proxy-seed S] [--hb-ms MS] [--fd-timeout-ms MS] \
-                                   [--drain MS] [--round-timeout-ms MS] [--gap-ms MS] \
+                                   [--proxy-seed S] [--round-timeout-ms MS] [--gap-ms MS] \
                                    [--gateway-base-port P] [--gateway-queue N] [--dir DIR] \
                                    [--stats-out FILE] [--logs-out FILE]";
 const LOAD_USAGE: &str = "usage: ssp load --targets A0,A1,.. [--requests R] [--seed S] \
@@ -1387,17 +1394,21 @@ commands:
              background (exit 1 on any violation); deterministic stats JSON
              via --stats-out, per-instance run logs via --logs-out
   serve      a1 rs --node I --listen ADDR --peers A0,A1,.. [--report FILE]
-             [--instances I] [--seed S] [--hb-ms MS] [--fd-timeout-ms MS]
-             [--delta-ms MS] [--degrade=rws|abort|off] [--drain MS]
+             [--instances I] [--seed S] [--hb-ms MS] [--delta-ms MS]
+             [--degrade=rws|abort|off] [--fd-timeout-ms MS] [--drain MS]
              [--proxy-delay-ms MS] [--proxy-delay-rate P] [--proxy-drop-rate P]
              [--proxy-reset-after K] [--proxy-seed S]
              one cluster node as one OS process over real TCP sockets:
              length-prefixed frames, reconnect with capped backoff,
              retransmit + dedup, PFD suspicion only via staleness
              timeout (never from connection loss), online Δ guard,
-             optional seeded faults on its own outgoing data frames
+             optional seeded faults on its own outgoing data frames;
+             Δ (default 100 ms, guard armed) sets the PFD timeout to
+             hb + Δ + 50 ms and the drain to Δ + 1 ms unless given,
+             and a timeout ≤ hb + Δ or a drain ≤ Δ is rejected
   serve-cluster [-n N] [--instances I] [--seed S] [--kill9 NODE] [--kill-at K]
-             [--delta-ms MS] [--degrade=rws|abort|off] [--proxy-delay-ms MS]
+             [--hb-ms MS] [--delta-ms MS] [--degrade=rws|abort|off]
+             [--fd-timeout-ms MS] [--drain MS] [--proxy-delay-ms MS]
              [--proxy-delay-rate P] [--proxy-drop-rate P] [--proxy-reset-after K]
              [--proxy-seed S] [--dir DIR] [--stats-out FILE] [--logs-out FILE]
              spawn a loopback cluster of `serve --node` processes
@@ -1722,6 +1733,54 @@ mod tests {
             dispatch(&argv("serve a1 rs --instances 2 --failure-free --drain 1")).unwrap_err();
         assert!(err.contains("invalid runtime configuration"), "{err}");
         assert!(err.contains("drain"), "{err}");
+    }
+
+    /// Every node default is `NodeConfig::new`'s: the CLI repeats no
+    /// literal, so it cannot drift from the derivation.
+    #[test]
+    fn a_node_without_timing_flags_gets_the_library_defaults() {
+        let node = |args: &str| {
+            let flags = parse_args(&argv(&format!("serve a1 rs --node 1 {args}"))).unwrap();
+            node_config_from_flags(&flags, 1, 3, String::new(), Vec::new())
+        };
+        let cfg = node("").unwrap();
+        let want = NodeConfig::new(1, 3, String::new(), Vec::new(), 1);
+        let timing = |c: &NodeConfig| {
+            (
+                c.heartbeat,
+                c.fd_timeout,
+                c.drain,
+                c.delta,
+                c.degrade,
+                c.round_timeout,
+                c.instance_gap,
+            )
+        };
+        assert_eq!(timing(&cfg), timing(&want));
+        assert_eq!(
+            (cfg.instances, cfg.batch_max, cfg.clients, cfg.epoch),
+            (want.instances, want.batch_max, want.clients, want.epoch)
+        );
+        assert_eq!(
+            (cfg.fd_timeout, cfg.drain),
+            (Duration::from_millis(175), Duration::from_millis(101))
+        );
+
+        // The heartbeat and Δ re-derive both values; explicit ones win.
+        let cfg = node("--hb-ms 10 --delta-ms 40 --degrade rws").unwrap();
+        assert_eq!(
+            (cfg.fd_timeout, cfg.drain, cfg.degrade),
+            (
+                Duration::from_millis(100),
+                Duration::from_millis(41),
+                DegradeMode::Rws
+            )
+        );
+        let cfg = node("--fd-timeout-ms 400 --drain 150").unwrap();
+        assert_eq!(
+            (cfg.fd_timeout, cfg.drain),
+            (Duration::from_millis(400), Duration::from_millis(150))
+        );
     }
 
     #[test]

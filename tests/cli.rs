@@ -393,6 +393,40 @@ fn bad_flag_value_fails() {
     assert!(stderr.contains("drain"), "{stderr}");
 }
 
+/// A socket node's PFD timeout must exceed the heartbeat plus Δ, and
+/// its drain must exceed Δ: the in-process runtime's two timing rules,
+/// in its wording, rejected before any node starts.
+#[test]
+fn socket_timings_that_cannot_make_a_perfect_detector_are_rejected() {
+    let node = [
+        "serve",
+        "a1",
+        "rs",
+        "--node",
+        "0",
+        "--listen",
+        "127.0.0.1:0",
+        "--peers",
+        "127.0.0.1:0,127.0.0.1:0,127.0.0.1:0",
+    ];
+    let cluster = ["serve-cluster", "-n", "3"];
+    for base in [&node[..], &cluster[..]] {
+        // Heartbeat 25 ms + Δ 100 ms = 125 ms: a timeout must exceed it.
+        let (ok, _, stderr) = ssp(&[base, &["--fd-timeout-ms", "125"]].concat());
+        assert!(!ok, "{base:?}");
+        assert!(
+            stderr.starts_with("error: FD timeout 125ms does not exceed the delay bound"),
+            "{stderr}"
+        );
+        let (ok, _, stderr) = ssp(&[base, &["--delta-ms", "50", "--drain", "50"]].concat());
+        assert!(!ok, "{base:?}");
+        assert!(
+            stderr.starts_with("error: RS drain 50ms does not exceed the worst transport delay"),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn runtime_fuzz_chaos_sweep_stays_conformant() {
     let (ok, stdout, stderr) = ssp(&[

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use ssp::engine::{merge_reports, NodeConfig};
+use ssp::engine::{merge_reports, ClusterReport, NodeConfig};
 
 fn ssp(args: &[&str]) -> (bool, String, String) {
     let exe = env!("CARGO_BIN_EXE_ssp");
@@ -401,13 +401,24 @@ fn stderr_path(dir: &Path, i: usize) -> PathBuf {
 }
 
 /// Spawns `n` `ssp serve a1 rs --node` processes on fresh loopback
-/// ports. A probed port is free only until its listener drops, so a
+/// ports.
+fn launch_nodes(n: usize, dir: &Path, args: &[&str]) -> Vec<Child> {
+    launch_nodes_with_lag(n, dir, args, Duration::ZERO)
+}
+
+/// [`launch_nodes`], with the last node started `lag` after the
+/// others. A probed port is free only until its listener drops, so a
 /// test running in parallel can take it before the node binds it: when
 /// a node exits early with `Address already in use`, the whole set is
 /// killed and relaunched on fresh ports, at most three times in all.
-fn launch_nodes(n: usize, dir: &Path, args: &[&str]) -> Vec<Child> {
+fn launch_nodes_with_lag(n: usize, dir: &Path, args: &[&str], lag: Duration) -> Vec<Child> {
     for _ in 0..3 {
-        let mut nodes = spawn_nodes(&free_addrs(n), dir, args);
+        let addrs = free_addrs(n);
+        let mut nodes: Vec<Child> = (0..n - 1)
+            .map(|i| spawn_node(&addrs, dir, i, args))
+            .collect();
+        std::thread::sleep(lag);
+        nodes.push(spawn_node(&addrs, dir, n - 1, args));
         if !lost_a_port(&mut nodes, dir) {
             return nodes;
         }
@@ -419,22 +430,50 @@ fn launch_nodes(n: usize, dir: &Path, args: &[&str]) -> Vec<Child> {
     panic!("3 launches in a row lost a port to another process");
 }
 
-/// Spawns one node per address, each writing its stderr next to its
-/// report.
-fn spawn_nodes(addrs: &[String], dir: &Path, args: &[&str]) -> Vec<Child> {
-    (0..addrs.len())
-        .map(|i| {
-            let stderr = std::fs::File::create(stderr_path(dir, i)).expect("stderr file");
-            Command::new(env!("CARGO_BIN_EXE_ssp"))
-                .args(["serve", "a1", "rs", "--node", &i.to_string()])
-                .args(["--listen", &addrs[i], "--peers", &addrs.join(",")])
-                .args(["--report", report_path(dir, i).to_str().unwrap()])
-                .args(args)
-                .stderr(stderr)
-                .spawn()
-                .expect("spawn node")
-        })
-        .collect()
+/// Spawns node `i` of the cluster at `addrs`, writing its stderr next
+/// to its report.
+fn spawn_node(addrs: &[String], dir: &Path, i: usize, args: &[&str]) -> Child {
+    let stderr = std::fs::File::create(stderr_path(dir, i)).expect("stderr file");
+    Command::new(env!("CARGO_BIN_EXE_ssp"))
+        .args(["serve", "a1", "rs", "--node", &i.to_string()])
+        .args(["--listen", &addrs[i], "--peers", &addrs.join(",")])
+        .args(["--report", report_path(dir, i).to_str().unwrap()])
+        .args(args)
+        .stderr(stderr)
+        .spawn()
+        .expect("spawn node")
+}
+
+/// Waits for every node of `nodes` to exit cleanly.
+fn wait_ok(nodes: &mut [Child]) {
+    for node in nodes {
+        assert!(node.wait().expect("wait node").success(), "a node failed");
+    }
+}
+
+/// Merges the reports of the `n` nodes in `dir`.
+fn merge_dir(dir: &Path, n: usize, seed: u64, instances: u64) -> ClusterReport {
+    let reports: Vec<String> = (0..n)
+        .map(|i| std::fs::read_to_string(report_path(dir, i)).unwrap_or_default())
+        .collect();
+    let mut cfg = NodeConfig::new(0, n, String::new(), Vec::new(), seed);
+    cfg.instances = instances;
+    merge_reports(&cfg, &reports).expect("merge")
+}
+
+/// Every instance of `report` ran to completion, audits clean and is
+/// certified `RS`.
+fn assert_all_rs(report: &ClusterReport, instances: u64) {
+    assert_eq!(report.audits.len() as u64, instances);
+    for audit in &report.audits {
+        assert!(audit.is_clean(), "instance {}: {audit:?}", audit.instance);
+        assert_eq!(
+            audit.verdict.to_string(),
+            "RS",
+            "instance {}: {audit:?}",
+            audit.instance
+        );
+    }
 }
 
 /// Waits until every node has written a report line or exited, and
@@ -520,7 +559,7 @@ fn a_failure_free_node_report_keeps_its_line_order() {
                 "S" | "R" => (3, 3 + 3),
                 "D" => (3, 4),
                 "Y" => (2, 6),
-                "T" => (1, 9),
+                "T" => (1, 11),
                 "K" => (1, 3),
                 _ => (fields.len(), 0),
             };
@@ -623,4 +662,140 @@ fn a_stopped_peer_surfaces_as_pending_and_flagged_never_certified() {
         }
     }
     assert!(lost > 0, "the stop must outlast fd_timeout + drain");
+}
+
+/// A late start is not a crash. Node 2 starts 600 ms after its peers,
+/// more than twice the default PFD timeout plus drain (175 + 101 ms),
+/// with no timing flag set: the start-up gate holds instance 0 until
+/// every peer has been heard, so nobody is suspected (`suspected:
+/// none` in `serve-cluster`'s terms) and every instance is `RS`.
+#[test]
+fn a_late_starting_node_is_not_read_as_crashed() {
+    const INSTANCES: u64 = 5;
+    let dir = scratch("late");
+    let mut nodes = launch_nodes_with_lag(
+        3,
+        &dir,
+        &["--instances", &INSTANCES.to_string(), "--seed", "4"],
+        Duration::from_millis(600),
+    );
+    wait_ok(&mut nodes);
+    let merged = merge_dir(&dir, 3, 4, INSTANCES);
+    assert!(
+        merged.crashed_nodes.is_empty(),
+        "suspected: {:?}",
+        merged.crashed_nodes
+    );
+    assert_all_rs(&merged, INSTANCES);
+}
+
+/// The default detector is sound on a failure-free run: 1000 instances
+/// at default timing (PFD timeout 175 ms, Δ 100 ms armed), every one
+/// certified `RS`, no frame later than Δ, and no live peer ever silent
+/// for as long as the timeout.
+#[test]
+fn a_failure_free_cluster_at_default_timing_is_certified_rs() {
+    const INSTANCES: u64 = 1000;
+    let dir = scratch("soak");
+    let mut nodes = launch_nodes(
+        3,
+        &dir,
+        &["--instances", &INSTANCES.to_string(), "--seed", "8"],
+    );
+    wait_ok(&mut nodes);
+    let merged = merge_dir(&dir, 3, 8, INSTANCES);
+    assert!(
+        merged.crashed_nodes.is_empty(),
+        "suspected: {:?}",
+        merged.crashed_nodes
+    );
+    assert_all_rs(&merged, INSTANCES);
+    let t = merged
+        .stats
+        .transport
+        .expect("socket runs report transport");
+    assert_eq!(t.late_frames, 0, "{t:?}");
+    let timeout = NodeConfig::new(0, 3, String::new(), Vec::new(), 8).fd_timeout;
+    assert!(
+        Duration::from_micros(t.max_silence_micros) < timeout,
+        "a live peer was silent for the whole PFD timeout: {t:?}"
+    );
+}
+
+/// Failover pays the default detector, not a hand-set 2 s: node 0 is
+/// `kill -9`ed once it has finished instance 20, and the survivors
+/// decide an instance node 0 never took part in within 1 s of the
+/// kill. Exactly node 0 is crashed, and every instance audits clean.
+#[test]
+fn survivors_decide_again_within_a_second_of_a_kill_at_default_timing() {
+    const INSTANCES: u64 = 40;
+    let dir = scratch("recover");
+    let mut nodes = launch_nodes(
+        3,
+        &dir,
+        &[
+            "--instances",
+            &INSTANCES.to_string(),
+            "--seed",
+            "6",
+            "--gap-ms",
+            "10",
+        ],
+    );
+    let victim = report_path(&dir, 0);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_to_string(&victim)
+        .unwrap_or_default()
+        .lines()
+        .any(|l| l.starts_with("Y 20 "))
+    {
+        assert!(
+            Instant::now() < deadline,
+            "node 0 never finished instance 20"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    nodes[0].kill().expect("kill node 0");
+    let killed = Instant::now();
+    let _ = nodes[0].wait();
+
+    // A wire leaves before its `S` row is written, so node 0 may have
+    // sent into the instance after its last `S` row, never beyond it.
+    let last_sent = std::fs::read_to_string(&victim)
+        .expect("report")
+        .lines()
+        .filter_map(|l| l.strip_prefix("S ")?.split(' ').next()?.parse::<u64>().ok())
+        .max()
+        .expect("node 0 sent rows");
+    let decided_without_0 = |i: usize| {
+        std::fs::read_to_string(report_path(&dir, i))
+            .unwrap_or_default()
+            .lines()
+            .filter_map(|l| l.strip_prefix("D ")?.split(' ').next()?.parse::<u64>().ok())
+            .any(|k| k >= last_sent + 2)
+    };
+    while !(decided_without_0(1) && decided_without_0(2)) {
+        assert!(
+            Instant::now() < deadline,
+            "the survivors never decided again"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let recovery = killed.elapsed();
+    assert!(
+        recovery < Duration::from_secs(1),
+        "the survivors took {recovery:?} to decide again"
+    );
+
+    wait_ok(&mut nodes[1..]);
+    let merged = merge_dir(&dir, 3, 6, INSTANCES);
+    assert!(
+        matches!(merged.crashed_nodes[..], [(0, _)]),
+        "exactly node 0 crashed: {:?}",
+        merged.crashed_nodes
+    );
+    assert_eq!(merged.audits.len() as u64, INSTANCES);
+    for audit in &merged.audits {
+        assert!(audit.is_clean(), "instance {}: {audit:?}", audit.instance);
+    }
 }
